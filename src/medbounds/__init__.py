@@ -6,7 +6,6 @@ uncertainty intervals, all on the log odds-ratio scale. An exact discrete
 simulator provides ground truth for every closed form.
 """
 
-from ._kernels import BACKEND as kernel_backend
 from .bounds import (
     BoundPair,
     EffectBounds,

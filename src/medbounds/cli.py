@@ -16,9 +16,8 @@ import sys
 import warnings
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
-from . import _kernels
 from .bounds import effect_bounds
 from .effects import Contrast, point_effects, predictor_bundle
 from .errors import IngestionError, MedboundsError
@@ -269,7 +268,7 @@ def cmd_fit(args) -> int:
                     "term": name,
                     "est.": float(est),
                     "s.e.": float(s),
-                    "p-value": float(2.0 * norm.sf(abs(z))),
+                    "p-value": float(2.0 * ndtr(-abs(z))),
                 }
             )
     fmt = _fmt(cfg, args)
@@ -289,36 +288,6 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _contrast_row(outcome, mediator, contrast: Contrast, alpha: float) -> dict:
-    bundle = predictor_bundle(outcome, mediator, contrast)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        eb = effect_bounds(bundle)
-        est = bound_covariance(bundle)
-        ui = uncertainty_intervals(eb, est, alpha)
-    pt = eb.point
-    return {
-        "x": contrast.active,
-        "x_star": contrast.reference,
-        "profile": _profile_label(dict(contrast.profile)),
-        "nde": pt.nde,
-        "nde_lo": eb.nde.lower,
-        "nde_hi": eb.nde.upper,
-        "nde_ui_lo": ui.nde.lower,
-        "nde_ui_hi": ui.nde.upper,
-        "nie": pt.nie,
-        "nie_lo": eb.nie.lower,
-        "nie_hi": eb.nie.upper,
-        "nie_ui_lo": ui.nie.lower,
-        "nie_ui_hi": ui.nie.upper,
-        "te": pt.te,
-        "te_lo": eb.te.lower,
-        "te_hi": eb.te.upper,
-        "te_ui_lo": ui.te.lower,
-        "te_ui_hi": ui.te.upper,
-    }
-
-
 def _check_support(models, x_star: float) -> None:
     for model in models:
         if model.exposure_range is not None:
@@ -331,6 +300,20 @@ def _check_support(models, x_star: float) -> None:
                 return
 
 
+def _result_rows(contrasts: list[Contrast], columns: dict) -> list[dict]:
+    """One output row per contrast: its key columns, then the named value arrays."""
+    values = {name: v.tolist() for name, v in columns.items()}
+    return [
+        {
+            "x": c.active,
+            "x_star": c.reference,
+            "profile": _profile_label(dict(c.profile)),
+            **{name: column[i] for name, column in values.items()},
+        }
+        for i, c in enumerate(contrasts)
+    ]
+
+
 def cmd_effects(args) -> int:
     cfg = load_config(args.config) if args.config else {}
     data = None if args.models else _read_data(cfg, args)
@@ -338,26 +321,15 @@ def cmd_effects(args) -> int:
     xs = _x_values(cfg, args)
     x_star = _x_star(cfg, args)
     profiles = _profiles(cfg, args, data)
-    rows = []
-    for profile in profiles:
-        for x in xs:
-            bundle = predictor_bundle(outcome, mediator, Contrast(x, x_star, profile))
-            pt = point_effects(bundle)
-            rows.append(
-                {
-                    "x": x,
-                    "x_star": x_star,
-                    "profile": _profile_label(profile),
-                    "nde": pt.nde,
-                    "nie": pt.nie,
-                    "te": pt.te,
-                }
-            )
+    contrasts = [Contrast(x, x_star, profile) for profile in profiles for x in xs]
+    pt = point_effects(predictor_bundle(outcome, mediator, contrasts))
+    rows = _result_rows(contrasts, {"nde": pt.nde, "nie": pt.nie, "te": pt.te})
     _emit(_render_rows(rows, _fmt(cfg, args)), args)
     return EXIT_OK
 
 
 def _bounds_like(args) -> int:
+    """The ``bounds`` and ``curve`` commands: every contrast evaluated in one batch."""
     cfg = load_config(args.config) if args.config else {}
     data = None if args.models else _read_data(cfg, args)
     outcome, mediator = _acquire_models(cfg, args, data)
@@ -366,21 +338,20 @@ def _bounds_like(args) -> int:
     _check_support((outcome, mediator), x_star)
     profiles = _profiles(cfg, args, data)
     alpha = _alpha(cfg, args)
-    rows = [
-        _contrast_row(outcome, mediator, Contrast(x, x_star, profile), alpha)
-        for x in xs
-        for profile in profiles
-    ]
-    _emit(_render_rows(rows, _fmt(cfg, args)), args)
+    contrasts = [Contrast(x, x_star, profile) for x in xs for profile in profiles]
+    bundle = predictor_bundle(outcome, mediator, contrasts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        eb = effect_bounds(bundle)
+        ui = uncertainty_intervals(eb, bound_covariance(bundle), alpha)
+    columns = {}
+    for name in ("nde", "nie", "te"):
+        bound, interval = getattr(eb, name), getattr(ui, name)
+        columns[name] = getattr(eb.point, name)
+        columns[name + "_lo"], columns[name + "_hi"] = bound.lower, bound.upper
+        columns[name + "_ui_lo"], columns[name + "_ui_hi"] = interval.lower, interval.upper
+    _emit(_render_rows(_result_rows(contrasts, columns), _fmt(cfg, args)), args)
     return EXIT_OK
-
-
-def cmd_bounds(args) -> int:
-    return _bounds_like(args)
-
-
-def cmd_curve(args) -> int:
-    return _bounds_like(args)
 
 
 def cmd_simulate(args) -> int:
@@ -419,7 +390,6 @@ def cmd_validate(args) -> int:
         with open(args.out, "w") as fh:
             fh.write(text)
     sys.stdout.write(text)
-    sys.stdout.write(f"kernel backend: {_kernels.BACKEND}\n")
     return EXIT_OK if report.passed else EXIT_VALIDATION
 
 
@@ -457,11 +427,11 @@ def build_parser() -> _Parser:
 
     p_bounds = sub.add_parser("bounds", help="identification bounds and uncertainty intervals")
     common(p_bounds)
-    p_bounds.set_defaults(fn=cmd_bounds)
+    p_bounds.set_defaults(fn=_bounds_like)
 
     p_curve = sub.add_parser("curve", help="bounds over an exposure grid (plot-ready rows)")
     common(p_curve)
-    p_curve.set_defaults(fn=cmd_curve)
+    p_curve.set_defaults(fn=_bounds_like)
 
     p_sim = sub.add_parser("simulate", help="draw a synthetic dataset from a structural model")
     p_sim.add_argument("--scm", help="structural model JSON (default: bundled demo cohort)")

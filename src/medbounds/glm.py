@@ -191,10 +191,14 @@ class DesignSpec:
     def row(self, point: Point) -> np.ndarray:
         return np.array([float(t(point)) for t in self.terms])
 
+    def evaluate(self, point: Point, n: int) -> np.ndarray:
+        """(n, k) basis evaluations at a point whose fields are length-n arrays."""
+        cols = [np.broadcast_to(np.asarray(t(point), dtype=float), (n,)) for t in self.terms]
+        return np.column_stack(cols)
+
     def matrix(self, data: "Dataset") -> np.ndarray:
         p = Point(exposure=data.exposure, mediator=data.mediator, covariates=data.covariates)
-        cols = [np.broadcast_to(np.asarray(t(p), dtype=float), (data.n,)) for t in self.terms]
-        X = np.column_stack(cols)
+        X = self.evaluate(p, data.n)
         if not np.all(np.isfinite(X)):
             bad = [self.terms[j].name for j in range(X.shape[1]) if not np.all(np.isfinite(X[:, j]))]
             raise IngestionError(f"non-finite design values in terms: {', '.join(bad)}")

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .bounds import effect_bounds, shifted_effects
+from .bounds import BoundPair, EffectBounds, log_bound_endpoints, shifted_effects
 from .effects import Contrast, EffectTriple, Pair, PredictorBundle
 from .errors import MedboundsError
 from .glm import Dataset
@@ -298,13 +298,25 @@ def sample_dataset(scm: StructuralModel, n: int, seed: int) -> Dataset:
 # --------------------------------------------------------------------------
 
 
+def _factor_extrema(shifts: np.ndarray, b0: float, b1: float, g: float) -> tuple[float, float]:
+    """Min/max over a shift grid of one pair's log mediator-adjustment factor.
+
+    The factor is log[(1 + e^{t1}) / (1 + e^{t0})] where
+    t0 = log(1+e^{s+b0}) - log(1+e^{s+b1}) + g and t1 = t0 + (b1 - b0),
+    evaluated at every shift s of the grid.
+    """
+    t0 = np.logaddexp(0.0, shifts + b0) - np.logaddexp(0.0, shifts + b1) + g
+    f = np.logaddexp(0.0, t0 + (b1 - b0)) - np.logaddexp(0.0, t0)
+    return float(f.min()), float(f.max())
+
+
 def sweep_bounds(
     bundle: PredictorBundle,
     lo: float = -30.0,
     hi: float = 30.0,
     points: int = 100_001,
 ):
-    """Grid brute force for the identification bounds.
+    """Grid brute force for the identification bounds of a single bundle.
 
     Each effect is a fixed combination of per-pair adjustment factors, and
     each factor sweeps its full admissible range as its own shift runs over
@@ -314,13 +326,11 @@ def sweep_bounds(
     """
     if points < 2:
         raise ValueError("points must be at least 2")
-    from . import _kernels
-    from .bounds import BoundPair, EffectBounds
-
     b_x0, b_xs0, b_x1, b_xs1, g_x, g_xs = (float(v) for v in bundle.values)
-    cross = _kernels.pair_factor_extrema(b_x0, b_x1, g_xs, lo, hi, points)
-    active = _kernels.pair_factor_extrema(b_x0, b_x1, g_x, lo, hi, points)
-    reference = _kernels.pair_factor_extrema(b_xs0, b_xs1, g_xs, lo, hi, points)
+    shifts = np.linspace(lo, hi, points)
+    cross = _factor_extrema(shifts, b_x0, b_x1, g_xs)
+    active = _factor_extrema(shifts, b_x0, b_x1, g_x)
+    reference = _factor_extrema(shifts, b_xs0, b_xs1, g_xs)
 
     base = b_x0 - b_xs0
     nde = BoundPair(base + cross[0] - reference[1], base + cross[1] - reference[0])
@@ -343,21 +353,12 @@ def mediation_formula_logit(bundle: PredictorBundle, pair: Pair = Pair.ACTIVE) -
 
 
 def finite_difference_jacobian(bundle: PredictorBundle, h: float = 1e-6) -> np.ndarray:
-    """Central-difference 6x4 jacobian of the log bound endpoints."""
-
-    def tau(values: np.ndarray) -> np.ndarray:
-        eb = effect_bounds(PredictorBundle(values=values, cov=np.zeros((6, 6))))
-        return np.array([eb.nde.lower, eb.nde.upper, eb.nie.lower, eb.nie.upper])
-
-    D = np.zeros((6, 4))
-    base = bundle.values
-    for i in range(6):
-        up = base.copy()
-        dn = base.copy()
-        up[i] += h
-        dn[i] -= h
-        D[i, :] = (tau(up) - tau(dn)) / (2.0 * h)
-    return D
+    """Central-difference 6x4 jacobian of the log bound endpoints of a single bundle."""
+    steps = h * np.eye(6)
+    # rows 0-5 step each component up, rows 6-11 step it down
+    values = np.concatenate([bundle.values + steps, bundle.values - steps])
+    tau = log_bound_endpoints(PredictorBundle(values=values, cov=np.zeros((12, 6, 6))))
+    return (tau[:6] - tau[6:]) / (2.0 * h)
 
 
 def random_bundle(rng: np.random.Generator, scale: float = 4.0, with_cov: bool = False) -> PredictorBundle:

@@ -6,6 +6,7 @@ from medbounds.effects import Contrast, point_effects
 from medbounds.scm import (
     DegenerateLawError,
     StructuralModel,
+    _factor_extrema,
     crossworld_demo_scm,
     demo_cohort_scm,
     enumerate_counterfactuals,
@@ -369,3 +370,12 @@ class TestSweepOracle:
     def test_requires_two_points(self, derived_bundle):
         with pytest.raises(ValueError):
             sweep_bounds(derived_bundle, points=1)
+
+    def test_factor_extrema_monotone_case(self):
+        # factor is monotone in the shift, so extrema sit at the grid ends
+        lo, hi = _factor_extrema(np.linspace(-30.0, 30.0, 101), -1.0, 0.5, -0.3)
+        smin, smax = -30.0, 30.0
+        t0 = lambda s: np.logaddexp(0, s - 1.0) - np.logaddexp(0, s + 0.5) - 0.3
+        f = lambda s: np.logaddexp(0, t0(s) + 1.5) - np.logaddexp(0, t0(s))
+        assert lo == pytest.approx(min(f(smin), f(smax)), abs=1e-12)
+        assert hi == pytest.approx(max(f(smin), f(smax)), abs=1e-12)
