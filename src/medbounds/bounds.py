@@ -7,6 +7,10 @@ shift enters every effect expression through a single monotone factor per
 a bounded retrospective probability, which yields closed-form lower/upper
 bounds for the direct, indirect and total effects. The point estimates of
 the stronger assumption set are recovered exactly at shift zero.
+
+Each endpoint combines per-pair log-factor extremes, and each extreme
+depends on one pair's mediator effect and mediator predictor only; the same
+combination rule applied to their partial derivatives gives the jacobian.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .effects import (
+    PAIR_COMPONENTS,
     EffectTriple,
     Pair,
     PredictorBundle,
@@ -44,6 +49,12 @@ __all__ = [
 ]
 
 DELTA_EPS = 1e-10  # below this the mediator effect counts as degenerate
+
+# Per pair in ``Pair`` order: the bundle indices of its (m=0 outcome, m=1
+# outcome, mediator) predictors, and their gradients w.r.t. the bundle
+_INPUTS = np.array([PAIR_COMPONENTS[pair] for pair in Pair]).T
+_D_Y0, _D_Y1, _D_G = np.eye(6)[_INPUTS]
+_D_INPUTS = np.stack([_D_Y1 - _D_Y0, _D_G])  # of (delta, g), (2, pair, 6)
 
 
 @dataclass(frozen=True)
@@ -106,12 +117,10 @@ def mediator_log_odds_ratio(bundle: PredictorBundle, level: str = "active") -> f
     The m=1 vs m=0 gap of the outcome predictor; all bound widths scale with
     it, and it is identified regardless of outcome confounding.
     """
-    if level == "active":
-        delta = bundle.y_active_m1 - bundle.y_active_m0
-    elif level == "reference":
-        delta = bundle.y_ref_m1 - bundle.y_ref_m0
-    else:
+    if level not in ("active", "reference"):
         raise ValueError("level must be 'active' or 'reference'")
+    b0, b1 = bundle.outcome_parts(Pair.ACTIVE if level == "active" else Pair.REFERENCE)
+    delta = b1 - b0
     _warn_degenerate(
         delta,
         f"mediator effect at {level} level is numerically zero{{rows}}; "
@@ -137,10 +146,33 @@ def shifted_posterior_logit(
     return y * (b1 - b0) + softplus(shift + b0) - softplus(shift + b1) + g
 
 
-def _log_factor(bundle: PredictorBundle, shift: float | np.ndarray, pair: Pair) -> float | np.ndarray:
-    g1 = shifted_posterior_logit(bundle, shift, 1, pair)
-    g0 = shifted_posterior_logit(bundle, shift, 0, pair)
-    return softplus(g1) - softplus(g0)
+def _shifted_logits0(bundle: PredictorBundle, shift, pairs=tuple(Pair)) -> dict:
+    """Each pair's y=0 shifted posterior logit, with one softplus(s + b0) -
+    softplus(s + b1) per outcome level (CROSS and ACTIVE share one)."""
+    v, by_level, logits = bundle.values.T, {}, {}
+    for pair in pairs:
+        i0, i1, ig = PAIR_COMPONENTS[pair]
+        if (i0, i1) not in by_level:
+            by_level[i0, i1] = softplus(shift + v[i0]) - softplus(shift + v[i1])
+        logits[pair] = by_level[i0, i1] + v[ig]
+    return logits
+
+
+def _combine(y0, lower, upper) -> tuple:
+    """(NDE lower, NDE upper, NIE lower, NIE upper) from per-pair m=0 outcome
+    predictors y0 and log-factor extremes (or their gradients), in ``Pair`` order:
+    NDE = base + cross - reference, base = y0 cross - y0 reference; NIE = active - cross."""
+    (y0_cross, _, y0_ref), (cross_l, active_l, ref_l), (cross_u, active_u, ref_u) = y0, lower, upper
+    base = y0_cross - y0_ref
+    return base + cross_l - ref_u, base + cross_u - ref_l, active_l - cross_u, active_u - cross_l
+
+
+def _effects_at(bundle: PredictorBundle, logits0: dict) -> EffectTriple:
+    """Effects from each pair's y=0 shifted posterior logit (a point: lower = upper)."""
+    y0, y1, _ = bundle.values.T[_INPUTS]
+    factors = [softplus(logits0[p] + d) - softplus(logits0[p]) for p, d in zip(Pair, y1 - y0)]
+    nde, _, nie, _ = _combine(y0, factors, factors)
+    return EffectTriple.from_parts(nde, nie)
 
 
 def shifted_effects(bundle: PredictorBundle, shift: float | np.ndarray) -> EffectTriple:
@@ -149,10 +181,7 @@ def shifted_effects(bundle: PredictorBundle, shift: float | np.ndarray) -> Effec
     Reduces to ``point_effects`` at shift 0; for any finite shift each
     component stays inside the corresponding identification bound.
     """
-    cross = _log_factor(bundle, shift, Pair.CROSS)
-    nde = bundle.y_active_m0 - bundle.y_ref_m0 + cross - _log_factor(bundle, shift, Pair.REFERENCE)
-    nie = _log_factor(bundle, shift, Pair.ACTIVE) - cross
-    return EffectTriple.from_parts(nde, nie)
+    return _effects_at(bundle, _shifted_logits0(bundle, shift))
 
 
 def sensitivity_probability(bundle: PredictorBundle, shift: float | np.ndarray) -> float | np.ndarray:
@@ -161,7 +190,7 @@ def sensitivity_probability(bundle: PredictorBundle, shift: float | np.ndarray) 
     P(mediator stays 0 in the reference world | outcome 0 in the cross world);
     monotone in the shift whenever the mediator effect is nonzero.
     """
-    return expit(-shifted_posterior_logit(bundle, shift, 0, Pair.CROSS))
+    return expit(-_shifted_logits0(bundle, shift, (Pair.CROSS,))[Pair.CROSS])
 
 
 def sensitivity_probability_range(bundle: PredictorBundle) -> BoundPair:
@@ -180,14 +209,20 @@ def sensitivity_probability_range(bundle: PredictorBundle) -> BoundPair:
     return BoundPair(np.minimum(at_minus_inf, at_plus_inf), np.maximum(at_minus_inf, at_plus_inf))
 
 
-def _log_factor_range(
-    delta: float | np.ndarray, g: float | np.ndarray
-) -> tuple[float | np.ndarray, float | np.ndarray]:
-    # log of the straight-line extremes: l = (1+e^g)/(1+e^{g-delta}),
-    # u = (1+e^{g+delta})/(1+e^g); valid for either sign of delta.
-    log_l = softplus(g) - softplus(g - delta)
-    log_u = softplus(g + delta) - softplus(g)
-    return log_l, log_u
+def _log_factor_range(delta, g, gradients: bool = False) -> tuple:
+    """((log l, log u), partials) of pairs with mediator effect delta and predictor g.
+
+    The straight-line extremes are l = (1+e^g)/(1+e^{g-delta}) and
+    u = (1+e^{g+delta})/(1+e^g), for either sign of delta; the partials are
+    the (d/d delta, d/dg) of log l and of log u, or None without ``gradients``.
+    """
+    z = g + np.multiply.outer([-1.0, 0.0, 1.0], delta)  # g - delta, g, g + delta
+    sp = softplus(z)
+    extremes = (sp[1] - sp[0], sp[2] - sp[1])
+    if not gradients:
+        return extremes, None
+    e = expit(z)
+    return extremes, ((e[0], e[1] - e[0]), (e[2], e[2] - e[1]))
 
 
 def factor_range(bundle: PredictorBundle, pair: Pair = Pair.CROSS) -> BoundPair:
@@ -201,8 +236,26 @@ def factor_range(bundle: PredictorBundle, pair: Pair = Pair.CROSS) -> BoundPair:
     _warn_degenerate(
         delta, "mediator effect is numerically zero{rows}; adjustment factor collapses to 1"
     )
-    log_l, log_u = _log_factor_range(delta, bundle.mediator_part(pair))
+    (log_l, log_u), _ = _log_factor_range(delta, bundle.mediator_part(pair))
     return BoundPair(np.exp(log_l), np.exp(log_u))
+
+
+def _log_bounds(bundle: PredictorBundle, jacobian: bool = False) -> tuple:
+    """Log bound endpoints (..., 4) and, if asked, their jacobian (..., 6, 4), else None."""
+    y0, y1, g = bundle.values.T[_INPUTS]  # each (pair, ...)
+    delta = y1 - y0
+    _warn_degenerate(
+        np.abs(delta).min(axis=0),
+        "mediator effect is numerically zero at some exposure level{rows}; "
+        "bounds collapse to their continuous limits",
+    )
+    extremes, partials = _log_factor_range(delta, g, jacobian)
+    endpoints = np.array(_combine(y0, *extremes)).T
+    if not jacobian:
+        return endpoints, None
+    # the chain rule through each pair's (delta, g): gradients (pair, ..., 6)
+    grads = [np.einsum("kp...,kpi->p...i", partial, _D_INPUTS) for partial in partials]
+    return endpoints, np.stack(_combine(_D_Y0, *grads), axis=-1)
 
 
 def log_bound_endpoints(bundle: PredictorBundle) -> np.ndarray:
@@ -211,23 +264,7 @@ def log_bound_endpoints(bundle: PredictorBundle) -> np.ndarray:
     Each effect combines per-pair factor extremes: the NDE divides the cross
     pair by the reference pair, the NIE the active pair by the cross pair.
     """
-    d_x = bundle.y_active_m1 - bundle.y_active_m0
-    d_xs = bundle.y_ref_m1 - bundle.y_ref_m0
-    _warn_degenerate(
-        np.minimum(np.abs(d_x), np.abs(d_xs)),
-        "mediator effect is numerically zero at some exposure level{rows}; "
-        "bounds collapse to their continuous limits",
-    )
-    g_x, g_xs = bundle.m_active, bundle.m_ref
-
-    cross_l, cross_u = _log_factor_range(d_x, g_xs)
-    active_l, active_u = _log_factor_range(d_x, g_x)
-    ref_l, ref_u = _log_factor_range(d_xs, g_xs)
-
-    base = bundle.y_active_m0 - bundle.y_ref_m0
-    return np.stack(
-        [base + cross_l - ref_u, base + cross_u - ref_l, active_l - cross_u, active_u - cross_l], axis=-1
-    )
+    return _log_bounds(bundle)[0]
 
 
 def effect_bounds(bundle: PredictorBundle) -> EffectBounds:
@@ -237,7 +274,7 @@ def effect_bounds(bundle: PredictorBundle) -> EffectBounds:
     bounds add them componentwise. The shift-zero point estimates are
     attached and always lie inside.
     """
-    nde_lo, nde_hi, nie_lo, nie_hi = np.moveaxis(log_bound_endpoints(bundle), -1, 0)
+    nde_lo, nde_hi, nie_lo, nie_hi = log_bound_endpoints(bundle).T
     nde = BoundPair(nde_lo, nde_hi)
     nie = BoundPair(nie_lo, nie_hi)
     te = BoundPair(nde.lower + nie.lower, nde.upper + nie.upper)
@@ -247,11 +284,6 @@ def effect_bounds(bundle: PredictorBundle) -> EffectBounds:
 def sensitivity_curve(bundle: PredictorBundle, shifts) -> SensitivityCurve:
     """Trace shared-shift effects and the sensitivity probability on a grid."""
     shifts = np.asarray(shifts, dtype=float)
-    effects = shifted_effects(bundle, shifts)
-    return SensitivityCurve(
-        shifts=shifts,
-        nde=effects.nde,
-        nie=effects.nie,
-        te=effects.te,
-        probabilities=sensitivity_probability(bundle, shifts),
-    )
+    logits0 = _shifted_logits0(bundle, shifts)
+    eff = _effects_at(bundle, logits0)
+    return SensitivityCurve(shifts, eff.nde, eff.nie, eff.te, expit(-logits0[Pair.CROSS]))

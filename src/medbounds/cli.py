@@ -288,16 +288,25 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _check_support(models, x_star: float) -> None:
-    for model in models:
-        if model.exposure_range is not None:
-            lo, hi = model.exposure_range
-            if not lo <= x_star <= hi:
-                warnings.warn(
-                    f"reference level {x_star:g} lies outside the observed exposure "
-                    f"range [{lo:g}, {hi:g}]"
-                )
-                return
+def _check_support(models, xs: list[float], x_star: float) -> None:
+    """Warn once, naming every exposure level outside some model's observed range;
+    more than three active levels on one side are named by count and extremes."""
+    ranges = [model.exposure_range for model in models if model.exposure_range is not None]
+    if not ranges:
+        return
+    lo, hi = max(r[0] for r in ranges), min(r[1] for r in ranges)
+    named = [f"x* = {x_star:g}"] if not lo <= x_star <= hi else []
+    levels = sorted(set(xs))
+    for side in ([x for x in levels if x < lo], [x for x in levels if x > hi]):
+        if len(side) > 3:
+            named.append(f"x = {len(side)} levels from {side[0]:g} to {side[-1]:g}")
+        elif side:
+            named.append("x = " + ", ".join(f"{x:g}" for x in side))
+    if named:
+        warnings.warn(
+            f"exposure levels outside the observed exposure range [{lo:g}, {hi:g}]: "
+            + "; ".join(named)
+        )
 
 
 def _result_rows(contrasts: list[Contrast], columns: dict) -> list[dict]:
@@ -320,6 +329,7 @@ def cmd_effects(args) -> int:
     outcome, mediator = _acquire_models(cfg, args, data)
     xs = _x_values(cfg, args)
     x_star = _x_star(cfg, args)
+    _check_support((outcome, mediator), xs, x_star)
     profiles = _profiles(cfg, args, data)
     contrasts = [Contrast(x, x_star, profile) for profile in profiles for x in xs]
     pt = point_effects(predictor_bundle(outcome, mediator, contrasts))
@@ -335,7 +345,7 @@ def _bounds_like(args) -> int:
     outcome, mediator = _acquire_models(cfg, args, data)
     xs = _x_values(cfg, args)
     x_star = _x_star(cfg, args)
-    _check_support((outcome, mediator), x_star)
+    _check_support((outcome, mediator), xs, x_star)
     profiles = _profiles(cfg, args, data)
     alpha = _alpha(cfg, args)
     contrasts = [Contrast(x, x_star, profile) for x in xs for profile in profiles]

@@ -4,8 +4,8 @@ Everything downstream of model fitting is a function of six linear
 predictors: the outcome predictor at (active, reference) exposure crossed
 with mediator 0/1, and the mediator predictor at both exposure levels.
 ``PredictorBundle`` carries that 6-vector together with the covariance of
-its estimator, in a fixed component order that the delta-method code
-indexes against.
+its estimator, in a fixed component order; ``PAIR_COMPONENTS`` maps each
+(outcome-level, mediator-level) pair to the components it reads.
 """
 
 from __future__ import annotations
@@ -77,11 +77,20 @@ class Pair(enum.Enum):
     REFERENCE = "reference"
 
 
+# The bundle components each pair reads: (outcome at m=0, outcome at m=1,
+# mediator predictor), at the pair's outcome and mediator levels.
+PAIR_COMPONENTS = {
+    Pair.CROSS: (0, 2, 5),
+    Pair.ACTIVE: (0, 2, 4),
+    Pair.REFERENCE: (1, 3, 5),
+}
+
+
 @dataclass(frozen=True)
 class PredictorBundle:
     """Six linear predictors and the covariance of their estimator.
 
-    Component order (fixed; the uncertainty module differentiates against it):
+    Component order (fixed; ``PAIR_COMPONENTS`` indexes against it):
     outcome at (active, m=0), (reference, m=0), (active, m=1),
     (reference, m=1), then mediator at active and at reference.
 
@@ -135,13 +144,12 @@ class PredictorBundle:
 
     def outcome_parts(self, pair: Pair) -> tuple[float | np.ndarray, float | np.ndarray]:
         """(m=0, m=1) outcome predictors at the pair's outcome level."""
-        if pair is Pair.REFERENCE:
-            return self.y_ref_m0, self.y_ref_m1
-        return self.y_active_m0, self.y_active_m1
+        i0, i1, _ = PAIR_COMPONENTS[pair]
+        return self.values.T[i0], self.values.T[i1]
 
     def mediator_part(self, pair: Pair) -> float | np.ndarray:
         """Mediator predictor at the pair's mediator level."""
-        return self.m_active if pair is Pair.ACTIVE else self.m_ref
+        return self.values.T[PAIR_COMPONENTS[pair][2]]
 
 
 @dataclass(frozen=True)

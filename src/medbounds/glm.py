@@ -275,7 +275,7 @@ def load_csv(
         missing = [c for c in wanted if c not in reader.fieldnames]
         if missing:
             raise IngestionError(f"{path}: missing columns: {', '.join(missing)}")
-        for i, rec in enumerate(reader, start=2):
+        for rec in reader:
             vals = [rec[c] for c in wanted]
             if any(v is None or v.strip() == "" for v in vals):
                 dropped += 1
@@ -283,7 +283,8 @@ def load_csv(
             try:
                 rows.append([float(v) for v in vals])
             except ValueError as exc:
-                raise IngestionError(f"{path}: line {i}: {exc}") from None
+                # line_num counts blank lines and line breaks inside quotes
+                raise IngestionError(f"{path}: line {reader.line_num}: {exc}") from None
     if dropped:
         warnings.warn(f"{path}: dropped {dropped} rows with missing values")
     if not rows:
@@ -368,7 +369,8 @@ def fit_logistic(
     reference the mediator, "mediator" fits m and rejects designs that do.
     Convergence is declared when the score max-norm (on internally rescaled
     columns) drops below ``tol``; step-halving keeps the log-likelihood
-    non-decreasing, and coefficients wandering past +-15 raise a separation
+    non-decreasing, and a coefficient of the rescaled columns (which a change
+    of a column's units leaves alone) wandering past +-15 raises a separation
     error since fitted probabilities are then numerically 0/1.
     """
     if role not in ("outcome", "mediator"):
@@ -419,7 +421,7 @@ def fit_logistic(
         eta = X @ beta
         ll = ll_new
         trace.append(ll)
-        if np.abs(beta / scale).max() > SEPARATION_THRESHOLD:
+        if np.abs(beta).max() > SEPARATION_THRESHOLD:
             raise SeparationError(
                 "coefficient magnitude exceeded the divergence threshold "
                 f"({SEPARATION_THRESHOLD}) while the likelihood kept improving; "

@@ -174,10 +174,6 @@ class CounterfactualLaw:
         return self.crossed[(level, level)]
 
 
-def _level_index(scm: StructuralModel, contrast: Contrast, level: str) -> int:
-    return scm.grid_index(contrast.active if level == "active" else contrast.reference)
-
-
 def enumerate_counterfactuals(scm: StructuralModel, contrast: Contrast) -> CounterfactualLaw:
     """Exact counterfactual law by summation over the latent supports."""
     ic = scm.profile_index(contrast.profile)

@@ -1,12 +1,13 @@
 """Delta-method uncertainty intervals around estimated identification bounds.
 
 The four log bound endpoints (NDE lower/upper, NIE lower/upper) are smooth
-functions of the six-predictor bundle, so their covariance is J' S J with J
-the 6x4 jacobian below and S the bundle covariance. Total-effect endpoint
-variances add the corresponding NDE/NIE variances plus twice their
-covariance. Intervals widen each estimated bound outward by a normal
-quantile times its standard error, which targets the whole identification
-region rather than a point.
+functions of the six-predictor bundle, so their covariance is J' S J with S
+the bundle covariance and J the 6x4 jacobian: the chain rule through each
+pair's factor extremes, which ``bounds`` computes next to the endpoints.
+Total-effect endpoint variances add the corresponding NDE/NIE variances plus
+twice their covariance. Intervals widen each estimated bound outward by a
+normal quantile times its standard error, which targets the whole
+identification region rather than a point.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .bounds import BoundPair, EffectBounds, log_bound_endpoints
-from .effects import PredictorBundle, expit, failing_rows, scalar_or_array
+from .bounds import BoundPair, EffectBounds, _log_bounds
+from .effects import PredictorBundle, failing_rows, scalar_or_array
 
 __all__ = [
     "BoundEstimates",
@@ -42,62 +43,11 @@ def bounds_jacobian(bundle: PredictorBundle) -> np.ndarray:
     """6x4 jacobian of the log bound endpoints w.r.t. the predictor bundle.
 
     Columns are (NDE lower, NDE upper, NIE lower, NIE upper); rows follow the
-    bundle component order. The mediator-at-active-level row is structurally
-    zero in both NDE columns. A batch of N bundles gives shape (N, 6, 4).
+    bundle component order; a batch of N bundles gives (N, 6, 4). It is the
+    chain rule through each pair's factor extremes (see ``bounds``), so the
+    mediator-at-active-level row is zero in both NDE columns.
     """
-    d_x = bundle.y_active_m1 - bundle.y_active_m0
-    d_xs = bundle.y_ref_m1 - bundle.y_ref_m0
-    g_x, g_xs = bundle.m_active, bundle.m_ref
-    e = expit
-
-    D = np.zeros(np.shape(d_x) + (6, 4))
-    # NDE lower: base + [sp(g_xs) - sp(g_xs - d_x)] - [sp(g_xs + d_xs) - sp(g_xs)]
-    _fill(
-        D[..., 0],
-        1.0 - e(g_xs - d_x),
-        e(g_xs + d_xs) - 1.0,
-        e(g_xs - d_x),
-        -e(g_xs + d_xs),
-        0.0,
-        2.0 * e(g_xs) - e(g_xs - d_x) - e(g_xs + d_xs),
-    )
-    # NDE upper
-    _fill(
-        D[..., 1],
-        1.0 - e(g_xs + d_x),
-        e(g_xs - d_xs) - 1.0,
-        e(g_xs + d_x),
-        -e(g_xs - d_xs),
-        0.0,
-        e(g_xs + d_x) + e(g_xs - d_xs) - 2.0 * e(g_xs),
-    )
-    # NIE lower: [sp(g_x) - sp(g_x - d_x)] - [sp(g_xs + d_x) - sp(g_xs)]
-    _fill(
-        D[..., 2],
-        e(g_xs + d_x) - e(g_x - d_x),
-        0.0,
-        e(g_x - d_x) - e(g_xs + d_x),
-        0.0,
-        e(g_x) - e(g_x - d_x),
-        e(g_xs) - e(g_xs + d_x),
-    )
-    # NIE upper
-    _fill(
-        D[..., 3],
-        e(g_xs - d_x) - e(g_x + d_x),
-        0.0,
-        e(g_x + d_x) - e(g_xs - d_x),
-        0.0,
-        e(g_x + d_x) - e(g_x),
-        e(g_xs - d_x) - e(g_xs),
-    )
-    return D
-
-
-def _fill(column: np.ndarray, *entries) -> None:
-    """Write six jacobian entries, each a number or one value per row, into a (..., 6) view."""
-    for i, entry in enumerate(entries):
-        column[..., i] = entry
+    return _log_bounds(bundle, jacobian=True)[1]
 
 
 @dataclass(frozen=True)
@@ -143,10 +93,10 @@ def bound_covariance(bundle: PredictorBundle) -> BoundEstimates:
             f"bundle covariance is not positive semidefinite{failing_rows(not_psd)} "
             f"(min eig {worst:.3e})"
         )
-    D = bounds_jacobian(bundle)
+    log_bounds, D = _log_bounds(bundle, jacobian=True)
     v0 = np.einsum("...ia,...ij,...jb->...ab", D, bundle.cov, D)
     cov = 0.5 * (v0 + np.swapaxes(v0, -1, -2))
-    return BoundEstimates(log_bounds=log_bound_endpoints(bundle), cov=cov)
+    return BoundEstimates(log_bounds=log_bounds, cov=cov)
 
 
 def total_effect_variances(estimates: BoundEstimates) -> tuple[float | np.ndarray, float | np.ndarray]:

@@ -3,8 +3,9 @@
 Each check pits a production code path against ground truth computed a
 different way (grid brute force, finite differences, exact enumeration, or
 Monte Carlo) and records the worst observed discrepancy next to its
-tolerance. The CLI surfaces this as the ``validate`` subcommand; the same
-machinery backs the acceptance tests at their full sample sizes.
+tolerance. The CLI surfaces this as the ``validate`` subcommand. The
+acceptance tests run their own checks at full sample sizes and share only
+``coverage_simulation`` with this module.
 """
 
 from __future__ import annotations

@@ -286,6 +286,46 @@ class TestSensitivityCurve:
             assert curve.nie[i] == pytest.approx(eff.nie, abs=1e-12)
             assert curve.te[i] == pytest.approx(eff.te, abs=1e-12)
 
+    def test_matches_posterior_logit_definition(self):
+        # each pair's factor is softplus of its y=1 over its y=0 shifted
+        # posterior logit; the curve shares those terms across pairs
+        grid = np.linspace(-25.0, 25.0, 201)
+        for bundle in random_bundles(seed=17, count=20):
+            factor = {}
+            for pair in Pair:
+                g1 = shifted_posterior_logit(bundle, grid, 1, pair)
+                g0 = shifted_posterior_logit(bundle, grid, 0, pair)
+                factor[pair] = np.logaddexp(0.0, g1) - np.logaddexp(0.0, g0)
+            base = bundle.y_active_m0 - bundle.y_ref_m0
+            curve = sensitivity_curve(bundle, grid)
+            np.testing.assert_allclose(
+                curve.nde, base + factor[Pair.CROSS] - factor[Pair.REFERENCE], rtol=0, atol=1e-12
+            )
+            np.testing.assert_allclose(
+                curve.nie, factor[Pair.ACTIVE] - factor[Pair.CROSS], rtol=0, atol=1e-12
+            )
+            p0 = shifted_posterior_logit(bundle, grid, 0, Pair.CROSS)
+            np.testing.assert_allclose(
+                curve.probabilities, 1.0 / (1.0 + np.exp(p0)), rtol=0, atol=1e-12
+            )
+
+    def test_at_most_ten_logaddexp_passes_over_the_shifts(self, derived_bundle, monkeypatch):
+        # softplus(s + b0) - softplus(s + b1) once per outcome level (2 x 2
+        # passes), then one factor per pair (3 x 2 passes)
+        grid = np.linspace(-30.0, 30.0, 1001)
+        passes = []
+        logaddexp = np.logaddexp
+
+        def counting(*args, **kwargs):
+            out = logaddexp(*args, **kwargs)
+            if np.size(out) >= grid.size:
+                passes.append(np.size(out))
+            return out
+
+        monkeypatch.setattr(np, "logaddexp", counting)
+        sensitivity_curve(derived_bundle, grid)
+        assert 0 < len(passes) <= 10
+
     def test_probabilities_monotone_and_admissible(self, derived_bundle):
         curve = sensitivity_curve(derived_bundle, np.linspace(-10, 10, 101))
         diffs = np.diff(curve.probabilities)

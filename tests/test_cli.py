@@ -228,6 +228,42 @@ class TestEffectsAndBounds:
             )
         assert code == 0
 
+    @pytest.mark.parametrize("command", ["effects", "bounds", "curve"])
+    def test_out_of_range_active_level_warns(self, workdir, capsys, command):
+        models = workdir / "models.json"
+        argv = [command, "--models", str(models), "--x", "500", "--x-star", "10",
+                "--profile", "bmi=28.5", "--profile", "gender=1"]
+        with pytest.warns(UserWarning, match="outside the observed exposure") as record:
+            assert main(argv) == 0
+        messages = [str(w.message) for w in record if "outside the observed" in str(w.message)]
+        assert len(messages) == 1
+        assert messages[0].endswith(": x = 500")
+
+    @pytest.mark.parametrize("command", ["effects", "bounds", "curve"])
+    def test_one_warning_names_every_out_of_range_level(self, workdir, capsys, command):
+        models = workdir / "models.json"
+        argv = [command, "--models", str(models), "--x", "500", "--x", "50", "--x", "-3",
+                "--x-star", "400", "--profile", "bmi=28.5", "--profile", "gender=1"]
+        with pytest.warns(UserWarning, match="outside the observed exposure") as record:
+            assert main(argv) == 0
+        messages = [str(w.message) for w in record if "outside the observed" in str(w.message)]
+        assert len(messages) == 1
+        assert messages[0].endswith(": x* = 400; x = -3; x = 500")
+
+    def test_long_runs_of_out_of_range_levels_named_by_count(self, workdir, capsys):
+        models = workdir / "models.json"
+        argv = ["curve", "--models", str(models), "--x-star", "10",
+                "--profile", "bmi=28.5", "--profile", "gender=1"]
+        for x in (1, 2, 3, 4, 50, 180):
+            argv += ["--x", str(x)]
+        with pytest.warns(UserWarning, match="outside the observed exposure") as record:
+            assert main(argv) == 0
+        messages = [str(w.message) for w in record if "outside the observed" in str(w.message)]
+        assert messages == [
+            "exposure levels outside the observed exposure range [10, 170]: "
+            "x = 4 levels from 1 to 4; x = 180"
+        ]
+
     def test_deterministic_output(self, workdir, tmp_path):
         cfg = workdir / "cfg.json"
         a = tmp_path / "a.csv"

@@ -123,6 +123,26 @@ class TestFitLogistic:
         with pytest.raises(SeparationError):
             fit_logistic(data, parse_design(["1", "x", "m"]))
 
+    @pytest.mark.parametrize("column", ["x", "bmi"])
+    def test_fit_does_not_depend_on_column_units(self, column):
+        # exposure in thousands of pack-years used to trip the separation
+        # check, whose threshold applied to original-scale coefficients
+        data = sample_dataset(demo_cohort_scm(), 3270, 20240801)
+        design = parse_design(["1", "x", "bmi", "gender"])
+        base = fit_logistic(data, design, role="mediator")
+        p_base = 1.0 / (1.0 + np.exp(-design.matrix(data) @ base.coefficients))
+        for scale in (1e-3, 1e-2, 1e-1, 1e1, 1e2, 1e3):
+            covariates = dict(data.covariates)
+            exposure = data.exposure
+            if column == "x":
+                exposure = exposure * scale
+            else:
+                covariates[column] = covariates[column] * scale
+            rescaled = Dataset(data.outcome, data.mediator, exposure, covariates)
+            model = fit_logistic(rescaled, design, role="mediator")
+            p = 1.0 / (1.0 + np.exp(-design.matrix(rescaled) @ model.coefficients))
+            np.testing.assert_allclose(p, p_base, rtol=0.0, atol=1e-10)
+
     def test_collinear_design_names_terms(self):
         data = tiny_dataset()
         with pytest.raises(SingularDesignError) as exc:
@@ -290,6 +310,18 @@ class TestIngestion:
         with pytest.warns(UserWarning, match="dropped 1"):
             data = load_csv(path, outcome="y", mediator="m", exposure="x")
         assert data.n == 3
+
+    def test_parse_error_names_file_line_after_blank_lines(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("y,m,x\n0,1,1\n\n\n1,0,3\n0,0,oops\n")
+        with pytest.raises(IngestionError, match="line 6:"):
+            load_csv(path, outcome="y", mediator="m", exposure="x")
+
+    def test_parse_error_names_file_line_after_multiline_field(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text('y,m,x,note\n0,1,1,"two\nlines"\n\n1,0,3,a\n0,0,oops,b\n')
+        with pytest.raises(IngestionError, match="line 6:"):
+            load_csv(path, outcome="y", mediator="m", exposure="x")
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "d.csv"
