@@ -12,11 +12,11 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import warnings
 
 import numpy as np
-from scipy.special import ndtr
 
 from .bounds import effect_bounds
 from .effects import Contrast, point_effects, predictor_bundle
@@ -268,7 +268,7 @@ def cmd_fit(args) -> int:
                     "term": name,
                     "est.": float(est),
                     "s.e.": float(s),
-                    "p-value": float(2.0 * ndtr(-abs(z))),
+                    "p-value": math.erfc(abs(z) / math.sqrt(2.0)),
                 }
             )
     fmt = _fmt(cfg, args)

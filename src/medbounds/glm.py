@@ -14,13 +14,14 @@ optimum.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ConvergenceError,
@@ -262,34 +263,46 @@ def load_csv(
 ) -> Dataset:
     """Read a header-ed CSV into a Dataset using an explicit column mapping.
 
-    Rows with empty cells in any mapped column are dropped (and counted in a
-    warning); binary columns must contain only 0/1 after parsing.
+    Blank lines are skipped. Rows too short to reach a mapped column, or with
+    an empty or whitespace-only cell in one, are dropped (and counted in a
+    warning). A cell Python's ``float`` rejects is an error naming the file
+    line of its row. A header name that repeats maps to its last column.
+    Binary columns must contain only 0/1 after parsing.
     """
     wanted = [outcome, mediator, exposure, *covariates]
-    rows: list[list[float]] = []
-    dropped = 0
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise IngestionError(f"{path}: empty file (no header row)")
-        missing = [c for c in wanted if c not in reader.fieldnames]
+        missing = [c for c in wanted if c not in header]
         if missing:
             raise IngestionError(f"{path}: missing columns: {', '.join(missing)}")
-        for rec in reader:
-            vals = [rec[c] for c in wanted]
-            if any(v is None or v.strip() == "" for v in vals):
-                dropped += 1
-                continue
-            try:
-                rows.append([float(v) for v in vals])
-            except ValueError as exc:
-                # line_num counts blank lines and line breaks inside quotes
-                raise IngestionError(f"{path}: line {reader.line_num}: {exc}") from None
+        position = {name: j for j, name in enumerate(header)}
+        columns = [position[c] for c in wanted]
+        pick, width = operator.itemgetter(*columns), max(columns) + 1
+        try:
+            # one entry per non-blank row: its mapped cells, or None if it is too short
+            picked = [pick(row) if len(row) >= width else None for row in reader if row]
+        except csv.Error:
+            _raise_parse_error(path, pick, width)
+            raise
+    kept = [cells for cells in picked if cells is not None and all(map(str.strip, cells))]
+    dropped = len(picked) - len(kept)
+    del picked
+    try:
+        flat = np.fromiter(
+            map(float, itertools.chain.from_iterable(kept)), dtype=float, count=len(kept) * len(wanted)
+        )
+    except ValueError:
+        _raise_parse_error(path, pick, width)
+        raise
+    del kept
     if dropped:
         warnings.warn(f"{path}: dropped {dropped} rows with missing values")
-    if not rows:
+    if not flat.size:
         raise IngestionError(f"{path}: no usable data rows")
-    arr = np.array(rows)
+    arr = flat.reshape(-1, len(wanted))
     data = Dataset(
         outcome=arr[:, 0],
         mediator=arr[:, 1],
@@ -300,6 +313,25 @@ def load_csv(
         if col.min() == col.max():
             raise IngestionError(f"{path}: {label} column is constant; both levels are required")
     return data
+
+
+def _raise_parse_error(path, pick, width) -> None:
+    """Second pass after a failed read: raise the first error in file order.
+
+    That is the first kept cell ``float`` rejects, named by its row's file
+    line (``line_num`` counts blank lines and line breaks inside quotes), or
+    the reader's own error if it comes first.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row in reader:
+            cells = pick(row) if len(row) >= width else ("",)
+            if all(map(str.strip, cells)):
+                try:
+                    [float(v) for v in cells]
+                except ValueError as exc:
+                    raise IngestionError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 # --------------------------------------------------------------------------
@@ -346,14 +378,39 @@ def _loglik(eta: np.ndarray, y: np.ndarray) -> float:
 
 
 def _check_rank(X: np.ndarray, names: Sequence[str]) -> None:
-    _, r_mat, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r_mat))
+    # the pivoted QR of X has the |diagonal| and the pivots of the pivoted QR
+    # of X's own (small) R factor, since the Q factor preserves column norms
+    diag, piv = _pivoted_qr(np.linalg.qr(X, mode="r"))
     tol = diag.max() * max(X.shape) * np.finfo(float).eps if diag.max() > 0 else 0.0
     deficient = [names[piv[j]] for j in range(len(diag)) if diag[j] <= tol]
     if diag.max() == 0.0:
         deficient = list(names)
     if deficient:
         raise SingularDesignError(deficient)
+
+
+def _pivoted_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|diag R| and column order of the column-pivoted Householder QR of ``a``.
+
+    At each step the remaining column of largest residual norm (the first,
+    on a tie) is moved next, as in LAPACK's ``geqp3``; its norm is |R_jj|.
+    """
+    a = np.array(a, dtype=float)
+    m, k = a.shape
+    piv = np.arange(k)
+    diag = np.zeros(min(m, k))
+    for j in range(len(diag)):
+        norms = np.linalg.norm(a[j:, j:], axis=0)
+        p = j + int(np.argmax(norms))
+        a[:, [j, p]], piv[[j, p]] = a[:, [p, j]], piv[[p, j]]
+        diag[j] = norms[p - j]
+        if diag[j] == 0.0:
+            break
+        v = a[j:, j].copy()
+        v[0] += math.copysign(diag[j], v[0])
+        v /= np.linalg.norm(v)
+        a[j:, j:] -= 2.0 * np.outer(v, v @ a[j:, j:])
+    return diag, piv
 
 
 def fit_logistic(

@@ -12,11 +12,11 @@ identification region rather than a point.
 
 from __future__ import annotations
 
+import statistics
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .bounds import BoundPair, EffectBounds, _log_bounds
 from .effects import PredictorBundle, failing_rows, scalar_or_array
@@ -36,7 +36,7 @@ def normal_quantile(p: float) -> float:
     """Standard normal quantile (inverse CDF), accurate to ~1e-15."""
     if not 0.0 < p < 1.0:
         raise ValueError("quantile argument must be in (0, 1)")
-    return float(ndtri(p))
+    return statistics.NormalDist().inv_cdf(p)
 
 
 def bounds_jacobian(bundle: PredictorBundle) -> np.ndarray:

@@ -77,6 +77,15 @@ class TestFit:
         assert out[0] == "model,term,est.,s.e.,p-value"
         assert len(out) == 1 + 4 + 5  # mediator terms + outcome terms
 
+    def test_p_values_match_scipy_normal_tail(self, workdir, capsys):
+        from scipy.special import ndtr
+
+        assert main(["fit", "--config", str(workdir / "cfg.json"), "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        for row in rows:
+            ref = 2.0 * ndtr(-abs(row["est."] / row["s.e."]))
+            assert row["p-value"] == pytest.approx(ref, rel=1e-10, abs=0.0)
+
     def test_refit_is_bit_identical(self, workdir, tmp_path):
         cfg = workdir / "cfg.json"
         m1 = tmp_path / "m1.json"

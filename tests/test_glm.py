@@ -149,6 +149,45 @@ class TestFitLogistic:
             fit_logistic(data, parse_design(["1", "x", "x", "z"]))
         assert "x" in str(exc.value)
 
+    def test_rank_check_matches_scipy_pivoted_qr(self):
+        # same decision and same named terms as the pivoted QR of the whole
+        # design, on designs with planted collinearity and mixed column scales
+        from scipy.linalg import qr
+
+        from medbounds.glm import _check_rank
+
+        def reference(X, names):
+            _, r_mat, piv = qr(X, mode="economic", pivoting=True)
+            diag = np.abs(np.diag(r_mat))
+            tol = diag.max() * max(X.shape) * np.finfo(float).eps if diag.max() > 0 else 0.0
+            deficient = [names[piv[j]] for j in range(len(diag)) if diag[j] <= tol]
+            return list(names) if diag.max() == 0.0 else deficient
+
+        rng = np.random.default_rng(8)
+        decisions = []
+        for _ in range(500):
+            n, k = int(rng.integers(10, 300)), int(rng.integers(2, 8))
+            X = rng.normal(size=(n, k))
+            X[:, 0] = 1.0
+            for _ in range(int(rng.integers(0, 3))):
+                j = int(rng.integers(1, k))
+                others = [i for i in range(k) if i != j]
+                picked = rng.choice(others, size=int(rng.integers(1, len(others) + 1)), replace=False)
+                X[:, j] = X[:, picked] @ rng.normal(size=len(picked))
+            X *= 10.0 ** rng.uniform(-3.0, 3.0, size=k)
+            names = [f"t{i}" for i in range(k)]
+            expected = reference(X, names)
+            try:
+                _check_rank(X, names)
+                got = []
+            except SingularDesignError as exc:
+                got = exc.terms
+            # past the rank drop the residual norms are rounding noise, so the
+            # order in which the deficient terms are found is not compared
+            assert sorted(got) == sorted(expected)
+            decisions.append(bool(expected))
+        assert 100 < sum(decisions) < 400
+
     def test_role_validation(self):
         data = tiny_dataset()
         with pytest.raises(ValueError, match="mediator-model"):

@@ -171,7 +171,7 @@ class TestTotalEffectVariances:
 class TestNormalQuantile:
     def test_against_rational_approximation_oracle(self):
         # Acklam's rational approximation, abs error < 1.15e-9; coded here
-        # independently of the scipy call in the implementation
+        # independently of the implementation
         a = [-3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
              1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00]
         b = [-5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
@@ -202,6 +202,16 @@ class TestNormalQuantile:
     def test_standard_values(self):
         assert normal_quantile(0.975) == pytest.approx(1.959964, abs=1e-6)
         assert normal_quantile(0.5) == 0.0
+
+    def test_matches_scipy_ndtri(self):
+        from scipy.special import ndtri
+
+        ps = np.concatenate(
+            [np.logspace(-300, -1, 300), np.linspace(0.001, 0.999, 999), 1.0 - np.logspace(-16, -1, 100)]
+        )
+        for p in ps:
+            ref = float(ndtri(p))
+            assert abs(normal_quantile(float(p)) - ref) <= 2e-15 * abs(ref)
 
     def test_domain(self):
         for bad in (0.0, 1.0, -0.2, 1.5):
