@@ -424,11 +424,12 @@ def fit_logistic(
 
     ``role`` selects the response: "outcome" fits y on a design that may
     reference the mediator, "mediator" fits m and rejects designs that do.
-    Convergence is declared when the score max-norm (on internally rescaled
-    columns) drops below ``tol``; step-halving keeps the log-likelihood
-    non-decreasing, and a coefficient of the rescaled columns (which a change
-    of a column's units leaves alone) wandering past +-15 raises a separation
-    error since fitted probabilities are then numerically 0/1.
+    Convergence is declared when the score max-norm (on internally centred and
+    rescaled columns) drops below ``tol``; step-halving keeps the
+    log-likelihood non-decreasing, and a coefficient of those columns (which a
+    change of a column's units or origin leaves alone) wandering past +-15
+    raises a separation error since fitted probabilities are then
+    numerically 0/1.
     """
     if role not in ("outcome", "mediator"):
         raise ValueError(f"role must be 'outcome' or 'mediator', got {role!r}")
@@ -441,10 +442,20 @@ def fit_logistic(
     X_raw = design.matrix(data)
     _check_rank(X_raw, design.names)
 
-    # rescale columns to unit max-abs so the score tolerance is scale-free
-    scale = np.abs(X_raw).max(axis=0)
+    # X = X_raw @ T: every column centred on a constant column, if the design
+    # has one, then rescaled to unit max-abs, so that the score tolerance and
+    # the separation threshold depend on no column's units or origin
+    constant = np.flatnonzero((X_raw == X_raw[0]).all(axis=0) & (X_raw[0] != 0.0))
+    shift = X_raw.mean(axis=0) if constant.size else np.zeros(X_raw.shape[1])
+    shift[constant] = 0.0
+    X = X_raw - shift
+    scale = np.abs(X).max(axis=0)
     scale[scale == 0.0] = 1.0
-    X = X_raw / scale
+    X /= scale
+    T = np.diag(1.0 / scale)
+    if constant.size:
+        c = constant[0]
+        T[c] -= shift / (scale * X_raw[0, c])
 
     n, k = X.shape
     beta = np.zeros(k)
@@ -493,14 +504,13 @@ def fit_logistic(
     p = 1.0 / (1.0 + np.exp(-eta))
     w = np.clip(p * (1.0 - p), 1e-12, None)
     info = (X * w[:, None]).T @ X
-    cov_scaled = np.linalg.inv(info)
-    cov = cov_scaled / np.outer(scale, scale)
+    cov = T @ np.linalg.inv(info) @ T.T
     cov = 0.5 * (cov + cov.T)
 
     report = FitReport(iterations=it, grad_norm=grad_norm, loglik=ll, loglik_trace=trace)
     return FittedGlm(
         design=design,
-        coefficients=beta / scale,
+        coefficients=T @ beta,
         covariance=cov,
         report=report,
         role=role,

@@ -1,5 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from medbounds.errors import (
@@ -32,6 +36,11 @@ def tiny_dataset():
         exposure=[1.0, 2.0, 3.0, 4.0],
         covariates={"z": [0.0, 1.0, 0.0, 1.0]},
     )
+
+
+@functools.cache
+def _affine_cohort():
+    return sample_dataset(demo_cohort_scm(), 3270, 20240801)
 
 
 # ---------------------------------------------------------------- designs
@@ -148,6 +157,42 @@ class TestFitLogistic:
         with pytest.raises(SingularDesignError) as exc:
             fit_logistic(data, parse_design(["1", "x", "x", "z"]))
         assert "x" in str(exc.value)
+
+    def test_fit_does_not_depend_on_column_origin(self):
+        # bmi in kelvin-like offset units used to trip the separation check:
+        # without centring, the intercept absorbed the offset
+        data = sample_dataset(demo_cohort_scm(), 3270, 20240801)
+        design = parse_design(["1", "x", "bmi", "gender"])
+        base = fit_logistic(data, design, role="mediator")
+        shifted = Dataset(
+            data.outcome, data.mediator, data.exposure,
+            dict(data.covariates, bmi=data.covariates["bmi"] + 273.15),
+        )
+        model = fit_logistic(shifted, design, role="mediator")
+        p_base = 1.0 / (1.0 + np.exp(-design.matrix(data) @ base.coefficients))
+        p = 1.0 / (1.0 + np.exp(-design.matrix(shifted) @ model.coefficients))
+        np.testing.assert_allclose(p, p_base, rtol=0.0, atol=1e-10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        column=st.sampled_from(["x", "bmi"]),
+        log_scale=st.floats(-3.0, 3.0),
+        shift=st.floats(-1e3, 1e3),
+    )
+    def test_affine_change_of_a_column_leaves_probabilities(self, column, log_scale, shift):
+        data = _affine_cohort()
+        design = parse_design(["1", "x", "bmi", "gender"])
+        base = fit_logistic(data, design, role="mediator")
+        covariates, exposure = dict(data.covariates), data.exposure
+        if column == "x":
+            exposure = exposure * 10.0**log_scale + shift
+        else:
+            covariates[column] = covariates[column] * 10.0**log_scale + shift
+        changed = Dataset(data.outcome, data.mediator, exposure, covariates)
+        model = fit_logistic(changed, design, role="mediator")
+        p_base = 1.0 / (1.0 + np.exp(-design.matrix(data) @ base.coefficients))
+        p = 1.0 / (1.0 + np.exp(-design.matrix(changed) @ model.coefficients))
+        np.testing.assert_allclose(p, p_base, rtol=0.0, atol=1e-10)
 
     def test_rank_check_matches_scipy_pivoted_qr(self):
         # same decision and same named terms as the pivoted QR of the whole
