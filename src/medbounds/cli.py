@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import sys
@@ -157,15 +158,25 @@ def _profiles(cfg: dict, args, data: Dataset | None) -> list[dict]:
         return [dict(p) for p in profiles]
     if data is None and (args.data or cfg.get("data")):
         data = _read_data(cfg, args)
-    if data is not None and "gender" in data.covariates and "bmi" in data.covariates:
-        out = []
-        for g in (0.0, 1.0):
-            sel = data.covariates["gender"] == g
-            if sel.any():
-                out.append({"gender": g, "bmi": float(data.covariates["bmi"][sel].mean())})
-        if out:
-            return out
-    raise UserError("no covariate profiles given (use --profile or config contrasts.profiles)")
+    if data is None:
+        raise UserError("no covariate profiles given (use --profile or config contrasts.profiles)")
+    return _default_profiles(data)
+
+
+def _default_profiles(data: Dataset) -> list[dict]:
+    """One profile per level combination of the 0/1 covariates that occurs in
+    the data, with every other covariate at its mean within that cell."""
+    covs = data.covariates
+    binary = [k for k, v in covs.items() if np.isin(v, (0.0, 1.0)).all()]
+    out = []
+    for levels in itertools.product((0.0, 1.0), repeat=len(binary)):
+        cell = np.ones(data.n, dtype=bool)
+        for k, level in zip(binary, levels):
+            cell &= covs[k] == level
+        if cell.any():
+            means = {k: float(v[cell].mean()) for k, v in covs.items() if k not in binary}
+            out.append({**dict(zip(binary, levels)), **means})
+    return out
 
 
 # --------------------------------------------------------------------------

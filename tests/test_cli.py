@@ -209,6 +209,44 @@ class TestEffectsAndBounds:
         assert [r["x"] for r in rows] == [20, 20, 40, 40, 60, 60]
         assert {r["profile"].split(",")[1] for r in rows} == {"gender=0", "gender=1"}
 
+    @pytest.mark.parametrize("binary", [["smoker", "female"], []])
+    def test_default_profiles_are_binary_cells_at_continuous_means(self, tmp_path, capsys, binary):
+        # no row is both smoker and female: that cell is skipped
+        rng = np.random.default_rng(4)
+        n = 600
+        smoker = rng.integers(0, 2, n)
+        female = np.where(smoker == 1, 0, rng.integers(0, 2, n))
+        cols = {
+            "y": rng.integers(0, 2, n), "m": rng.integers(0, 2, n), "x": rng.uniform(0, 60, n),
+            "age": rng.uniform(20, 80, n), "weight": rng.uniform(50, 100, n),
+            "smoker": smoker, "female": female,
+        }
+        covariates = ["age", *binary, "weight"]
+        data = tmp_path / "d.csv"
+        data.write_text(",".join(cols) + "\n" + "".join(",".join(map(str, r)) + "\n" for r in zip(*cols.values())))
+        cfg = {
+            "data": str(data),
+            "columns": {"outcome": "y", "mediator": "m", "exposure": "x", "covariates": covariates},
+            "outcome_design": ["1", "x", "m", *covariates],
+            "mediator_design": ["1", "x", *covariates],
+            "contrasts": {"x": [30], "x_star": 10},
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["effects", "--config", str(cfg_path), "--format", "json"]) == 0
+        labels = [r["profile"] for r in json.loads(capsys.readouterr().out)]
+        values = {k: np.array([float(v) for v in map(str, cols[k])]) for k in ("age", "weight")}
+        cells = [(0, 0), (0, 1), (1, 0)] if binary else [()]
+        expected = []
+        for levels in cells:
+            sel = np.ones(n, dtype=bool)
+            for k, level in zip(binary, levels):
+                sel &= cols[k] == level
+            profile = {**dict(zip(binary, map(float, levels))),
+                       **{k: float(v[sel].mean()) for k, v in values.items()}}
+            expected.append(",".join(f"{k}={profile[k]:g}" for k in sorted(profile)))
+        assert labels == expected
+
     def test_config_profiles_honoured(self, workdir, capsys):
         cfg_path = workdir / "cfg_profiles.json"
         cfg = json.loads((workdir / "cfg.json").read_text())
