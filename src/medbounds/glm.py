@@ -326,8 +326,8 @@ def _raise_parse_error(path, pick, width) -> None:
         reader = csv.reader(fh)
         next(reader)
         for row in reader:
-            cells = pick(row) if len(row) >= width else ("",)
-            if all(map(str.strip, cells)):
+            cells = pick(row) if len(row) >= width else None
+            if cells is not None and all(map(str.strip, cells)):
                 try:
                     [float(v) for v in cells]
                 except ValueError as exc:
@@ -444,16 +444,18 @@ def fit_logistic(
 
     # X = X_raw @ T: every column centred on a constant column, if the design
     # has one, then rescaled to unit max-abs, so that the score tolerance and
-    # the separation threshold depend on no column's units or origin
-    constant = np.flatnonzero((X_raw == X_raw[0]).all(axis=0) & (X_raw[0] != 0.0))
-    shift = X_raw.mean(axis=0) if constant.size else np.zeros(X_raw.shape[1])
+    # the separation threshold depend on no column's units or origin. The
+    # reductions go column by column: over axis 0 of a tall array numpy is
+    # several times slower.
+    constant = [j for j, col in enumerate(X_raw.T) if col[0] != 0.0 and (col == col[0]).all()]
+    shift = np.array([col.mean() for col in X_raw.T]) if constant else np.zeros(X_raw.shape[1])
     shift[constant] = 0.0
     X = X_raw - shift
-    scale = np.abs(X).max(axis=0)
+    scale = np.array([np.abs(col).max() for col in X.T])
     scale[scale == 0.0] = 1.0
     X /= scale
     T = np.diag(1.0 / scale)
-    if constant.size:
+    if constant:
         c = constant[0]
         T[c] -= shift / (scale * X_raw[0, c])
 

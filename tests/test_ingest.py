@@ -147,3 +147,17 @@ def test_parse_error_is_raised_before_the_drop_warning(tmp_path):
         else:
             raise AssertionError("no parse error")
     assert caught == []
+
+
+def test_bad_cell_is_reported_before_a_later_reader_error(tmp_path):
+    # the reader rejects a field over csv.field_size_limit(); a bad cell
+    # earlier in the file is still the error the loader reports
+    path = tmp_path / "d.csv"
+    path.write_text("y,m,x\n0,1,oops\n1,0," + "9" * (csv.field_size_limit() + 1) + "\n")
+    for loader in (load_csv, reference_load_csv):
+        try:
+            loader(path, outcome="y", mediator="m", exposure="x")
+        except IngestionError as exc:
+            assert str(exc) == f"{path}: line 2: could not convert string to float: 'oops'"
+        else:
+            raise AssertionError("no parse error")
