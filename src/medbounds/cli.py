@@ -192,27 +192,24 @@ def _emit(text: str, args) -> None:
         sys.stdout.write(text)
 
 
-def _render_rows(rows: list[dict], fmt: str) -> str:
-    if not rows:
+def _render(table: dict, fmt: str) -> str:
+    """Format a column table (header -> list of cells, all of one length):
+    float columns to 6 decimals in text and CSV, full precision in JSON."""
+    if not next(iter(table.values())):
         return ""
-    headers = list(rows[0])
     if fmt == "json":
+        rows = [dict(zip(table, row)) for row in zip(*table.values())]
         return json.dumps(rows, indent=1, sort_keys=True) + "\n"
-    cells = [
-        [f"{v:.6f}" if isinstance(v, float) else str(v) for v in row.values()]
-        for row in rows
+    cols = [
+        [name, *map("{:.6f}".format if isinstance(col[0], float) else str, col)]
+        for name, col in table.items()
     ]
     if fmt == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(headers)
-        writer.writerows(cells)
+        csv.writer(buf, lineterminator="\n").writerows(zip(*cols))
         return buf.getvalue()
-    widths = [max(len(h), *(len(r[j]) for r in cells)) for j, h in enumerate(headers)]
-    lines = ["  ".join(h.rjust(w) for h, w in zip(headers, widths))]
-    for r in cells:
-        lines.append("  ".join(v.rjust(w) for v, w in zip(r, widths)))
-    return "\n".join(lines) + "\n"
+    cols = [[cell.rjust(max(map(len, col))) for cell in col] for col in cols]
+    return "\n".join(map("  ".join, zip(*cols))) + "\n"
 
 
 def _fmt(cfg: dict, args) -> str:
@@ -242,11 +239,7 @@ def _models_from_file(path):
         raise UserError(f"bad models file {path}: {exc}") from None
 
 
-def _acquire_models(cfg: dict, args, data: Dataset | None):
-    if args.models:
-        return _models_from_file(args.models)
-    if data is None:
-        data = _read_data(cfg, args)
+def _fit_models(cfg: dict, data: Dataset):
     outcome_design, mediator_design = _designs(cfg)
     return (
         fit_logistic(data, outcome_design, role="outcome"),
@@ -263,28 +256,18 @@ def cmd_fit(args) -> int:
     cfg = load_config(args.config) if args.config else {}
     if not cfg:
         raise UserError("fit requires --config with designs and a column mapping")
-    data = _read_data(cfg, args)
-    outcome_design, mediator_design = _designs(cfg)
-    outcome = fit_logistic(data, outcome_design, role="outcome")
-    mediator = fit_logistic(data, mediator_design, role="mediator")
+    outcome, mediator = _fit_models(cfg, _read_data(cfg, args))
 
-    rows = []
-    for label, model in (("mediator", mediator), ("outcome", outcome)):
-        se = model.stderr
-        for name, est, s in zip(model.design.names, model.coefficients, se):
-            z = est / s if s > 0 else float("inf")
-            rows.append(
-                {
-                    "model": label,
-                    "term": name,
-                    "est.": float(est),
-                    "s.e.": float(s),
-                    "p-value": math.erfc(abs(z) / math.sqrt(2.0)),
-                }
-            )
-    fmt = _fmt(cfg, args)
-    text = _render_rows(rows, fmt)
-    sys.stdout.write(text)
+    est = mediator.coefficients.tolist() + outcome.coefficients.tolist()
+    se = mediator.stderr.tolist() + outcome.stderr.tolist()
+    table = {
+        "model": ["mediator"] * len(mediator.design.names) + ["outcome"] * len(outcome.design.names),
+        "term": mediator.design.names + outcome.design.names,
+        "est.": est,
+        "s.e.": se,
+        "p-value": [math.erfc(abs(b / s if s > 0 else math.inf) / math.sqrt(2.0)) for b, s in zip(est, se)],
+    }
+    sys.stdout.write(_render(table, _fmt(cfg, args)))
 
     out = args.out or cfg.get("out")
     if out:
@@ -320,44 +303,40 @@ def _check_support(models, xs: list[float], x_star: float) -> None:
         )
 
 
-def _result_rows(contrasts: list[Contrast], columns: dict) -> list[dict]:
-    """One output row per contrast: its key columns, then the named value arrays."""
-    values = {name: v.tolist() for name, v in columns.items()}
-    return [
-        {
-            "x": c.active,
-            "x_star": c.reference,
-            "profile": _profile_label(dict(c.profile)),
-            **{name: column[i] for name, column in values.items()},
-        }
-        for i, c in enumerate(contrasts)
-    ]
-
-
-def cmd_effects(args) -> int:
+def _contrast_inputs(args):
+    """Config, both models, active levels, x* and covariate profiles of an
+    ``effects``, ``bounds`` or ``curve`` run."""
     cfg = load_config(args.config) if args.config else {}
     data = None if args.models else _read_data(cfg, args)
-    outcome, mediator = _acquire_models(cfg, args, data)
+    outcome, mediator = _models_from_file(args.models) if args.models else _fit_models(cfg, data)
     xs = _x_values(cfg, args)
     x_star = _x_star(cfg, args)
     _check_support((outcome, mediator), xs, x_star)
-    profiles = _profiles(cfg, args, data)
+    return cfg, outcome, mediator, xs, x_star, _profiles(cfg, args, data)
+
+
+def _contrast_table(contrasts: list[Contrast], values: dict) -> dict:
+    """Column table of one row per contrast: its key columns, then the value arrays."""
+    return {
+        "x": [c.active for c in contrasts],
+        "x_star": [c.reference for c in contrasts],
+        "profile": [_profile_label(c.profile) for c in contrasts],
+        **{name: v.tolist() for name, v in values.items()},
+    }
+
+
+def cmd_effects(args) -> int:
+    cfg, outcome, mediator, xs, x_star, profiles = _contrast_inputs(args)
     contrasts = [Contrast(x, x_star, profile) for profile in profiles for x in xs]
     pt = point_effects(predictor_bundle(outcome, mediator, contrasts))
-    rows = _result_rows(contrasts, {"nde": pt.nde, "nie": pt.nie, "te": pt.te})
-    _emit(_render_rows(rows, _fmt(cfg, args)), args)
+    table = _contrast_table(contrasts, {"nde": pt.nde, "nie": pt.nie, "te": pt.te})
+    _emit(_render(table, _fmt(cfg, args)), args)
     return EXIT_OK
 
 
 def _bounds_like(args) -> int:
     """The ``bounds`` and ``curve`` commands: every contrast evaluated in one batch."""
-    cfg = load_config(args.config) if args.config else {}
-    data = None if args.models else _read_data(cfg, args)
-    outcome, mediator = _acquire_models(cfg, args, data)
-    xs = _x_values(cfg, args)
-    x_star = _x_star(cfg, args)
-    _check_support((outcome, mediator), xs, x_star)
-    profiles = _profiles(cfg, args, data)
+    cfg, outcome, mediator, xs, x_star, profiles = _contrast_inputs(args)
     alpha = _alpha(cfg, args)
     contrasts = [Contrast(x, x_star, profile) for x in xs for profile in profiles]
     bundle = predictor_bundle(outcome, mediator, contrasts)
@@ -371,7 +350,7 @@ def _bounds_like(args) -> int:
         columns[name] = getattr(eb.point, name)
         columns[name + "_lo"], columns[name + "_hi"] = bound.lower, bound.upper
         columns[name + "_ui_lo"], columns[name + "_ui_hi"] = interval.lower, interval.upper
-    _emit(_render_rows(_result_rows(contrasts, columns), _fmt(cfg, args)), args)
+    _emit(_render(_contrast_table(contrasts, columns), _fmt(cfg, args)), args)
     return EXIT_OK
 
 
@@ -382,7 +361,6 @@ def cmd_simulate(args) -> int:
         raise UserError("--n must be at least 1")
     data = sample_dataset(scm, n, args.seed)
     cols = ["y", "m", "x", *data.covariates]
-    out = args.out
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(cols)
@@ -392,11 +370,7 @@ def cmd_simulate(args) -> int:
             [int(data.outcome[i]), int(data.mediator[i]), f"{data.exposure[i]:g}"]
             + [f"{arr[i]:g}" for arr in cov_arrays]
         )
-    if out:
-        with open(out, "w") as fh:
-            fh.write(buf.getvalue())
-    else:
-        sys.stdout.write(buf.getvalue())
+    _emit(buf.getvalue(), args)
     return EXIT_OK
 
 
@@ -476,16 +450,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except UserError as exc:
+    except (UserError, IngestionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER
-    except IngestionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USER
-    except MedboundsError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (ValueError, np.linalg.LinAlgError) as exc:
+    except (MedboundsError, ValueError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -135,9 +135,6 @@ def _role_value(p: Point, name: str):
     raise MissingVariableError(f"covariate '{name}' missing from point")
 
 
-_RESERVED = {"1", "x", "m"}
-
-
 def parse_term(expr: str) -> Term:
     """Parse a compact term expression.
 
@@ -345,7 +342,6 @@ class FitReport:
     grad_norm: float
     loglik: float
     loglik_trace: list[float] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -382,7 +378,8 @@ def _check_rank(X: np.ndarray, names: Sequence[str]) -> None:
     # of X's own (small) R factor, since the Q factor preserves column norms
     diag, piv = _pivoted_qr(np.linalg.qr(X, mode="r"))
     tol = diag.max() * max(X.shape) * np.finfo(float).eps if diag.max() > 0 else 0.0
-    deficient = [names[piv[j]] for j in range(len(diag)) if diag[j] <= tol]
+    # with more terms than rows, the terms pivoted past the last row are surplus
+    deficient = [names[p] for j, p in enumerate(piv) if j >= len(diag) or diag[j] <= tol]
     if diag.max() == 0.0:
         deficient = list(names)
     if deficient:
@@ -481,15 +478,14 @@ def fit_logistic(
         lam = 1.0
         for _ in range(50):
             cand = beta + lam * step
-            ll_new = _loglik(X @ cand, y)
+            eta_new = X @ cand
+            ll_new = _loglik(eta_new, y)
             if ll_new >= ll - 1e-12 * abs(ll):
                 break
             lam *= 0.5
         else:
             raise ConvergenceError(f"step-halving stalled at iteration {it}", trace)
-        beta = beta + lam * step
-        eta = X @ beta
-        ll = ll_new
+        beta, eta, ll = cand, eta_new, ll_new
         trace.append(ll)
         if np.abs(beta).max() > SEPARATION_THRESHOLD:
             raise SeparationError(

@@ -10,7 +10,6 @@ acceptance tests run their own checks at full sample sizes and share only
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,7 +61,6 @@ class CheckResult:
 @dataclass
 class ValidationReport:
     results: list[CheckResult] = field(default_factory=list)
-    seconds: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -251,7 +249,6 @@ def run_validation(
     jacobian_fn=None,
 ) -> ValidationReport:
     """Run every check with pinned seeds; the report text is deterministic."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     report = ValidationReport()
     report.results.append(check_sweep_agreement(rng, sweep_thetas))
@@ -261,5 +258,4 @@ def run_validation(
     report.results.append(check_mediation_reduction(rng, sweep_thetas))
     report.results.append(check_shift_zero(rng, sweep_thetas))
     report.results.append(check_coverage(seed, coverage_replicates, coverage_n))
-    report.seconds = time.perf_counter() - t0
     return report

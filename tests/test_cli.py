@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -105,6 +106,33 @@ class TestFit:
         cfg.write_text(json.dumps(dict(CONFIG, data=str(data))))
         assert main(["fit", "--config", str(cfg)]) == 1
         assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fit", "bounds"])
+def test_table_csv_and_json_give_the_same_cells(workdir, capsys, command):
+    import csv
+
+    argv = [command, "--config", str(workdir / "cfg.json")]
+    if command == "bounds":
+        argv += ["--models", str(workdir / "models.json")]
+    outputs = {}
+    for fmt in ("table", "csv", "json"):
+        assert main([*argv, "--format", fmt]) == 0
+        outputs[fmt] = capsys.readouterr().out
+
+    lines = outputs["table"].splitlines()
+    table = [line.split() for line in lines]
+    widths = [max(len(row[j]) for row in table) for j in range(len(table[0]))]
+    for line, row in zip(lines, table):
+        assert line == "  ".join(cell.rjust(w) for cell, w in zip(row, widths))
+
+    assert list(csv.reader(io.StringIO(outputs["csv"]))) == table
+    header, cells = table[0], table[1:]
+    rows = json.loads(outputs["json"])
+    assert all(sorted(r) == sorted(header) for r in rows)
+    formatted = [[f"{r[h]:.6f}" if isinstance(r[h], float) else str(r[h]) for h in header] for r in rows]
+    assert formatted == cells
+    assert len(cells) == (9 if command == "fit" else 4)
 
 
 class TestEffectsAndBounds:

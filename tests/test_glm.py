@@ -156,6 +156,18 @@ class TestFitLogistic:
             fit_logistic(data, parse_design(["1", "x", "x", "z"]))
         assert "x" in str(exc.value)
 
+    def test_more_terms_than_rows_names_the_surplus_term(self):
+        data = Dataset(
+            outcome=[0, 1, 1],
+            mediator=[0, 1, 0],
+            exposure=[1.0, 2.0, 4.0],
+            covariates={"z": [0.0, 1.0, 3.0], "w": [5.0, 1.0, 2.0]},
+        )
+        with pytest.raises(SingularDesignError) as exc:
+            fit_logistic(data, parse_design(["1", "x", "z", "w"]))
+        assert len(exc.value.terms) == 1
+        assert exc.value.terms[0] in {"1", "x", "z", "w"}
+
     def test_fit_does_not_depend_on_column_origin(self, cohort):
         # bmi with an offset of 273.15 used to trip the separation check:
         # without centring, the intercept absorbed the offset
