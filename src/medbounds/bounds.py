@@ -5,8 +5,10 @@ counterfactual outcome logit is only known up to an additive shift. The
 shift enters every effect expression through a single monotone factor per
 (outcome-level, mediator-level) pair, and that factor is a straight line in
 a bounded retrospective probability, which yields closed-form lower/upper
-bounds for the direct, indirect and total effects. The point estimates of
-the stronger assumption set are recovered exactly at shift zero.
+bounds for the direct, indirect and total effects. The shifted effects
+and the point estimates of the stronger assumption set run through the same
+chain in ``effects``, so shift zero gives the point estimates by
+construction; ``scm`` checks that chain independently.
 
 Each endpoint combines per-pair log-factor extremes, and each extreme
 depends on one pair's mediator effect and mediator predictor only; the same
@@ -21,14 +23,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .effects import (
-    PAIR_COMPONENTS,
+    PAIR_INDEX,
     EffectTriple,
     Pair,
     PredictorBundle,
+    combine_effects,
+    effects_at,
     expit,
     failing_rows,
     point_effects,
+    posterior_logits0,
     scalar_or_array,
+    shifted_posterior_logit,
     softplus,
 )
 from .errors import DegenerateMediatorError, DegenerateMediatorWarning
@@ -50,10 +56,9 @@ __all__ = [
 
 DELTA_EPS = 1e-10  # below this the mediator effect counts as degenerate
 
-# Per pair in ``Pair`` order: the bundle indices of its (m=0 outcome, m=1
-# outcome, mediator) predictors, and their gradients w.r.t. the bundle
-_INPUTS = np.array([PAIR_COMPONENTS[pair] for pair in Pair]).T
-_D_Y0, _D_Y1, _D_G = np.eye(6)[_INPUTS]
+# Gradients w.r.t. the bundle of each pair's (m=0 outcome, m=1 outcome,
+# mediator) predictors, each (pair, 6)
+_D_Y0, _D_Y1, _D_G = np.eye(6)[PAIR_INDEX]
 _D_INPUTS = np.stack([_D_Y1 - _D_Y0, _D_G])  # of (delta, g), (2, pair, 6)
 
 
@@ -129,59 +134,13 @@ def mediator_log_odds_ratio(bundle: PredictorBundle, level: str = "active") -> f
     return scalar_or_array(delta)
 
 
-def shifted_posterior_logit(
-    bundle: PredictorBundle, shift: float | np.ndarray, y: int, pair: Pair = Pair.CROSS
-) -> float | np.ndarray:
-    """Retrospective mediator logit when the outcome logit carries a shift.
-
-    At shift 0 this equals the unshifted posterior logit exactly; as the
-    shift runs to -inf/+inf it saturates at the mediator predictor and at
-    the mediator predictor minus the mediator effect, respectively. An array
-    of shifts broadcasts against the bundle's rows.
-    """
-    if y not in (0, 1):
-        raise ValueError("y must be 0 or 1")
-    b0, b1 = bundle.outcome_parts(pair)
-    g = bundle.mediator_part(pair)
-    return y * (b1 - b0) + softplus(shift + b0) - softplus(shift + b1) + g
-
-
-def _shifted_logits0(bundle: PredictorBundle, shift, pairs=tuple(Pair)) -> dict:
-    """Each pair's y=0 shifted posterior logit, with one softplus(s + b0) -
-    softplus(s + b1) per outcome level (CROSS and ACTIVE share one)."""
-    v, by_level, logits = bundle.values.T, {}, {}
-    for pair in pairs:
-        i0, i1, ig = PAIR_COMPONENTS[pair]
-        if (i0, i1) not in by_level:
-            by_level[i0, i1] = softplus(shift + v[i0]) - softplus(shift + v[i1])
-        logits[pair] = by_level[i0, i1] + v[ig]
-    return logits
-
-
-def _combine(y0, lower, upper) -> tuple:
-    """(NDE lower, NDE upper, NIE lower, NIE upper) from per-pair m=0 outcome
-    predictors y0 and log-factor extremes (or their gradients), in ``Pair`` order:
-    NDE = base + cross - reference, base = y0 cross - y0 reference; NIE = active - cross."""
-    (y0_cross, _, y0_ref), (cross_l, active_l, ref_l), (cross_u, active_u, ref_u) = y0, lower, upper
-    base = y0_cross - y0_ref
-    return base + cross_l - ref_u, base + cross_u - ref_l, active_l - cross_u, active_u - cross_l
-
-
-def _effects_at(bundle: PredictorBundle, logits0: dict) -> EffectTriple:
-    """Effects from each pair's y=0 shifted posterior logit (a point: lower = upper)."""
-    y0, y1, _ = bundle.values.T[_INPUTS]
-    factors = [softplus(logits0[p] + d) - softplus(logits0[p]) for p, d in zip(Pair, y1 - y0)]
-    nde, _, nie, _ = _combine(y0, factors, factors)
-    return EffectTriple.from_parts(nde, nie)
-
-
 def shifted_effects(bundle: PredictorBundle, shift: float | np.ndarray) -> EffectTriple:
     """Natural effects when the same shift applies at every exposure level.
 
     Reduces to ``point_effects`` at shift 0; for any finite shift each
     component stays inside the corresponding identification bound.
     """
-    return _effects_at(bundle, _shifted_logits0(bundle, shift))
+    return effects_at(bundle, posterior_logits0(bundle, shift))
 
 
 def sensitivity_probability(bundle: PredictorBundle, shift: float | np.ndarray) -> float | np.ndarray:
@@ -190,7 +149,7 @@ def sensitivity_probability(bundle: PredictorBundle, shift: float | np.ndarray) 
     P(mediator stays 0 in the reference world | outcome 0 in the cross world);
     monotone in the shift whenever the mediator effect is nonzero.
     """
-    return expit(-_shifted_logits0(bundle, shift, (Pair.CROSS,))[Pair.CROSS])
+    return expit(-posterior_logits0(bundle, shift, (Pair.CROSS,))[Pair.CROSS])
 
 
 def sensitivity_probability_range(bundle: PredictorBundle) -> BoundPair:
@@ -202,7 +161,7 @@ def sensitivity_probability_range(bundle: PredictorBundle) -> BoundPair:
             f"mediator effect is numerically zero{failing_rows(degenerate)}; the sensitivity "
             "probability range collapses and bounds are not defined"
         )
-    g = bundle.m_ref
+    g = bundle.mediator_part(Pair.CROSS)
     at_minus_inf = expit(-g)
     at_plus_inf = expit(delta - g)
     # the probability is monotone in the shift, increasing when delta > 0
@@ -242,7 +201,7 @@ def factor_range(bundle: PredictorBundle, pair: Pair = Pair.CROSS) -> BoundPair:
 
 def _log_bounds(bundle: PredictorBundle, jacobian: bool = False) -> tuple:
     """Log bound endpoints (..., 4) and, if asked, their jacobian (..., 6, 4), else None."""
-    y0, y1, g = bundle.values.T[_INPUTS]  # each (pair, ...)
+    y0, y1, g = bundle.values.T[PAIR_INDEX]  # each (pair, ...)
     delta = y1 - y0
     _warn_degenerate(
         np.abs(delta).min(axis=0),
@@ -250,12 +209,12 @@ def _log_bounds(bundle: PredictorBundle, jacobian: bool = False) -> tuple:
         "bounds collapse to their continuous limits",
     )
     extremes, partials = _log_factor_range(delta, g, jacobian)
-    endpoints = np.array(_combine(y0, *extremes)).T
+    endpoints = np.array(combine_effects(y0, *extremes)).T
     if not jacobian:
         return endpoints, None
     # the chain rule through each pair's (delta, g): gradients (pair, ..., 6)
     grads = [np.einsum("kp...,kpi->p...i", partial, _D_INPUTS) for partial in partials]
-    return endpoints, np.stack(_combine(_D_Y0, *grads), axis=-1)
+    return endpoints, np.stack(combine_effects(_D_Y0, *grads), axis=-1)
 
 
 def log_bound_endpoints(bundle: PredictorBundle) -> np.ndarray:
@@ -284,6 +243,6 @@ def effect_bounds(bundle: PredictorBundle) -> EffectBounds:
 def sensitivity_curve(bundle: PredictorBundle, shifts) -> SensitivityCurve:
     """Trace shared-shift effects and the sensitivity probability on a grid."""
     shifts = np.asarray(shifts, dtype=float)
-    logits0 = _shifted_logits0(bundle, shifts)
-    eff = _effects_at(bundle, logits0)
+    logits0 = posterior_logits0(bundle, shifts)
+    eff = effects_at(bundle, logits0)
     return SensitivityCurve(shifts, eff.nde, eff.nie, eff.te, expit(-logits0[Pair.CROSS]))

@@ -133,10 +133,17 @@ def _x_values(cfg: dict, args) -> list[float]:
     if spec is None:
         raise UserError("no active exposure levels given (use --x or config contrasts.x)")
     if isinstance(spec, dict):
-        lo, hi = float(spec["from"]), float(spec["to"])
-        step = float(spec.get("step", 1.0))
-        count = int(round((hi - lo) / step))
-        return [lo + step * k for k in range(count + 1)]
+        try:
+            lo, hi = float(spec["from"]), float(spec["to"])
+            step = float(spec.get("step", 1.0))
+        except KeyError as exc:
+            raise UserError(f"contrasts.x range lacks {exc}") from None
+        except (TypeError, ValueError):
+            raise UserError("contrasts.x range values must be numbers") from None
+        count = (hi - lo) / step if step and math.isfinite(step) else math.nan
+        if not 0.0 <= count < math.inf:
+            raise UserError(f"contrasts.x step {step:g} does not lead from {lo:g} to {hi:g}")
+        return [lo + step * k for k in range(int(round(count)) + 1)]
     return [float(v) for v in spec]
 
 
@@ -397,15 +404,13 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="medbounds", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_models=True):
+    def common(p):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--data", help="CSV data file (overrides config)")
-        if with_models:
-            p.add_argument("--models", help="models JSON written by 'fit' (skips refitting)")
+        p.add_argument("--models", help="models JSON written by 'fit' (skips refitting)")
         p.add_argument("--x", action="append", type=float, help="active exposure level (repeatable)")
         p.add_argument("--x-star", dest="x_star", type=float, help="reference exposure level")
         p.add_argument("--profile", action="append", help="covariate value as key=val (repeatable)")
-        p.add_argument("--alpha", type=float, help="uncertainty level (default 0.05)")
         p.add_argument("--format", choices=("table", "csv", "json"))
         p.add_argument("--out", help="write output to this file instead of stdout")
 
@@ -421,12 +426,11 @@ def build_parser() -> _Parser:
     p_eff.set_defaults(fn=cmd_effects)
 
     p_bounds = sub.add_parser("bounds", help="identification bounds and uncertainty intervals")
-    common(p_bounds)
-    p_bounds.set_defaults(fn=_bounds_like)
-
     p_curve = sub.add_parser("curve", help="bounds over an exposure grid (plot-ready rows)")
-    common(p_curve)
-    p_curve.set_defaults(fn=_bounds_like)
+    for p in (p_bounds, p_curve):
+        common(p)
+        p.add_argument("--alpha", type=float, help="uncertainty level (default 0.05)")
+        p.set_defaults(fn=_bounds_like)
 
     p_sim = sub.add_parser("simulate", help="draw a synthetic dataset from a structural model")
     p_sim.add_argument("--scm", help="structural model JSON (default: bundled demo cohort)")

@@ -1,4 +1,4 @@
-"""Point-identified natural effects on the log odds-ratio scale.
+"""Natural effects on the log odds-ratio scale, from bundle to effects.
 
 Everything downstream of model fitting is a function of six linear
 predictors: the outcome predictor at (active, reference) exposure crossed
@@ -6,6 +6,14 @@ with mediator 0/1, and the mediator predictor at both exposure levels.
 ``PredictorBundle`` carries that 6-vector together with the covariance of
 its estimator, in a fixed component order; ``PAIR_COMPONENTS`` maps each
 (outcome-level, mediator-level) pair to the components it reads.
+
+This module holds the one chain from a bundle to the effects at an
+outcome-logit shift (see ``bounds``): each pair's y=0 mediator posterior
+logit, its log adjustment factor, and the NDE/NIE combination rule. The
+point estimates are that chain at shift 0, so they equal
+``bounds.shifted_effects(bundle, 0.0)`` by construction. Acceptance
+criterion 3 (exact enumeration), criterion 6 and
+``test_mediation_formula_identity_everywhere`` check them independently.
 """
 
 from __future__ import annotations
@@ -47,6 +55,17 @@ def scalar_or_array(x) -> float | np.ndarray:
     return float(a) if a.ndim == 0 else a
 
 
+def symmetrized(s: np.ndarray, what: str) -> np.ndarray:
+    """``(s + s') / 2`` over the last two axes; a ValueError names ``what`` and
+    the rows whose asymmetry exceeds 1e-10 of their largest entry (at least 1)."""
+    st = np.swapaxes(s, -1, -2)
+    scale = np.maximum(1.0, np.abs(s).max(axis=(-2, -1)))
+    asymmetric = np.abs(s - st).max(axis=(-2, -1)) > 1e-10 * scale
+    if np.any(asymmetric):
+        raise ValueError(f"{what} is not symmetric{failing_rows(asymmetric)}")
+    return 0.5 * (s + st)
+
+
 def failing_rows(bad) -> str:
     """Where a row-wise check failed: '' for a single row, ' in row i' for a batch."""
     if np.ndim(bad) == 0:
@@ -84,6 +103,9 @@ PAIR_COMPONENTS = {
     Pair.ACTIVE: (0, 2, 4),
     Pair.REFERENCE: (1, 3, 5),
 }
+# The same per pair in ``Pair`` order: ``values.T[PAIR_INDEX]`` is (m=0
+# outcome, m=1 outcome, mediator) x pair x rows
+PAIR_INDEX = np.array([PAIR_COMPONENTS[pair] for pair in Pair]).T
 
 
 @dataclass(frozen=True)
@@ -108,39 +130,8 @@ class PredictorBundle:
         s = np.asarray(self.cov, dtype=float)
         if v.ndim not in (1, 2) or v.shape[-1] != 6 or s.shape != v.shape[:-1] + (6, 6):
             raise ValueError("bundle needs 6 predictors and a 6x6 covariance per row")
-        st = np.swapaxes(s, -1, -2)
-        scale = np.maximum(1.0, np.abs(s).max(axis=(-2, -1)))
-        asymmetric = np.abs(s - st).max(axis=(-2, -1)) > 1e-10 * scale
-        if np.any(asymmetric):
-            raise ValueError(f"bundle covariance is not symmetric{failing_rows(asymmetric)}")
         object.__setattr__(self, "values", v)
-        object.__setattr__(self, "cov", 0.5 * (s + st))
-
-    # readable accessors for the fixed ordering; ``values.T[i]`` is component
-    # i of every row (a number for a single bundle)
-    @property
-    def y_active_m0(self) -> float | np.ndarray:
-        return self.values.T[0]
-
-    @property
-    def y_ref_m0(self) -> float | np.ndarray:
-        return self.values.T[1]
-
-    @property
-    def y_active_m1(self) -> float | np.ndarray:
-        return self.values.T[2]
-
-    @property
-    def y_ref_m1(self) -> float | np.ndarray:
-        return self.values.T[3]
-
-    @property
-    def m_active(self) -> float | np.ndarray:
-        return self.values.T[4]
-
-    @property
-    def m_ref(self) -> float | np.ndarray:
-        return self.values.T[5]
+        object.__setattr__(self, "cov", symmetrized(s, "bundle covariance"))
 
     def outcome_parts(self, pair: Pair) -> tuple[float | np.ndarray, float | np.ndarray]:
         """(m=0, m=1) outcome predictors at the pair's outcome level."""
@@ -216,6 +207,58 @@ def predictor_bundle(
     return PredictorBundle(values=values, cov=cov)
 
 
+def posterior_logits0(bundle: PredictorBundle, shift, pairs=tuple(Pair)) -> dict:
+    """Each pair's y=0 mediator posterior logit when the outcome logit carries
+    ``shift``, with one softplus(s + b0) - softplus(s + b1) per outcome level
+    (CROSS and ACTIVE share one). An array of shifts broadcasts against rows."""
+    v, by_level, logits = bundle.values.T, {}, {}
+    for pair in pairs:
+        i0, i1, ig = PAIR_COMPONENTS[pair]
+        if (i0, i1) not in by_level:
+            by_level[i0, i1] = softplus(shift + v[i0]) - softplus(shift + v[i1])
+        logits[pair] = by_level[i0, i1] + v[ig]
+    return logits
+
+
+def log_factor(logit0, delta):
+    """Log mediator adjustment factor of a pair with y=0 posterior logit
+    ``logit0`` and mediator effect ``delta``."""
+    return softplus(logit0 + delta) - softplus(logit0)
+
+
+def combine_effects(y0, lower, upper) -> tuple:
+    """(NDE lower, NDE upper, NIE lower, NIE upper) from per-pair m=0 outcome
+    predictors y0 and log-factor extremes (or their gradients), in ``Pair`` order:
+    NDE = base + cross - reference, base = y0 cross - y0 reference; NIE = active - cross."""
+    (y0_cross, _, y0_ref), (cross_l, active_l, ref_l), (cross_u, active_u, ref_u) = y0, lower, upper
+    base = y0_cross - y0_ref
+    return base + cross_l - ref_u, base + cross_u - ref_l, active_l - cross_u, active_u - cross_l
+
+
+def effects_at(bundle: PredictorBundle, logits0: dict) -> EffectTriple:
+    """Effects from each pair's y=0 posterior logit (a point: lower = upper)."""
+    y0, y1, _ = bundle.values.T[PAIR_INDEX]
+    factors = [log_factor(logits0[p], d) for p, d in zip(Pair, y1 - y0)]
+    nde, _, nie, _ = combine_effects(y0, factors, factors)
+    return EffectTriple.from_parts(nde, nie)
+
+
+def shifted_posterior_logit(
+    bundle: PredictorBundle, shift: float | np.ndarray, y: int, pair: Pair = Pair.CROSS
+) -> float | np.ndarray:
+    """Retrospective mediator logit when the outcome logit carries a shift.
+
+    At shift 0 this is ``mediator_posterior_logit``; as the shift runs to
+    -inf/+inf it saturates at the mediator predictor and at the mediator
+    predictor minus the mediator effect, respectively. An array of shifts
+    broadcasts against the bundle's rows.
+    """
+    if y not in (0, 1):
+        raise ValueError("y must be 0 or 1")
+    b0, b1 = bundle.outcome_parts(pair)
+    return y * (b1 - b0) + posterior_logits0(bundle, shift, (pair,))[pair]
+
+
 def mediator_posterior_logit(
     bundle: PredictorBundle, y: int, pair: Pair = Pair.CROSS
 ) -> float | np.ndarray:
@@ -225,11 +268,7 @@ def mediator_posterior_logit(
     chosen pair's counterfactual world; the two single-world pairs reuse the
     same algebra with matched exposure levels.
     """
-    if y not in (0, 1):
-        raise ValueError("y must be 0 or 1")
-    b0, b1 = bundle.outcome_parts(pair)
-    g = bundle.mediator_part(pair)
-    return y * (b1 - b0) + softplus(b0) - softplus(b1) + g
+    return shifted_posterior_logit(bundle, 0.0, y, pair)
 
 
 def counterfactual_outcome_logit(bundle: PredictorBundle, pair: Pair = Pair.CROSS) -> float | np.ndarray:
@@ -238,18 +277,10 @@ def counterfactual_outcome_logit(bundle: PredictorBundle, pair: Pair = Pair.CROS
     For the single-world pairs this reduces to the logit of the observational
     outcome probability marginalized over the mediator.
     """
-    b0, _ = bundle.outcome_parts(pair)
-    g1 = mediator_posterior_logit(bundle, 1, pair)
-    g0 = mediator_posterior_logit(bundle, 0, pair)
-    return b0 + softplus(g1) - softplus(g0)
+    b0, b1 = bundle.outcome_parts(pair)
+    return b0 + log_factor(posterior_logits0(bundle, 0.0, (pair,))[pair], b1 - b0)
 
 
 def point_effects(bundle: PredictorBundle) -> EffectTriple:
     """Natural effects under the full identification assumption set."""
-    nde = counterfactual_outcome_logit(bundle, Pair.CROSS) - counterfactual_outcome_logit(
-        bundle, Pair.REFERENCE
-    )
-    nie = counterfactual_outcome_logit(bundle, Pair.ACTIVE) - counterfactual_outcome_logit(
-        bundle, Pair.CROSS
-    )
-    return EffectTriple.from_parts(nde, nie)
+    return effects_at(bundle, posterior_logits0(bundle, 0.0))

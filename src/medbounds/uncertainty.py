@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundPair, EffectBounds, _log_bounds
-from .effects import PredictorBundle, failing_rows, scalar_or_array
+from .effects import PredictorBundle, failing_rows, scalar_or_array, symmetrized
 
 __all__ = [
     "BoundEstimates",
@@ -70,13 +70,8 @@ class BoundEstimates:
         infinite = ~np.isfinite(lb).all(axis=-1)
         if np.any(infinite):
             raise ValueError(f"log bounds must be finite{failing_rows(infinite)}")
-        ct = np.swapaxes(c, -1, -2)
-        scale = np.maximum(1.0, np.abs(c).max(axis=(-2, -1)))
-        asymmetric = np.abs(c - ct).max(axis=(-2, -1)) > 1e-10 * scale
-        if np.any(asymmetric):
-            raise ValueError(f"covariance is not symmetric{failing_rows(asymmetric)}")
         object.__setattr__(self, "log_bounds", lb)
-        object.__setattr__(self, "cov", 0.5 * (c + ct))
+        object.__setattr__(self, "cov", symmetrized(c, "covariance"))
 
     @property
     def stderr(self) -> np.ndarray:
@@ -94,8 +89,7 @@ def bound_covariance(bundle: PredictorBundle) -> BoundEstimates:
             f"(min eig {worst:.3e})"
         )
     log_bounds, D = _log_bounds(bundle, jacobian=True)
-    v0 = np.einsum("...ia,...ij,...jb->...ab", D, bundle.cov, D)
-    cov = 0.5 * (v0 + np.swapaxes(v0, -1, -2))
+    cov = np.einsum("...ia,...ij,...jb->...ab", D, bundle.cov, D)
     return BoundEstimates(log_bounds=log_bounds, cov=cov)
 
 

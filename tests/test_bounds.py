@@ -74,7 +74,7 @@ class TestShiftedPosteriorLogit:
                 )
 
     def test_limits(self, derived_bundle):
-        g_ref = derived_bundle.m_ref
+        g_ref = derived_bundle.mediator_part(Pair.CROSS)
         delta = 1.250
         assert shifted_posterior_logit(derived_bundle, -50.0, 0, Pair.CROSS) == pytest.approx(
             g_ref, abs=1e-9
@@ -296,7 +296,7 @@ class TestSensitivityCurve:
                 g1 = shifted_posterior_logit(bundle, grid, 1, pair)
                 g0 = shifted_posterior_logit(bundle, grid, 0, pair)
                 factor[pair] = np.logaddexp(0.0, g1) - np.logaddexp(0.0, g0)
-            base = bundle.y_active_m0 - bundle.y_ref_m0
+            base = bundle.outcome_parts(Pair.ACTIVE)[0] - bundle.outcome_parts(Pair.REFERENCE)[0]
             curve = sensitivity_curve(bundle, grid)
             np.testing.assert_allclose(
                 curve.nde, base + factor[Pair.CROSS] - factor[Pair.REFERENCE], rtol=0, atol=1e-12

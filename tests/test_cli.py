@@ -366,6 +366,30 @@ class TestEffectsAndBounds:
         ) == 1
         assert "alpha" in capsys.readouterr().err
 
+    def test_effects_takes_no_alpha(self, workdir, capsys):
+        argv = ["effects", "--models", str(workdir / "models.json"), "--x", "30", "--alpha", "0.1"]
+        assert main(argv + ["--profile", "bmi=28.5", "--profile", "gender=1"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            {"from": 20, "to": 170, "step": 0},
+            {"to": 170, "step": 10},
+            {"from": 20, "step": 10},
+            {"from": 20, "to": 170, "step": -10},
+        ],
+        ids=["zero-step", "no-from", "no-to", "step-away-from-to"],
+    )
+    def test_malformed_x_range_is_user_error(self, workdir, tmp_path, capsys, grid):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"contrasts": {"x": grid, "x_star": 10}}))
+        argv = ["curve", "--config", str(cfg_path), "--models", str(workdir / "models.json")]
+        assert main(argv + ["--profile", "bmi=28.5", "--profile", "gender=1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: contrasts.x")
+        assert captured.out == ""
+
 
 class TestValidate:
     def test_quick_run_passes(self, capsys, monkeypatch, tmp_path):
@@ -422,6 +446,20 @@ class TestValidate:
         assert not report.passed
         failing = {r.name for r in report.results if not r.passed}
         assert failing == {"jacobian-vs-fd"}
+
+    def test_mediation_reduction_checks_the_cross_pair(self, monkeypatch):
+        import medbounds.validate as validate_mod
+        from medbounds.effects import Pair
+
+        exact = validate_mod.counterfactual_outcome_logit
+
+        def shifted_cross(bundle, pair):
+            return exact(bundle, pair) + (1e-3 if pair is Pair.CROSS else 0.0)
+
+        monkeypatch.setattr(validate_mod, "counterfactual_outcome_logit", shifted_cross)
+        result = validate_mod.check_mediation_reduction(np.random.default_rng(3), 5)
+        assert not result.passed
+        assert result.measured == pytest.approx(1e-3, rel=1e-6)
 
     def test_unknown_command_is_user_error(self, capsys):
         assert main(["frobnicate"]) == 1

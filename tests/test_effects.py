@@ -55,9 +55,11 @@ class TestPredictorBundle:
     def test_equal_levels_collapse(self):
         outcome, mediator = demo_models()
         bundle = predictor_bundle(outcome, mediator, Contrast(50.0, 50.0, MALE_PROFILE))
-        assert bundle.y_active_m0 == bundle.y_ref_m0
-        assert bundle.y_active_m1 == bundle.y_ref_m1
-        assert bundle.m_active == bundle.m_ref
+        y_active_m0, y_active_m1 = bundle.outcome_parts(Pair.ACTIVE)
+        y_ref_m0, y_ref_m1 = bundle.outcome_parts(Pair.REFERENCE)
+        assert y_active_m0 == y_ref_m0
+        assert y_active_m1 == y_ref_m1
+        assert bundle.mediator_part(Pair.ACTIVE) == bundle.mediator_part(Pair.REFERENCE)
 
     def test_zero_model_covariance_gives_zero_sigma(self, derived_contrast):
         outcome, mediator = demo_models()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from medbounds.bounds import effect_bounds
-from medbounds.effects import Contrast, point_effects
+from medbounds.effects import Contrast, Pair, counterfactual_outcome_logit, point_effects
 from medbounds.scm import (
     DegenerateLawError,
     StructuralModel,
@@ -138,10 +138,14 @@ class TestEnumeration:
             contrast = simple_contrast(scm)
             law = enumerate_counterfactuals(scm, contrast)
             bundle = observational_theta(scm, contrast)
-            pm_ref = 1.0 / (1.0 + np.exp(-bundle.m_ref))
+            pm_ref = 1.0 / (1.0 + np.exp(-bundle.mediator_part(Pair.REFERENCE)))
             p_y1 = {m: 1.0 / (1.0 + np.exp(-bundle.values[[0, 2][m]])) for m in (0, 1)}
             plug_in = pm_ref * p_y1[1] + (1 - pm_ref) * p_y1[0]
             assert law.crossed[("active", "reference")] == pytest.approx(plug_in, abs=1e-10)
+            cross = counterfactual_outcome_logit(bundle, Pair.CROSS)
+            assert law.crossed[("active", "reference")] == pytest.approx(
+                1.0 / (1.0 + np.exp(-cross)), abs=1e-10
+            )
 
     def test_law_internal_consistency(self):
         # P(Y(a, M(a))=1) decomposes over the conditional pieces exactly
@@ -341,7 +345,7 @@ class TestCrossworldDemo:
         contrast = Contrast(active=1.0, reference=0.0, profile={"z": 0.0})
         law = enumerate_counterfactuals(scm, contrast)
         bundle = observational_theta(scm, contrast)
-        pm_active = 1.0 / (1.0 + np.exp(-bundle.m_active))
+        pm_active = 1.0 / (1.0 + np.exp(-bundle.mediator_part(Pair.ACTIVE)))
         assert law.mediator["active"] == pytest.approx(pm_active, abs=1e-12)
 
 
