@@ -154,7 +154,8 @@ def sensitivity_probability(bundle: PredictorBundle, shift: float | np.ndarray) 
 
 def sensitivity_probability_range(bundle: PredictorBundle) -> BoundPair:
     """Open interval the sensitivity probability can range over."""
-    delta = mediator_log_odds_ratio(bundle, "active")
+    b0, b1 = bundle.outcome_parts(Pair.ACTIVE)
+    delta = b1 - b0
     degenerate = np.abs(delta) < DELTA_EPS
     if np.any(degenerate):
         raise DegenerateMediatorError(

@@ -103,6 +103,8 @@ def _designs(cfg: dict):
         raise UserError(f"config lacks {exc} design") from None
     except ValueError as exc:
         raise UserError(f"bad design term: {exc}") from None
+    if mediator.includes_mediator:
+        raise UserError("mediator_design must not reference the mediator 'm'")
     return outcome, mediator
 
 
@@ -310,54 +312,49 @@ def _check_support(models, xs: list[float], x_star: float) -> None:
         )
 
 
-def _contrast_inputs(args):
-    """Config, both models, active levels, x* and covariate profiles of an
-    ``effects``, ``bounds`` or ``curve`` run."""
+def _contrast_inputs(args, x_major: bool):
+    """Config, both models, contrasts and their key columns of an ``effects``,
+    ``bounds`` or ``curve`` run: one contrast per (active level, profile), in
+    x-major or profile-major order."""
     cfg = load_config(args.config) if args.config else {}
     data = None if args.models else _read_data(cfg, args)
     outcome, mediator = _models_from_file(args.models) if args.models else _fit_models(cfg, data)
     xs = _x_values(cfg, args)
     x_star = _x_star(cfg, args)
     _check_support((outcome, mediator), xs, x_star)
-    return cfg, outcome, mediator, xs, x_star, _profiles(cfg, args, data)
-
-
-def _contrast_table(contrasts: list[Contrast], values: dict) -> dict:
-    """Column table of one row per contrast: its key columns, then the value arrays."""
-    return {
-        "x": [c.active for c in contrasts],
-        "x_star": [c.reference for c in contrasts],
-        "profile": [_profile_label(c.profile) for c in contrasts],
-        **{name: v.tolist() for name, v in values.items()},
+    labelled = [(p, _profile_label(p)) for p in _profiles(cfg, args, data)]
+    grid = [(x, pl) for x in xs for pl in labelled] if x_major else [(x, pl) for pl in labelled for x in xs]
+    keys = {
+        "x": [x for x, _ in grid],
+        "x_star": [x_star] * len(grid),
+        "profile": [label for _, (_, label) in grid],
     }
+    return cfg, outcome, mediator, [Contrast(x, x_star, p) for x, (p, _) in grid], keys
 
 
 def cmd_effects(args) -> int:
-    cfg, outcome, mediator, xs, x_star, profiles = _contrast_inputs(args)
-    contrasts = [Contrast(x, x_star, profile) for profile in profiles for x in xs]
+    cfg, outcome, mediator, contrasts, keys = _contrast_inputs(args, x_major=False)
     pt = point_effects(predictor_bundle(outcome, mediator, contrasts))
-    table = _contrast_table(contrasts, {"nde": pt.nde, "nie": pt.nie, "te": pt.te})
+    table = {**keys, "nde": pt.nde.tolist(), "nie": pt.nie.tolist(), "te": pt.te.tolist()}
     _emit(_render(table, _fmt(cfg, args)), args)
     return EXIT_OK
 
 
 def _bounds_like(args) -> int:
     """The ``bounds`` and ``curve`` commands: every contrast evaluated in one batch."""
-    cfg, outcome, mediator, xs, x_star, profiles = _contrast_inputs(args)
+    cfg, outcome, mediator, contrasts, table = _contrast_inputs(args, x_major=True)
     alpha = _alpha(cfg, args)
-    contrasts = [Contrast(x, x_star, profile) for x in xs for profile in profiles]
     bundle = predictor_bundle(outcome, mediator, contrasts)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         eb = effect_bounds(bundle)
         ui = uncertainty_intervals(eb, bound_covariance(bundle), alpha)
-    columns = {}
     for name in ("nde", "nie", "te"):
         bound, interval = getattr(eb, name), getattr(ui, name)
-        columns[name] = getattr(eb.point, name)
-        columns[name + "_lo"], columns[name + "_hi"] = bound.lower, bound.upper
-        columns[name + "_ui_lo"], columns[name + "_ui_hi"] = interval.lower, interval.upper
-    _emit(_render(_contrast_table(contrasts, columns), _fmt(cfg, args)), args)
+        ends = (getattr(eb.point, name), bound.lower, bound.upper, interval.lower, interval.upper)
+        for suffix, v in zip(("", "_lo", "_hi", "_ui_lo", "_ui_hi"), ends):
+            table[name + suffix] = v.tolist()
+    _emit(_render(table, _fmt(cfg, args)), args)
     return EXIT_OK
 
 

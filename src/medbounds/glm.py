@@ -4,7 +4,12 @@ Two models are fit per analysis: one for the outcome (which may reference
 the mediator) and one for the mediator (which must not). Designs are lists
 of named basis terms, so the linear predictor can be any function of
 exposure, mediator and covariates that the user can express as a sum of
-bases: identities, interactions, powers, or arbitrary callables.
+bases: identities, interactions, powers, lookup tables, or arbitrary
+callables.
+
+Terms evaluate row-wise on a point whose fields are arrays, and a single
+point is a batch of one. Parsed terms and table lookups read a name by one
+rule: ``x`` is the exposure, ``m`` the mediator, any other name a covariate.
 
 Fitting is plain damped Newton on the Bernoulli log-likelihood (IRLS), with
 the coefficient covariance taken as the inverse observed information at the
@@ -66,58 +71,27 @@ class Term:
         return self.fn(point)
 
 
-def const() -> Term:
-    return Term("1", lambda p: np.ones_like(np.asarray(p.exposure, dtype=float)))
-
-
-def exposure() -> Term:
-    return Term("x", lambda p: np.asarray(p.exposure, dtype=float))
-
-
-def mediator() -> Term:
-    def fn(p: Point):
-        if p.mediator is None:
+def _variable(point: Point, name: str):
+    """The value of ``x`` (exposure), ``m`` (mediator) or a covariate at a point."""
+    if name == "x":
+        return point.exposure
+    if name == "m":
+        if point.mediator is None:
             raise MissingVariableError("term 'm' requires a mediator value")
-        return np.asarray(p.mediator, dtype=float)
-
-    return Term("m", fn)
-
-
-def covariate(name: str) -> Term:
-    def fn(p: Point):
-        try:
-            return np.asarray(p.covariates[name], dtype=float)
-        except KeyError:
-            raise MissingVariableError(f"covariate '{name}' missing from point") from None
-
-    return Term(name, fn)
-
-
-def interaction(*factors: Term) -> Term:
-    name = "*".join(t.name for t in factors)
-
-    def fn(p: Point):
-        out = np.asarray(factors[0](p), dtype=float)
-        for t in factors[1:]:
-            out = out * t(p)
-        return out
-
-    return Term(name, fn)
-
-
-def power(base: Term, k: int) -> Term:
-    return Term(f"{base.name}^{k}", lambda p: np.asarray(base(p), dtype=float) ** k)
+        return point.mediator
+    try:
+        return point.covariates[name]
+    except KeyError:
+        raise MissingVariableError(f"covariate '{name}' missing from point") from None
 
 
 def table_lookup(name: str, mapping: Mapping[float, float]) -> Term:
-    """Step-function basis: maps exact values of a covariate through a table."""
-    keys = np.array(sorted(mapping))
-    vals = np.array([mapping[k] for k in sorted(mapping)])
+    """Step-function basis: maps exact values of a variable through a table."""
+    keys, vals = np.array(sorted(mapping.items()), dtype=float).T
 
     def fn(p: Point):
-        v = np.asarray(p.covariates[name] if name in p.covariates else _role_value(p, name), dtype=float)
-        idx = np.searchsorted(keys, v)
-        idx = np.clip(idx, 0, len(keys) - 1)
+        v = np.asarray(_variable(p, name), dtype=float)
+        idx = np.clip(np.searchsorted(keys, v), 0, len(keys) - 1)
         if not np.all(np.isclose(keys[idx], v)):
             raise MissingVariableError(f"table term '{name}' has no entry for some values")
         return vals[idx]
@@ -125,50 +99,45 @@ def table_lookup(name: str, mapping: Mapping[float, float]) -> Term:
     return Term(f"tbl({name})", fn)
 
 
-def _role_value(p: Point, name: str):
-    if name == "x":
-        return p.exposure
-    if name == "m":
-        if p.mediator is None:
-            raise MissingVariableError("term 'm' requires a mediator value")
-        return p.mediator
-    raise MissingVariableError(f"covariate '{name}' missing from point")
+def _factors(expr: str) -> list[tuple[str, int | None]]:
+    """The (name, power or None) factors of a term expression, in order."""
+    expr = expr.strip()
+    if not expr:
+        raise ValueError("empty term expression")
+    factors = []
+    for raw in expr.split("*"):
+        base, caret, exp_s = raw.strip().partition("^")
+        k = int(exp_s) if caret else None
+        name = base.strip()
+        if name != "1" and not name.isidentifier():
+            raise ValueError(f"cannot parse term factor {name!r}")
+        factors.append((name, k))
+    return factors
 
 
 def parse_term(expr: str) -> Term:
     """Parse a compact term expression.
 
     Grammar: factors joined by ``*``; each factor is ``1``, ``x`` (exposure),
-    ``m`` (mediator), a covariate name, or any of those raised with ``^k``.
-    Examples: ``"1"``, ``"x"``, ``"x*m"``, ``"bmi^2"``, ``"x*gender"``.
+    ``m`` (mediator), a covariate name, or any of those raised with ``^k``;
+    whitespace around ``*`` and ``^`` is ignored.
+    Examples: ``"1"``, ``"x"``, ``"x*m"``, ``"bmi^2"``, ``"x * gender"``.
     """
-    expr = expr.strip()
-    if not expr:
-        raise ValueError("empty term expression")
-    factors = []
-    for raw in expr.split("*"):
-        raw = raw.strip()
-        if "^" in raw:
-            base, _, exp_s = raw.partition("^")
-            k = int(exp_s)
-            factors.append(power(_atom(base.strip()), k))
-        else:
-            factors.append(_atom(raw))
-    if len(factors) == 1:
-        return factors[0]
-    return interaction(*factors)
+    factors = _factors(expr)
 
+    def fn(p: Point):
+        out = None
+        for name, k in factors:
+            if name == "1":
+                v = np.ones_like(np.asarray(p.exposure, dtype=float))
+            else:
+                v = np.asarray(_variable(p, name), dtype=float)
+            if k is not None:
+                v = v**k
+            out = v if out is None else out * v
+        return out
 
-def _atom(token: str) -> Term:
-    if token == "1":
-        return const()
-    if token == "x":
-        return exposure()
-    if token == "m":
-        return mediator()
-    if not token.isidentifier():
-        raise ValueError(f"cannot parse term factor {token!r}")
-    return covariate(token)
+    return Term("*".join(name if k is None else f"{name}^{k}" for name, k in factors), fn)
 
 
 @dataclass(frozen=True)
@@ -187,7 +156,7 @@ class DesignSpec:
         return [t.name for t in self.terms]
 
     def row(self, point: Point) -> np.ndarray:
-        return np.array([float(t(point)) for t in self.terms])
+        return self.evaluate(point, 1)[0]
 
     def evaluate(self, point: Point, n: int) -> np.ndarray:
         """(n, k) basis evaluations at a point whose fields are length-n arrays."""
@@ -204,9 +173,8 @@ class DesignSpec:
 
 
 def parse_design(exprs: Sequence[str]) -> DesignSpec:
-    terms = tuple(parse_term(e) for e in exprs)
-    mentions_m = any("m" == f.strip().split("^")[0] for e in exprs for f in e.split("*"))
-    return DesignSpec(terms=terms, includes_mediator=mentions_m)
+    mentions_m = any(name == "m" for e in exprs for name, _ in _factors(e))
+    return DesignSpec(terms=tuple(parse_term(e) for e in exprs), includes_mediator=mentions_m)
 
 
 # --------------------------------------------------------------------------
@@ -410,6 +378,13 @@ def _pivoted_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return diag, piv
 
 
+def _check_role(role: str, design: DesignSpec) -> None:
+    if role not in ("outcome", "mediator"):
+        raise ValueError(f"role must be 'outcome' or 'mediator', got {role!r}")
+    if role == "mediator" and design.includes_mediator:
+        raise ValueError("mediator-model designs must not reference the mediator")
+
+
 def fit_logistic(
     data: Dataset,
     design: DesignSpec,
@@ -428,11 +403,7 @@ def fit_logistic(
     raises a separation error since fitted probabilities are then
     numerically 0/1.
     """
-    if role not in ("outcome", "mediator"):
-        raise ValueError(f"role must be 'outcome' or 'mediator', got {role!r}")
-    if role == "mediator" and design.includes_mediator:
-        raise ValueError("mediator-model designs must not reference the mediator")
-
+    _check_role(role, design)
     y = data.outcome if role == "outcome" else data.mediator
     if y.min() == y.max():
         raise IngestionError(f"{role} response is constant; both levels are required to fit")
@@ -456,8 +427,7 @@ def fit_logistic(
         c = constant[0]
         T[c] -= shift / (scale * X_raw[0, c])
 
-    n, k = X.shape
-    beta = np.zeros(k)
+    beta = np.zeros(X.shape[1])
     eta = X @ beta
     ll = _loglik(eta, y)
     trace = [ll]
@@ -467,12 +437,12 @@ def fit_logistic(
         p = 1.0 / (1.0 + np.exp(-eta))
         grad = X.T @ (y - p)
         grad_norm = float(np.abs(grad).max())
+        w = np.clip(p * (1.0 - p), 1e-12, None)
+        info = (X * w[:, None]).T @ X
         if grad_norm < tol:
             break
-        w = np.clip(p * (1.0 - p), 1e-12, None)
-        hess = (X * w[:, None]).T @ X
         try:
-            step = np.linalg.solve(hess, grad)
+            step = np.linalg.solve(info, grad)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"Newton step failed at iteration {it}: {exc}", trace) from None
         lam = 1.0
@@ -499,9 +469,7 @@ def fit_logistic(
             trace,
         )
 
-    p = 1.0 / (1.0 + np.exp(-eta))
-    w = np.clip(p * (1.0 - p), 1e-12, None)
-    info = (X * w[:, None]).T @ X
+    # the information at the optimum is the converged iteration's Hessian
     cov = T @ np.linalg.inv(info) @ T.T
     cov = 0.5 * (cov + cov.T)
 
@@ -548,6 +516,7 @@ def model_to_dict(model: FittedGlm, exprs: Sequence[str]) -> dict:
 
 def model_from_dict(d: dict) -> FittedGlm:
     design = parse_design(d["design"])
+    _check_role(d["role"], design)
     fit = d.get("fit", {})
     report = FitReport(
         iterations=int(fit.get("iterations", 0)),

@@ -170,9 +170,6 @@ class CounterfactualLaw:
     conditional: dict
     marginal: dict
 
-    def single_world(self, level: str) -> float:
-        return self.crossed[(level, level)]
-
 
 def enumerate_counterfactuals(scm: StructuralModel, contrast: Contrast) -> CounterfactualLaw:
     """Exact counterfactual law by summation over the latent supports."""
@@ -339,10 +336,15 @@ def mediation_formula_logit(bundle: PredictorBundle, pair: Pair = Pair.ACTIVE) -
     """Plug-in crossed-world logit: sum_m P(Y=1|x,m) P(M=m|x') then logit.
 
     Computed on the probability scale, independently of the natural-effect
-    model algebra it validates.
+    model algebra it validates, and with its own fixed reading of the
+    bundle's component order rather than ``effects.PAIR_COMPONENTS``.
     """
-    b0, b1 = bundle.outcome_parts(pair)
-    g = bundle.mediator_part(pair)
+    b_x0, b_xs0, b_x1, b_xs1, g_x, g_xs = (float(v) for v in bundle.values)
+    b0, b1, g = {
+        Pair.CROSS: (b_x0, b_x1, g_xs),
+        Pair.ACTIVE: (b_x0, b_x1, g_x),
+        Pair.REFERENCE: (b_xs0, b_xs1, g_xs),
+    }[pair]
     pm = 1.0 / (1.0 + np.exp(-g))
     p = pm / (1.0 + np.exp(-b1)) + (1.0 - pm) / (1.0 + np.exp(-b0))
     return _logit(float(p), "mediation-formula probability")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -192,6 +194,14 @@ class TestSensitivityProbability:
         bundle = bundle_of([-1.0, -2.0, -1.0, -2.0, 0.1, 0.2])
         with pytest.raises(DegenerateMediatorError):
             sensitivity_probability_range(bundle)
+
+    def test_degenerate_raises_without_warning_first(self):
+        bundle = bundle_of([-1.0, -2.0, -1.0, -2.0, 0.1, 0.2])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DegenerateMediatorError):
+                sensitivity_probability_range(bundle)
+        assert caught == []
 
 
 class TestFactorRange:

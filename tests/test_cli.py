@@ -108,6 +108,27 @@ class TestFit:
         assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["config", "models-file"])
+def test_mediator_design_naming_m_is_user_error(workdir, tmp_path, capsys, source):
+    if source == "config":
+        cfg = json.loads((workdir / "cfg.json").read_text())
+        cfg["mediator_design"] = ["1", "x", "m ^2"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        argv, expected = ["fit", "--config", str(path)], "error: mediator_design"
+    else:
+        models = json.loads((workdir / "models.json").read_text())
+        models["mediator"]["design"] = ["1", "x", "m", "gender"]
+        path = tmp_path / "models.json"
+        path.write_text(json.dumps(models))
+        argv = ["bounds", "--models", str(path), "--x", "50", "--profile", "bmi=28.5", "--profile", "gender=1"]
+        expected = f"error: bad models file {path}: mediator-model designs"
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(expected)
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command", ["fit", "bounds"])
 def test_table_csv_and_json_give_the_same_cells(workdir, capsys, command):
     import csv

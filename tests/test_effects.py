@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from medbounds.effects import (
+    PAIR_COMPONENTS,
     Contrast,
     EffectTriple,
     Pair,
@@ -158,6 +159,24 @@ class TestCounterfactualOutcomeLogit:
             assert counterfactual_outcome_logit(bundle, pair) == pytest.approx(
                 mediation_formula_logit(bundle, pair), abs=1e-10
             )
+
+    def test_mediation_formula_catches_a_swapped_pair_table(self, monkeypatch):
+        # the oracle reads the bundle layout on its own, so a wrong
+        # production pair table breaks the identity
+        bundles = list(random_bundles(11, 20))
+
+        def gap():
+            return max(
+                abs(counterfactual_outcome_logit(b, pair) - mediation_formula_logit(b, pair))
+                for b in bundles
+                for pair in Pair
+            )
+
+        assert gap() < 1e-10
+        cross, reference = PAIR_COMPONENTS[Pair.CROSS], PAIR_COMPONENTS[Pair.REFERENCE]
+        monkeypatch.setitem(PAIR_COMPONENTS, Pair.CROSS, reference)
+        monkeypatch.setitem(PAIR_COMPONENTS, Pair.REFERENCE, cross)
+        assert gap() > 0.1
 
     def test_mediator_forced_off(self):
         # reference mediator predictor -> -inf forces the crossed logit to b(x, 0)

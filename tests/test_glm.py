@@ -49,9 +49,15 @@ class TestTerms:
         design = parse_design(["1", "x", "m", "bmi", "x*m", "bmi^2"])
         assert design.names == ["1", "x", "m", "bmi", "x*m", "bmi^2"]
         assert design.includes_mediator
+        # whitespace around the operators changes neither names nor values
+        spaced = parse_design([" x * m ", "m ^2", "bmi ^ 2 * x"])
+        assert spaced.names == ["x*m", "m^2", "bmi^2*x"]
+        point = Point(2.0, 3.0, {"bmi": 5.0})
+        assert np.array_equal(spaced.row(point), [6.0, 9.0, 50.0])
 
     def test_mediator_flag_absent(self):
         assert not parse_design(["1", "x", "bmi"]).includes_mediator
+        assert not parse_design(["1", "x ^ 2", "mm * bmi"]).includes_mediator
 
     def test_row_evaluation(self):
         design = parse_design(["1", "x", "m", "bmi", "gender"])
@@ -83,6 +89,18 @@ class TestTerms:
         assert float(t(Point(30.0, None, {}))) == 4.0
         with pytest.raises(MissingVariableError):
             t(Point(25.0, None, {}))
+
+    def test_table_lookup_resolves_names_like_parsed_terms(self):
+        from medbounds.glm import table_lookup
+
+        # a covariate that shares a role's name does not shadow the role
+        point = Point(20.0, 1.0, {"x": 30.0, "m": 0.0, "z": 10.0})
+        for name in ("x", "m", "z"):
+            t = table_lookup(name, {0.0: 5.0, 1.0: 6.0, 10.0: 7.0, 20.0: 8.0, 30.0: 9.0})
+            assert float(t(point)) == {"x": 8.0, "m": 6.0, "z": 7.0}[name]
+            assert float(parse_term(name)(point)) == {"x": 20.0, "m": 1.0, "z": 10.0}[name]
+        with pytest.raises(MissingVariableError, match="'m'"):
+            table_lookup("m", {0.0: 1.0})(Point(0.0, None, {"m": 0.0}))
 
 
 # ---------------------------------------------------------------- fitting
@@ -245,8 +263,11 @@ class TestFitLogistic:
 
     def test_role_validation(self):
         data = tiny_dataset()
-        with pytest.raises(ValueError, match="mediator-model"):
-            fit_logistic(data, parse_design(["1", "m"]), role="mediator")
+        for exprs in (["1", "m"], ["1", "x", "m ^2"], ["1", "x", "m ^ 2"], ["1", "z * m"]):
+            design = parse_design(exprs)
+            assert design.includes_mediator
+            with pytest.raises(ValueError, match="mediator-model"):
+                fit_logistic(data, design, role="mediator")
         with pytest.raises(ValueError, match="role"):
             fit_logistic(data, parse_design(["1"]), role="other")
 
