@@ -102,7 +102,7 @@ def _designs(cfg: dict):
     except KeyError as exc:
         raise UserError(f"config lacks {exc} design") from None
     except ValueError as exc:
-        raise UserError(f"bad design term: {exc}") from None
+        raise UserError(f"bad design: {exc}") from None
     if mediator.includes_mediator:
         raise UserError("mediator_design must not reference the mediator 'm'")
     return outcome, mediator

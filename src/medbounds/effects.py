@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .glm import FittedGlm, Point
+from .glm import FittedGlm, Point, softplus
 
 __all__ = [
     "Contrast",
@@ -36,11 +36,6 @@ __all__ = [
     "counterfactual_outcome_logit",
     "point_effects",
 ]
-
-
-def softplus(z: float | np.ndarray) -> float | np.ndarray:
-    """log(1 + e^z), stable for large |z|; elementwise."""
-    return np.logaddexp(0.0, z)
 
 
 def expit(z: float | np.ndarray) -> float | np.ndarray:

@@ -19,6 +19,7 @@ optimum.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 import operator
@@ -87,6 +88,8 @@ def _variable(point: Point, name: str):
 
 def table_lookup(name: str, mapping: Mapping[float, float]) -> Term:
     """Step-function basis: maps exact values of a variable through a table."""
+    if not mapping:
+        raise ValueError(f"table term '{name}' has an empty mapping")
     keys, vals = np.array(sorted(mapping.items()), dtype=float).T
 
     def fn(p: Point):
@@ -173,6 +176,8 @@ class DesignSpec:
 
 
 def parse_design(exprs: Sequence[str]) -> DesignSpec:
+    if not isinstance(exprs, (list, tuple)) or not all(isinstance(e, str) for e in exprs):
+        raise ValueError(f"a design is a list of term strings, got {exprs!r}")
     mentions_m = any(name == "m" for e in exprs for name, _ in _factors(e))
     return DesignSpec(terms=tuple(parse_term(e) for e in exprs), includes_mediator=mentions_m)
 
@@ -233,41 +238,30 @@ def load_csv(
     warning). A cell Python's ``float`` rejects is an error naming the file
     line of its row. A header name that repeats maps to its last column.
     Binary columns must contain only 0/1 after parsing.
+
+    One semantics, two routes. A file of ASCII bytes with no quote and no
+    carriage return takes the byte route: one numpy scan flags each line
+    that is blank, has a comma count other than the header's, an empty cell,
+    a space or control byte, or more bytes than ``csv.field_size_limit()``;
+    one ``np.loadtxt`` call parses all other lines (its numbers are
+    ``float``'s bit for bit), and the flagged lines go through the
+    ``csv.reader`` row logic and are merged back in file order. Every other
+    file, and any file where ``np.loadtxt`` or a flagged line's cell fails,
+    takes the row route whole, so drops, warnings and errors (with their
+    line numbers) do not depend on the route.
     """
     wanted = [outcome, mediator, exposure, *covariates]
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise IngestionError(f"{path}: empty file (no header row)")
-        missing = [c for c in wanted if c not in header]
-        if missing:
-            raise IngestionError(f"{path}: missing columns: {', '.join(missing)}")
-        position = {name: j for j, name in enumerate(header)}
-        columns = [position[c] for c in wanted]
-        pick, width = operator.itemgetter(*columns), max(columns) + 1
-        try:
-            # one entry per non-blank row: its mapped cells, or None if it is too short
-            picked = [pick(row) if len(row) >= width else None for row in reader if row]
-        except csv.Error:
-            _raise_parse_error(path, pick, width)
-            raise
-    kept = [cells for cells in picked if cells is not None and all(map(str.strip, cells))]
-    dropped = len(picked) - len(kept)
-    del picked
-    try:
-        flat = np.fromiter(
-            map(float, itertools.chain.from_iterable(kept)), dtype=float, count=len(kept) * len(wanted)
-        )
-    except ValueError:
-        _raise_parse_error(path, pick, width)
-        raise
-    del kept
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    parsed = None
+    if b'"' not in raw and b"\r" not in raw and raw.isascii():
+        parsed = _read_plain_bytes(path, raw, wanted)
+    del raw
+    arr, dropped = parsed if parsed is not None else _read_rows(path, wanted)
     if dropped:
         warnings.warn(f"{path}: dropped {dropped} rows with missing values")
-    if not flat.size:
+    if not arr.size:
         raise IngestionError(f"{path}: no usable data rows")
-    arr = flat.reshape(-1, len(wanted))
     data = Dataset(
         outcome=arr[:, 0],
         mediator=arr[:, 1],
@@ -280,7 +274,108 @@ def load_csv(
     return data
 
 
-def _raise_parse_error(path, pick, width) -> None:
+def _mapped_columns(path, header, wanted: Sequence[str]) -> list[int]:
+    """Header positions of the wanted names (a repeated name maps to its last column)."""
+    if header is None:
+        raise IngestionError(f"{path}: empty file (no header row)")
+    missing = [c for c in wanted if c not in header]
+    if missing:
+        raise IngestionError(f"{path}: missing columns: {', '.join(missing)}")
+    position = {name: j for j, name in enumerate(header)}
+    return [position[c] for c in wanted]
+
+
+def _pick_cells(rows, columns: Sequence[int]) -> list:
+    """The cells at ``columns`` of each non-blank row, or None for a row the
+    loader drops: one too short to reach a mapped column, or with an empty or
+    whitespace-only mapped cell."""
+    pick, width = operator.itemgetter(*columns), max(columns) + 1
+    picked = [pick(row) if len(row) >= width else None for row in rows if row]
+    return [cells if cells is not None and all(map(str.strip, cells)) else None for cells in picked]
+
+
+def _floats(kept: list, k: int) -> np.ndarray:
+    """(len(kept), k) array of the kept cells, each converted by ``float``."""
+    flat = np.fromiter(map(float, itertools.chain.from_iterable(kept)), dtype=float, count=len(kept) * k)
+    return flat.reshape(-1, k)
+
+
+def _read_rows(path, wanted: Sequence[str]) -> tuple[np.ndarray, int]:
+    """The row route for a whole file: (kept rows, rows dropped)."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        columns = _mapped_columns(path, next(reader, None), wanted)
+        try:
+            picked = _pick_cells(reader, columns)
+        except csv.Error:
+            _raise_parse_error(path, columns)
+            raise
+    kept = [cells for cells in picked if cells is not None]
+    dropped = len(picked) - len(kept)
+    del picked
+    try:
+        return _floats(kept, len(wanted)), dropped
+    except ValueError:
+        _raise_parse_error(path, columns)
+        raise
+
+
+def _read_plain_bytes(path, raw: bytes, wanted: Sequence[str]) -> tuple[np.ndarray, int] | None:
+    """The byte route for ASCII bytes with no quote or carriage return: (kept
+    rows, rows dropped), or None when the whole file must take the row route."""
+    head_end = raw.find(b"\n")
+    if head_end < 0:
+        return None
+    header = next(csv.reader([raw[:head_end].decode("ascii")]), None)
+    columns = _mapped_columns(path, header, wanted)
+    body = np.frombuffer(raw, dtype=np.uint8, offset=head_end + 1)
+    starts, ends, flagged = _flag_lines(body, len(header) - 1)
+    line_flagged = np.zeros(len(starts), dtype=bool)
+    line_flagged[flagged] = True
+    byte_flagged = np.repeat(line_flagged, np.diff(starts, append=len(body)))
+    try:
+        clean = body[~byte_flagged]
+        arr = np.loadtxt(
+            io.BytesIO(clean), delimiter=",", usecols=columns, comments=None, dtype=float, ndmin=2
+        ) if clean.size else np.empty((0, len(wanted)))
+        del clean
+        # the flagged lines, each with its line break, through the csv rows
+        picked = _pick_cells(csv.reader(io.StringIO(body[byte_flagged].tobytes().decode("ascii"))), columns)
+        kept = np.array([cells is not None for cells in picked], dtype=bool)
+        values = _floats([cells for cells in picked if cells is not None], len(wanted))
+    except (csv.Error, ValueError):
+        return None
+    # a kept flagged line goes after the clean lines before it
+    rows = flagged[starts[flagged] < ends[flagged]][kept]
+    if len(values):
+        arr = np.insert(arr, rows - np.searchsorted(flagged, rows), values, axis=0)
+    return arr, len(kept) - len(values)
+
+
+def _flag_lines(b: np.ndarray, commas: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Start and end offsets of the lines of ``b`` and the sorted indices of the
+    lines that must take the row route: blank, with a comma count other than
+    ``commas``, with an empty cell or a byte <= 0x20 (a space or a control
+    byte), or longer than ``csv.field_size_limit()``."""
+    newline, comma = ord("\n"), ord(",")
+    # every comma, line break, space and control byte, and a line break after an
+    # unterminated last line
+    pos = np.flatnonzero((b <= ord(" ")) | (b == comma))
+    kind = b[pos]
+    if len(b) and b[-1] != newline:
+        pos, kind = np.append(pos, len(b)), np.append(kind, newline)
+    at_newline = kind == newline
+    ends = pos[at_newline]
+    starts = np.append(0, ends[:-1] + 1)[: len(ends)]
+    bad = np.diff(np.cumsum(kind == comma)[at_newline], prepend=0) != commas
+    bad |= (ends == starts) | (ends - starts > csv.field_size_limit())
+    # an empty cell is a delimiter right after another one (or at offset 0)
+    odd = (np.diff(pos, prepend=-1) == 1) | ~(at_newline | (kind == comma))
+    bad[np.searchsorted(ends, pos[odd])] = True
+    return starts, ends, np.flatnonzero(bad)
+
+
+def _raise_parse_error(path, columns: Sequence[int]) -> None:
     """Second pass after a failed read: raise the first error in file order.
 
     That is the first kept cell ``float`` rejects, named by its row's file
@@ -291,8 +386,7 @@ def _raise_parse_error(path, pick, width) -> None:
         reader = csv.reader(fh)
         next(reader)
         for row in reader:
-            cells = pick(row) if len(row) >= width else None
-            if cells is not None and all(map(str.strip, cells)):
+            for cells in filter(None, _pick_cells([row], columns)):
                 try:
                     [float(v) for v in cells]
                 except ValueError as exc:
@@ -336,9 +430,14 @@ class FittedGlm:
         return np.sqrt(np.diag(self.covariance))
 
 
+def softplus(z: float | np.ndarray) -> float | np.ndarray:
+    """log(1 + e^z), stable for large |z|; elementwise."""
+    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+
+
 def _loglik(eta: np.ndarray, y: np.ndarray) -> float:
-    # sum y*eta - log(1+e^eta), stable for large |eta|
-    return float(y @ eta - np.logaddexp(0.0, eta).sum())
+    # sum y*eta - log(1+e^eta)
+    return float(y @ eta - softplus(eta).sum())
 
 
 def _check_rank(X: np.ndarray, names: Sequence[str]) -> None:

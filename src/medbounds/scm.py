@@ -296,7 +296,9 @@ def _factor_extrema(shifts: np.ndarray, b0: float, b1: float, g: float) -> tuple
 
     The factor is log[(1 + e^{t1}) / (1 + e^{t0})] where
     t0 = log(1+e^{s+b0}) - log(1+e^{s+b1}) + g and t1 = t0 + (b1 - b0),
-    evaluated at every shift s of the grid.
+    evaluated at every shift s of the grid. It uses ``np.logaddexp``, not the
+    library's ``glm.softplus``, so that two independent softplus
+    implementations meet in every sweep check.
     """
     t0 = np.logaddexp(0.0, shifts + b0) - np.logaddexp(0.0, shifts + b1) + g
     f = np.logaddexp(0.0, t0 + (b1 - b0)) - np.logaddexp(0.0, t0)

@@ -89,7 +89,7 @@ def bound_covariance(bundle: PredictorBundle) -> BoundEstimates:
             f"(min eig {worst:.3e})"
         )
     log_bounds, D = _log_bounds(bundle, jacobian=True)
-    cov = np.einsum("...ia,...ij,...jb->...ab", D, bundle.cov, D)
+    cov = D.swapaxes(-1, -2) @ bundle.cov @ D
     return BoundEstimates(log_bounds=log_bounds, cov=cov)
 
 

@@ -126,6 +126,14 @@ class TestBatchMatchesSingle:
             np.testing.assert_allclose(est.cov[i], one.cov, **TOL)
             np.testing.assert_allclose(est.stderr[i], one.stderr, **TOL)
 
+    @settings(max_examples=60, deadline=None)
+    @given(batches(max_rows=40))
+    def test_bound_covariance_is_the_einsum_sandwich(self, batch):
+        # J'SJ as two matrix products equals the explicit index contraction
+        D = bounds_jacobian(batch)
+        ref = np.einsum("...ia,...ij,...jb->...ab", D, batch.cov, D)
+        np.testing.assert_allclose(bound_covariance(batch).cov, ref, **TOL)
+
     @pytest.mark.filterwarnings("ignore:negative computed variance")
     @settings(max_examples=60, deadline=None)
     @given(batches(), st.floats(0.01, 0.5))

@@ -129,6 +129,28 @@ def test_mediator_design_naming_m_is_user_error(workdir, tmp_path, capsys, sourc
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("design", [5, ["1", 2]])
+@pytest.mark.parametrize("source", ["config", "models-file"])
+def test_design_that_is_not_a_list_of_strings_is_user_error(workdir, tmp_path, capsys, source, design):
+    if source == "config":
+        cfg = json.loads((workdir / "cfg.json").read_text())
+        cfg["outcome_design"] = design
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        argv, expected = ["fit", "--config", str(path)], "error: bad design: "
+    else:
+        models = json.loads((workdir / "models.json").read_text())
+        models["outcome"]["design"] = design
+        path = tmp_path / "models.json"
+        path.write_text(json.dumps(models))
+        argv = ["bounds", "--models", str(path), "--x", "50", "--profile", "bmi=28.5", "--profile", "gender=1"]
+        expected = f"error: bad models file {path}: "
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"{expected}a design is a list of term strings, got {design!r}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command", ["fit", "bounds"])
 def test_table_csv_and_json_give_the_same_cells(workdir, capsys, command):
     import csv

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
+from medbounds import effects
 from medbounds.errors import (
     IngestionError,
     MissingVariableError,
@@ -21,6 +22,7 @@ from medbounds.glm import (
     model_to_dict,
     parse_design,
     parse_term,
+    softplus,
 )
 from medbounds.scm import demo_cohort_scm, sample_dataset
 
@@ -102,8 +104,34 @@ class TestTerms:
         with pytest.raises(MissingVariableError, match="'m'"):
             table_lookup("m", {0.0: 1.0})(Point(0.0, None, {"m": 0.0}))
 
+    def test_table_lookup_with_an_empty_mapping_names_the_table(self):
+        from medbounds.glm import table_lookup
+
+        with pytest.raises(ValueError, match=r"^table term 'bmi' has an empty mapping$"):
+            table_lookup("bmi", {})
+
 
 # ---------------------------------------------------------------- fitting
+
+
+class TestSoftplus:
+    def test_matches_logaddexp_on_a_wide_grid(self):
+        z = np.concatenate(
+            [np.linspace(-750.0, 750.0, 100_001), np.geomspace(1e-300, 1e308, 2001), -np.geomspace(1e-300, 1e308, 2001)]
+        )
+        ref = np.logaddexp(0.0, z)
+        got = softplus(z)
+        assert np.all(got[ref == 0.0] == 0.0)
+        nonzero = ref != 0.0
+        assert np.max(np.abs(got[nonzero] - ref[nonzero]) / ref[nonzero]) <= 1e-15
+
+    def test_special_values(self):
+        z = np.array([np.inf, -np.inf, 1e308, -1e308])
+        assert softplus(z).tolist() == [np.inf, 0.0, 1e308, 0.0]
+        assert np.isnan(softplus(np.nan))
+
+    def test_is_the_softplus_of_the_effect_algebra(self):
+        assert effects.softplus is softplus
 
 
 class TestFitLogistic:

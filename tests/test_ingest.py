@@ -161,3 +161,104 @@ def test_bad_cell_is_reported_before_a_later_reader_error(tmp_path):
             assert str(exc) == f"{path}: line 2: could not convert string to float: 'oops'"
         else:
             raise AssertionError("no parse error")
+
+
+# ------------------------------------------------ the byte route and the row route
+#
+# A file of ASCII bytes with no quote and no carriage return is scanned as
+# bytes: its plain lines go to one np.loadtxt call and its odd lines through
+# the csv rows, merged back in file order. The cases below keep such files.
+
+PLAIN_ODD = st.sampled_from(["", "", " ", "\t", " 1 ", "0 ", "\x0b1", "1_0", "#1", "oops", "nan", "1e5"])
+
+
+@st.composite
+def plain_csv_texts(draw):
+    """A header and at least 50 plain rows mixed with odd lines (blank, short,
+    long, or one odd cell), with or without a final line break."""
+    header = draw(st.permutations(["y", "m", "x", *draw(st.lists(st.sampled_from(NAMES), max_size=2))]))
+    width = len(header)
+    cell = st.one_of(BINARY, st.floats(-1e3, 1e3, allow_nan=False).map(repr))
+    lines = []
+    for _ in range(draw(st.integers(50, 80))):
+        cells = [draw(BINARY if name in ("y", "m") else cell) for name in header]
+        kind = draw(st.sampled_from(["row"] * 6 + ["odd", "blank", "short", "long"]))
+        if kind == "odd":
+            cells[draw(st.integers(0, width - 1))] = draw(PLAIN_ODD)
+        elif kind == "short":
+            cells = cells[: draw(st.integers(0, width - 1))]
+        elif kind == "long":
+            cells += ["1"] * draw(st.integers(1, 2))
+        lines.append("" if kind == "blank" else ",".join(cells))
+    ending = draw(st.sampled_from(["\n", ""]))
+    return ",".join(header) + "\n" + "\n".join(lines) + ending, draw(st.sampled_from([[], ["x"], list(header[-1:])]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=plain_csv_texts())
+def test_plain_files_match_dictreader_loader(tmp_path_factory, case):
+    text, covariates = case
+    path = tmp_path_factory.mktemp("plain") / "d.csv"
+    path.write_text(text, newline="")
+    assert outcome_of(load_csv, path, covariates) == outcome_of(reference_load_csv, path, covariates)
+
+
+def plain_file(tmp_path, rows, ending="\n"):
+    path = tmp_path / "d.csv"
+    path.write_text("y,m,x\n" + "\n".join(rows) + ending, newline="")
+    return path
+
+
+def test_kept_padded_row_keeps_its_position(tmp_path):
+    rows = [f"{i % 2},{(i // 2) % 2},{i}" for i in range(60)]
+    rows[31] = "1,0, 31 "
+    rows[40] = "0,1,"
+    for ending in ("\n", ""):
+        path = plain_file(tmp_path, rows, ending)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            data = load_csv(path, outcome="y", mediator="m", exposure="x")
+        assert data.exposure.tolist() == [float(i) for i in range(60) if i != 40]
+        assert data.outcome[31] == 1.0 and data.mediator[31] == 0.0
+        assert [str(w.message) for w in caught] == [f"{path}: dropped 1 rows with missing values"]
+        assert outcome_of(load_csv, path, ()) == outcome_of(reference_load_csv, path, ())
+
+
+def test_lines_longer_than_the_field_size_limit(tmp_path):
+    limit = csv.field_size_limit()
+    rows = [f"{i % 2},{(i // 3) % 2},{i}" for i in range(60)]
+    # a long line whose cells all fit the limit is kept in its place ...
+    rows[20] = "1." + "0" * (limit // 2) + ",1,2." + "0" * (limit // 2)
+    path = plain_file(tmp_path, rows)
+    data = load_csv(path, outcome="y", mediator="m", exposure="x")
+    assert data.exposure[20] == 2.0 and data.n == 60
+    assert outcome_of(load_csv, path, ()) == outcome_of(reference_load_csv, path, ())
+    # ... and a cell over it is the reader's own error
+    rows[30] = "1,0," + "9" * (limit + 1)
+    path = plain_file(tmp_path, rows)
+    assert outcome_of(load_csv, path, ())[1] == (csv.Error, f"field larger than field limit ({limit})")
+    assert outcome_of(load_csv, path, ()) == outcome_of(reference_load_csv, path, ())
+
+
+def test_cells_float_accepts_and_loadtxt_rejects(tmp_path):
+    for cell, value in (("١", 1.0), ("1_0", 10.0)):
+        rows = [f"{i % 2},{(i // 2) % 2},{i}" for i in range(60)]
+        rows[25] = f"1,0,{cell}"
+        path = tmp_path / "d.csv"
+        path.write_text("y,m,x\n" + "\n".join(rows) + "\n", encoding="utf-8", newline="")
+        data = load_csv(path, outcome="y", mediator="m", exposure="x")
+        assert data.exposure[25] == value and data.n == 60
+        assert outcome_of(load_csv, path, ()) == outcome_of(reference_load_csv, path, ())
+
+
+def test_hash_in_a_cell_is_an_error_not_a_comment(tmp_path):
+    rows = [f"{i % 2},{(i // 2) % 2},{i}" for i in range(60)]
+    rows[44] = "1,0,#44"
+    path = plain_file(tmp_path, rows)
+    try:
+        load_csv(path, outcome="y", mediator="m", exposure="x")
+    except IngestionError as exc:
+        assert str(exc) == f"{path}: line 46: could not convert string to float: '#44'"
+    else:
+        raise AssertionError("no parse error")
+    assert outcome_of(load_csv, path, ()) == outcome_of(reference_load_csv, path, ())
