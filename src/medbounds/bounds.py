@@ -13,6 +13,8 @@ construction; ``scm`` checks that chain independently.
 Each endpoint combines per-pair log-factor extremes, and each extreme
 depends on one pair's mediator effect and mediator predictor only; the same
 combination rule applied to their partial derivatives gives the jacobian.
+One pass gives both, to ``effect_bounds`` and to ``uncertainty``; only
+``effect_bounds`` warns of a numerically zero mediator effect.
 """
 
 from __future__ import annotations
@@ -169,20 +171,16 @@ def sensitivity_probability_range(bundle: PredictorBundle) -> BoundPair:
     return BoundPair(np.minimum(at_minus_inf, at_plus_inf), np.maximum(at_minus_inf, at_plus_inf))
 
 
-def _log_factor_range(delta, g, gradients: bool = False) -> tuple:
+def _log_factor_range(delta, g) -> tuple:
     """((log l, log u), partials) of pairs with mediator effect delta and predictor g.
 
     The straight-line extremes are l = (1+e^g)/(1+e^{g-delta}) and
     u = (1+e^{g+delta})/(1+e^g), for either sign of delta; the partials are
-    the (d/d delta, d/dg) of log l and of log u, or None without ``gradients``.
+    the (d/d delta, d/dg) of log l and of log u.
     """
     z = g + np.multiply.outer([-1.0, 0.0, 1.0], delta)  # g - delta, g, g + delta
-    sp = softplus(z)
-    extremes = (sp[1] - sp[0], sp[2] - sp[1])
-    if not gradients:
-        return extremes, None
-    e = expit(z)
-    return extremes, ((e[0], e[1] - e[0]), (e[2], e[2] - e[1]))
+    sp, e = softplus(z), expit(z)
+    return (sp[1] - sp[0], sp[2] - sp[1]), ((e[0], e[1] - e[0]), (e[2], e[2] - e[1]))
 
 
 def factor_range(bundle: PredictorBundle, pair: Pair = Pair.CROSS) -> BoundPair:
@@ -200,41 +198,29 @@ def factor_range(bundle: PredictorBundle, pair: Pair = Pair.CROSS) -> BoundPair:
     return BoundPair(np.exp(log_l), np.exp(log_u))
 
 
-def _log_bounds(bundle: PredictorBundle, jacobian: bool = False) -> tuple:
-    """Log bound endpoints (..., 4) and, if asked, their jacobian (..., 6, 4), else None."""
+def _log_bounds(bundle: PredictorBundle) -> tuple:
+    """Log bound endpoints (..., 4) and their jacobian (..., 6, 4); warns nothing."""
     y0, y1, g = bundle.values.T[PAIR_INDEX]  # each (pair, ...)
-    delta = y1 - y0
-    _warn_degenerate(
-        np.abs(delta).min(axis=0),
-        "mediator effect is numerically zero at some exposure level{rows}; "
-        "bounds collapse to their continuous limits",
-    )
-    extremes, partials = _log_factor_range(delta, g, jacobian)
-    endpoints = np.array(combine_effects(y0, *extremes)).T
-    if not jacobian:
-        return endpoints, None
-    # the chain rule through each pair's (delta, g): gradients (pair, ..., 6)
+    extremes, partials = _log_factor_range(y1 - y0, g)
+    # the chain rule through each pair's (delta, g): partials (pair, ..., 6)
     grads = [np.einsum("kp...,kpi->p...i", partial, _D_INPUTS) for partial in partials]
-    return endpoints, np.stack(combine_effects(_D_Y0, *grads), axis=-1)
-
-
-def log_bound_endpoints(bundle: PredictorBundle) -> np.ndarray:
-    """(NDE lower, NDE upper, NIE lower, NIE upper) on the log scale, shape (..., 4).
-
-    Each effect combines per-pair factor extremes: the NDE divides the cross
-    pair by the reference pair, the NIE the active pair by the cross pair.
-    """
-    return _log_bounds(bundle)[0]
+    return np.array(combine_effects(y0, *extremes)).T, np.stack(combine_effects(_D_Y0, *grads), axis=-1)
 
 
 def effect_bounds(bundle: PredictorBundle) -> EffectBounds:
     """Closed-form identification bounds for NDE, NIE and TE (log scale).
 
-    The NDE and NIE endpoints come from ``log_bound_endpoints``; the TE
-    bounds add them componentwise. The shift-zero point estimates are
-    attached and always lie inside.
+    The TE bounds add the NDE and NIE endpoints componentwise; the attached
+    shift-zero point estimates always lie inside. One warning, naming the
+    rows, reports a numerically zero mediator effect at some exposure level.
     """
-    nde_lo, nde_hi, nie_lo, nie_hi = log_bound_endpoints(bundle).T
+    y0, y1, _ = bundle.values.T[PAIR_INDEX]
+    _warn_degenerate(
+        np.abs(y1 - y0).min(axis=0),
+        "mediator effect is numerically zero at some exposure level{rows}; "
+        "bounds collapse to their continuous limits",
+    )
+    nde_lo, nde_hi, nie_lo, nie_hi = _log_bounds(bundle)[0].T
     nde = BoundPair(nde_lo, nde_hi)
     nie = BoundPair(nie_lo, nie_hi)
     te = BoundPair(nde.lower + nie.lower, nde.upper + nie.upper)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .bounds import effect_bounds
 from .effects import Contrast, point_effects, predictor_bundle
-from .errors import IngestionError, MedboundsError
+from .errors import IngestionError, MedboundsError, MissingVariableError
 from .glm import (
     Dataset,
     fit_logistic,
@@ -108,11 +108,25 @@ def _designs(cfg: dict):
     return outcome, mediator
 
 
+def _number(value, what: str) -> float:
+    """A JSON or flag value that must be a finite number, as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise UserError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _contrasts(cfg: dict) -> dict:
+    spec = cfg.get("contrasts", {})
+    if not isinstance(spec, dict):
+        raise UserError("config 'contrasts' must be an object")
+    return spec
+
+
 def _alpha(cfg: dict, args) -> float:
-    alpha = args.alpha if args.alpha is not None else cfg.get("alpha", DEFAULT_ALPHA)
+    alpha = _number(args.alpha if args.alpha is not None else cfg.get("alpha", DEFAULT_ALPHA), "alpha")
     if not 0.0 < alpha < 1.0:
         raise UserError(f"alpha must be in (0, 1), got {alpha}")
-    return float(alpha)
+    return alpha
 
 
 def _parse_profile_flags(pairs) -> dict:
@@ -122,7 +136,7 @@ def _parse_profile_flags(pairs) -> dict:
         if not sep:
             raise UserError(f"--profile expects key=val, got {item!r}")
         try:
-            profile[key.strip()] = float(val)
+            profile[key.strip()] = _number(float(val), f"--profile value for {key!r}")
         except ValueError:
             raise UserError(f"--profile value for {key!r} is not a number") from None
     return profile
@@ -130,41 +144,40 @@ def _parse_profile_flags(pairs) -> dict:
 
 def _x_values(cfg: dict, args) -> list[float]:
     if args.x:
-        return [float(v) for v in args.x]
-    spec = cfg.get("contrasts", {}).get("x")
+        return [_number(v, "--x") for v in args.x]
+    spec = _contrasts(cfg).get("x")
     if spec is None:
         raise UserError("no active exposure levels given (use --x or config contrasts.x)")
     if isinstance(spec, dict):
         try:
-            lo, hi = float(spec["from"]), float(spec["to"])
-            step = float(spec.get("step", 1.0))
+            lo, hi = _number(spec["from"], "contrasts.x 'from'"), _number(spec["to"], "contrasts.x 'to'")
         except KeyError as exc:
             raise UserError(f"contrasts.x range lacks {exc}") from None
-        except (TypeError, ValueError):
-            raise UserError("contrasts.x range values must be numbers") from None
-        count = (hi - lo) / step if step and math.isfinite(step) else math.nan
+        step = _number(spec.get("step", 1.0), "contrasts.x 'step'")
+        count = (hi - lo) / step if step else math.nan
         if not 0.0 <= count < math.inf:
             raise UserError(f"contrasts.x step {step:g} does not lead from {lo:g} to {hi:g}")
         return [lo + step * k for k in range(int(round(count)) + 1)]
-    return [float(v) for v in spec]
+    if not isinstance(spec, list):
+        raise UserError("contrasts.x must be a list of levels or a {from, to, step} range")
+    return [_number(v, "contrasts.x level") for v in spec]
 
 
 def _x_star(cfg: dict, args) -> float:
     if args.x_star is not None:
-        return float(args.x_star)
-    spec = cfg.get("contrasts", {}).get("x_star", DEFAULT_X_STAR)
-    if isinstance(spec, (list, dict)):
-        raise UserError("x_star must be a single number")
-    return float(spec)
+        return _number(args.x_star, "--x-star")
+    return _number(_contrasts(cfg).get("x_star", DEFAULT_X_STAR), "contrasts.x_star")
 
 
 def _profiles(cfg: dict, args, data: Dataset | None) -> list[dict]:
     flag_profile = _parse_profile_flags(args.profile)
     if flag_profile:
         return [flag_profile]
-    profiles = cfg.get("contrasts", {}).get("profiles")
+    profiles = _contrasts(cfg).get("profiles")
     if profiles:
-        return [dict(p) for p in profiles]
+        if not isinstance(profiles, list) or not all(isinstance(p, dict) for p in profiles):
+            raise UserError("contrasts.profiles must be a list of objects")
+        return [{k: _number(v, f"profile value for {k!r}") for k, v in p.items()} for p in profiles]
     if data is None and (args.data or cfg.get("data")):
         data = _read_data(cfg, args)
     if data is None:
@@ -345,10 +358,8 @@ def _bounds_like(args) -> int:
     cfg, outcome, mediator, contrasts, table = _contrast_inputs(args, x_major=True)
     alpha = _alpha(cfg, args)
     bundle = predictor_bundle(outcome, mediator, contrasts)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        eb = effect_bounds(bundle)
-        ui = uncertainty_intervals(eb, bound_covariance(bundle), alpha)
+    eb = effect_bounds(bundle)
+    ui = uncertainty_intervals(eb, bound_covariance(bundle), alpha)
     for name in ("nde", "nie", "te"):
         bound, interval = getattr(eb, name), getattr(ui, name)
         ends = (getattr(eb.point, name), bound.lower, bound.upper, interval.lower, interval.upper)
@@ -451,7 +462,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except (UserError, IngestionError) as exc:
+    except (UserError, IngestionError, MissingVariableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER
     except (MedboundsError, ValueError, np.linalg.LinAlgError) as exc:

@@ -223,7 +223,7 @@ def log_factor(logit0, delta):
 
 def combine_effects(y0, lower, upper) -> tuple:
     """(NDE lower, NDE upper, NIE lower, NIE upper) from per-pair m=0 outcome
-    predictors y0 and log-factor extremes (or their gradients), in ``Pair`` order:
+    predictors y0 and log-factor extremes (or their partials), in ``Pair`` order:
     NDE = base + cross - reference, base = y0 cross - y0 reference; NIE = active - cross."""
     (y0_cross, _, y0_ref), (cross_l, active_l, ref_l), (cross_u, active_u, ref_u) = y0, lower, upper
     base = y0_cross - y0_ref

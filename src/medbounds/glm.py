@@ -212,12 +212,11 @@ class Dataset:
         for label, col in [("mediator", m), ("exposure", x)] + list(self.covariates.items()):
             if len(col) != n:
                 raise IngestionError(f"column '{label}' has length {len(col)}, expected {n}")
+            if not np.isfinite(col).all():
+                raise IngestionError("dataset contains non-finite values")
         for label, col in [("outcome", y), ("mediator", m)]:
             if not np.all(np.isin(col, (0.0, 1.0))):
                 raise IngestionError(f"{label} column must be strictly 0/1")
-        allcols = np.column_stack([y, m, x] + list(self.covariates.values()))
-        if not np.all(np.isfinite(allcols)):
-            raise IngestionError("dataset contains non-finite values")
 
     @property
     def n(self) -> int:

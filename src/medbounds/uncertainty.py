@@ -3,7 +3,9 @@
 The four log bound endpoints (NDE lower/upper, NIE lower/upper) are smooth
 functions of the six-predictor bundle, so their covariance is J' S J with S
 the bundle covariance and J the 6x4 jacobian: the chain rule through each
-pair's factor extremes, which ``bounds`` computes next to the endpoints.
+pair's factor extremes, from the pass in ``bounds`` that gives the endpoints.
+Only ``bounds.effect_bounds``, whose result every interval needs, warns of a
+degenerate mediator effect.
 Total-effect endpoint variances add the corresponding NDE/NIE variances plus
 twice their covariance. Intervals widen each estimated bound outward by a
 normal quantile times its standard error, which targets the whole
@@ -45,9 +47,10 @@ def bounds_jacobian(bundle: PredictorBundle) -> np.ndarray:
     Columns are (NDE lower, NDE upper, NIE lower, NIE upper); rows follow the
     bundle component order; a batch of N bundles gives (N, 6, 4). It is the
     chain rule through each pair's factor extremes (see ``bounds``), so the
-    mediator-at-active-level row is zero in both NDE columns.
+    mediator-at-active-level row is zero in both NDE columns. It warns of no
+    degenerate mediator effect: ``effect_bounds`` does.
     """
-    return _log_bounds(bundle, jacobian=True)[1]
+    return _log_bounds(bundle)[1]
 
 
 @dataclass(frozen=True)
@@ -79,7 +82,7 @@ class BoundEstimates:
 
 
 def bound_covariance(bundle: PredictorBundle) -> BoundEstimates:
-    """Log bound endpoints with their delta-method covariance J' S J."""
+    """Log bound endpoints with their delta-method covariance J' S J; no degenerate-mediator warning."""
     eig_min = np.linalg.eigvalsh(bundle.cov).min(axis=-1)
     not_psd = eig_min < -1e-8 * np.maximum(1.0, np.abs(bundle.cov).max(axis=(-2, -1)))
     if np.any(not_psd):
@@ -88,7 +91,7 @@ def bound_covariance(bundle: PredictorBundle) -> BoundEstimates:
             f"bundle covariance is not positive semidefinite{failing_rows(not_psd)} "
             f"(min eig {worst:.3e})"
         )
-    log_bounds, D = _log_bounds(bundle, jacobian=True)
+    log_bounds, D = _log_bounds(bundle)
     cov = D.swapaxes(-1, -2) @ bundle.cov @ D
     return BoundEstimates(log_bounds=log_bounds, cov=cov)
 

@@ -19,6 +19,7 @@ from medbounds.bounds import (
 from medbounds.effects import Pair, PredictorBundle, mediator_posterior_logit, point_effects
 from medbounds.errors import DegenerateMediatorError, DegenerateMediatorWarning
 from medbounds.scm import sweep_bounds
+from medbounds.uncertainty import bound_covariance, bounds_jacobian
 
 from conftest import random_bundles
 
@@ -265,6 +266,19 @@ class TestEffectBounds:
         assert eb.nie.upper == pytest.approx(0.0, abs=1e-12)
         assert eb.nde.lower == pytest.approx(0.8, abs=1e-12)
         assert eb.nde.upper == pytest.approx(0.8, abs=1e-12)
+
+    def test_degenerate_mediator_warned_once_at_the_callers_line(self):
+        bundle = bundle_of([-1.2, -2.0, -1.2, -2.0, 0.7, -0.4])
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            effect_bounds(bundle)
+        assert [w.category for w in record] == [DegenerateMediatorWarning]
+        assert record[0].filename == __file__
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            bound_covariance(bundle)
+            bounds_jacobian(bundle)
+        assert record == []
 
     @settings(max_examples=150, deadline=None)
     @given(theta_vectors)

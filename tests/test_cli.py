@@ -1,5 +1,7 @@
 import io
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ CONFIG = {
     "contrasts": {"x": [30, 50], "x_star": 10},
     "alpha": 0.05,
 }
+PROFILE_FLAGS = ["--profile", "bmi=28.5", "--profile", "gender=1"]
 
 
 @pytest.fixture(scope="module")
@@ -432,6 +435,50 @@ class TestEffectsAndBounds:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: contrasts.x")
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "config, flags",
+        [
+            ({"contrasts": {"x": 50}}, PROFILE_FLAGS),
+            ({"contrasts": [1, 2]}, PROFILE_FLAGS),
+            ({"alpha": "0.1"}, PROFILE_FLAGS),
+            ({"contrasts": {"x": ["a"]}}, PROFILE_FLAGS),
+            ({"contrasts": {"x": [30], "x_star": "b"}}, PROFILE_FLAGS),
+            ({"contrasts": {"x": [30], "profiles": [{"bmi": "x", "gender": 1}]}}, []),
+            ({"contrasts": {"x": [30], "profiles": {"bmi": 28.5, "gender": 1}}}, []),
+            ({"contrasts": {"x": [30], "profiles": [{"gender": 1}]}}, []),
+            ({}, ["--x", "nan", *PROFILE_FLAGS]),
+            ({}, ["--x", "inf", *PROFILE_FLAGS]),
+            ({}, ["--x-star", "nan", *PROFILE_FLAGS]),
+            ({}, ["--profile", "bmi=nan", "--profile", "gender=1"]),
+        ],
+        ids=[
+            "x-a-number", "contrasts-a-list", "alpha-a-string", "x-level-a-string", "x-star-a-string",
+            "profile-value-a-string", "profiles-an-object", "profile-lacks-a-covariate",
+            "x-nan", "x-inf", "x-star-nan", "profile-value-nan",
+        ],
+    )
+    def test_config_or_flag_value_of_the_wrong_type_is_user_error(
+        self, workdir, tmp_path, capsys, config, flags
+    ):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"contrasts": {"x": [30], "x_star": 10}, **config}))
+        argv = ["bounds", "--config", str(cfg_path), "--models", str(workdir / "models.json"), *flags]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["bounds", "curve"])
+    def test_degenerate_mediator_is_warned_once_on_stderr(self, workdir, tmp_path, command):
+        # an outcome design without 'm' gives a zero mediator effect in every row
+        cfg = dict(json.loads((workdir / "cfg.json").read_text()), outcome_design=["1", "x", "bmi", "gender"])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        argv = [sys.executable, "-m", "medbounds.cli", command, "--config", str(cfg_path)]
+        run = subprocess.run(argv, capture_output=True, text=True)
+        assert run.returncode == 0
+        assert sum("DegenerateMediatorWarning" in line for line in run.stderr.splitlines()) == 1
 
 
 class TestValidate:

@@ -478,6 +478,16 @@ class TestIngestion:
         with pytest.raises(IngestionError, match="both levels"):
             load_csv(path, outcome="y", mediator="m", exposure="x")
 
+    def test_infinite_covariate_rejected(self):
+        with pytest.raises(IngestionError, match="dataset contains non-finite values"):
+            Dataset(outcome=[0, 1], mediator=[1, 0], exposure=[1.0, 2.0], covariates={"z": [0.0, np.inf]})
+
+    def test_infinite_csv_cell_rejected(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("y,m,x,z\n0,1,1,0.5\n1,0,2,inf\n0,0,3,1.5\n")
+        with pytest.raises(IngestionError, match="dataset contains non-finite values"):
+            load_csv(path, outcome="y", mediator="m", exposure="x", covariates=["z"])
+
     def test_constant_response_rejected_at_fit(self):
         data = Dataset(outcome=[1, 1, 1], mediator=[0, 1, 0], exposure=[1, 2, 3], covariates={})
         with pytest.raises(IngestionError, match="both levels"):
