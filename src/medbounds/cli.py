@@ -24,6 +24,7 @@ from .effects import Contrast, point_effects, predictor_bundle
 from .errors import IngestionError, MedboundsError, MissingVariableError
 from .glm import (
     Dataset,
+    Point,
     fit_logistic,
     load_csv,
     model_from_dict,
@@ -245,6 +246,19 @@ def _profile_label(profile: dict) -> str:
     return ",".join(f"{k}={profile[k]:g}" for k in sorted(profile))
 
 
+def _check_profiles(models, labelled, x_star: float) -> None:
+    """Name the profile and the covariate when a profile lacks one a design reads."""
+    for profile, label in labelled:
+        point = Point(x_star, 0.0, profile)
+        for model in models:
+            try:
+                model.design.row(point)
+            except MissingVariableError as exc:
+                if exc.variable is None:
+                    raise
+                raise UserError(f"profile {label} lacks covariate '{exc.variable}'") from None
+
+
 # --------------------------------------------------------------------------
 # Model acquisition
 # --------------------------------------------------------------------------
@@ -336,6 +350,7 @@ def _contrast_inputs(args, x_major: bool):
     x_star = _x_star(cfg, args)
     _check_support((outcome, mediator), xs, x_star)
     labelled = [(p, _profile_label(p)) for p in _profiles(cfg, args, data)]
+    _check_profiles((outcome, mediator), labelled, x_star)
     grid = [(x, pl) for x in xs for pl in labelled] if x_major else [(x, pl) for pl in labelled for x in xs]
     keys = {
         "x": [x for x, _ in grid],

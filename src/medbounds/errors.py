@@ -10,7 +10,14 @@ class IngestionError(MedboundsError):
 
 
 class MissingVariableError(MedboundsError):
-    """A design term references a variable the evaluation point lacks."""
+    """A design term references a variable the evaluation point lacks.
+
+    ``variable`` names a missing covariate (None for any other lack).
+    """
+
+    def __init__(self, message, variable=None):
+        super().__init__(message)
+        self.variable = variable
 
 
 class SingularDesignError(MedboundsError):

@@ -13,7 +13,12 @@ rule: ``x`` is the exposure, ``m`` the mediator, any other name a covariate.
 
 Fitting is plain damped Newton on the Bernoulli log-likelihood (IRLS), with
 the coefficient covariance taken as the inverse observed information at the
-optimum.
+optimum. The likelihood, its score and its information depend on the data
+only through the row count and the response sum of each distinct design row
+(a pattern), so the fit runs on the patterns and is exact: every row is
+checked against its pattern bit for bit (but for the sign of a zero). It
+runs on the rows themselves, with unit counts, when at least half of them
+are distinct or the check fails.
 """
 
 from __future__ import annotations
@@ -83,7 +88,7 @@ def _variable(point: Point, name: str):
     try:
         return point.covariates[name]
     except KeyError:
-        raise MissingVariableError(f"covariate '{name}' missing from point") from None
+        raise MissingVariableError(f"covariate '{name}' missing from point", name) from None
 
 
 def table_lookup(name: str, mapping: Mapping[float, float]) -> Term:
@@ -238,10 +243,12 @@ def load_csv(
     line of its row. A header name that repeats maps to its last column.
     Binary columns must contain only 0/1 after parsing.
 
-    One semantics, two routes. A file of ASCII bytes with no quote and no
-    carriage return takes the byte route: one numpy scan flags each line
-    that is blank, has a comma count other than the header's, an empty cell,
-    a space or control byte, or more bytes than ``csv.field_size_limit()``;
+    One semantics, two routes. A file of ASCII bytes with no quote, and with
+    no carriage return outside a CRLF line end (read as a line break, as
+    ``csv.reader`` reads it), takes the byte route: one numpy scan flags
+    each line that is blank, has a comma count other than the header's, an
+    empty cell, a space or control byte, or more bytes than
+    ``csv.field_size_limit()``;
     one ``np.loadtxt`` call parses all other lines (its numbers are
     ``float``'s bit for bit), and the flagged lines go through the
     ``csv.reader`` row logic and are merged back in file order. Every other
@@ -253,6 +260,8 @@ def load_csv(
     with open(path, "rb") as fh:
         raw = fh.read()
     parsed = None
+    if b"\r" in raw and raw.count(b"\r") == raw.count(b"\r\n"):
+        raw = raw.replace(b"\r\n", b"\n")
     if b'"' not in raw and b"\r" not in raw and raw.isascii():
         parsed = _read_plain_bytes(path, raw, wanted)
     del raw
@@ -399,10 +408,14 @@ def _raise_parse_error(path, columns: Sequence[int]) -> None:
 
 @dataclass
 class FitReport:
+    """How a fit went; ``patterns`` is the number of rows the Newton loop ran
+    on (0 when unknown, as in a model file that does not record it)."""
+
     iterations: int
     grad_norm: float
     loglik: float
     loglik_trace: list[float] = field(default_factory=list)
+    patterns: int = 0
 
 
 @dataclass(frozen=True)
@@ -434,16 +447,53 @@ def softplus(z: float | np.ndarray) -> float | np.ndarray:
     return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
-def _loglik(eta: np.ndarray, y: np.ndarray) -> float:
-    # sum y*eta - log(1+e^eta)
-    return float(y @ eta - softplus(eta).sum())
+def _loglik(eta: np.ndarray, counts: np.ndarray, sums: np.ndarray) -> float:
+    # sum over patterns of s*eta - n*log(1+e^eta)
+    return float(sums @ eta - counts @ softplus(eta))
 
 
-def _check_rank(X: np.ndarray, names: Sequence[str]) -> None:
+def _patterns(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, counts, sums): the distinct rows of X, the number of rows equal
+    to each and the sum of y over those rows; X itself, unit counts and y when
+    at least half the rows of X are distinct.
+
+    Rows are grouped by a fixed projection (``_row_keys``), and every row is
+    then checked against its group's row: equal bit for bit, or but for the
+    sign of a zero, which no value of the fit depends on. Two different rows
+    with one key fail the check, and the data are not reduced.
+    """
+    n = len(X)
+    key = _row_keys(X)
+    sorted_key = np.sort(key)
+    new = np.concatenate(([True], sorted_key[1:] != sorted_key[:-1]))
+    groups = int(np.count_nonzero(new))
+    if 2 * groups >= n:
+        return X, np.ones(n), y
+    order = np.argsort(key)
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    rows = X[order[new]]
+    if not np.array_equal(rows.take(inverse, axis=0), X):
+        return X, np.ones(n), y
+    counts = np.bincount(inverse, minlength=groups).astype(float)
+    return rows, counts, np.bincount(inverse, weights=y, minlength=groups)
+
+
+def _row_keys(X: np.ndarray) -> np.ndarray:
+    """Each row of X dotted with fixed weights that have no small-integer
+    relation, in one order for every row, so that equal rows get equal keys."""
+    weights = np.random.default_rng(0).uniform(1.0, 2.0, X.shape[1])
+    return np.einsum("ij,j->i", X, weights)
+
+
+def _check_rank(X: np.ndarray, names: Sequence[str], rows: int | None = None) -> None:
     # the pivoted QR of X has the |diagonal| and the pivots of the pivoted QR
-    # of X's own (small) R factor, since the Q factor preserves column norms
+    # of X's own (small) R factor, since the Q factor preserves column norms.
+    # X may be the sqrt(count)-weighted distinct rows of a design of ``rows``
+    # rows: their R factor is the design's, and so is the tolerance.
     diag, piv = _pivoted_qr(np.linalg.qr(X, mode="r"))
-    tol = diag.max() * max(X.shape) * np.finfo(float).eps if diag.max() > 0 else 0.0
+    size = max(len(X) if rows is None else rows, X.shape[1])
+    tol = diag.max() * size * np.finfo(float).eps if diag.max() > 0 else 0.0
     # with more terms than rows, the terms pivoted past the last row are surplus
     deficient = [names[p] for j, p in enumerate(piv) if j >= len(diag) or diag[j] <= tol]
     if diag.max() == 0.0:
@@ -505,21 +555,25 @@ def fit_logistic(
     y = data.outcome if role == "outcome" else data.mediator
     if y.min() == y.max():
         raise IngestionError(f"{role} response is constant; both levels are required to fit")
-    X_raw = design.matrix(data)
-    _check_rank(X_raw, design.names)
+    # the Newton loop runs on the distinct design rows with their row counts
+    # n and response sums s (or on the rows themselves, n = 1 and s = y)
+    X_raw, n, s = _patterns(design.matrix(data), y)
+    _check_rank(X_raw * np.sqrt(n)[:, None] if len(X_raw) < len(y) else X_raw, design.names, len(y))
 
     # X = X_raw @ T: every column centred on a constant column, if the design
     # has one, then rescaled to unit max-abs, so that the score tolerance and
     # the separation threshold depend on no column's units or origin. The
     # reductions go column by column: over axis 0 of a tall array numpy is
-    # several times slower.
+    # several times slower. X is the transpose of a C-ordered (k, rows) array
+    # Xt, so the information's weights scale along Xt's contiguous rows.
     constant = [j for j, col in enumerate(X_raw.T) if col[0] != 0.0 and (col == col[0]).all()]
-    shift = np.array([col.mean() for col in X_raw.T]) if constant else np.zeros(X_raw.shape[1])
+    shift = np.array([n @ col for col in X_raw.T]) / len(y) if constant else np.zeros(X_raw.shape[1])
     shift[constant] = 0.0
-    X = X_raw - shift
-    scale = np.array([np.abs(col).max() for col in X.T])
+    Xt = np.subtract(X_raw.T, shift[:, None], order="C")
+    scale = np.array([np.abs(row).max() for row in Xt])
     scale[scale == 0.0] = 1.0
-    X /= scale
+    Xt /= scale[:, None]
+    X = Xt.T
     T = np.diag(1.0 / scale)
     if constant:
         c = constant[0]
@@ -527,16 +581,16 @@ def fit_logistic(
 
     beta = np.zeros(X.shape[1])
     eta = X @ beta
-    ll = _loglik(eta, y)
+    ll = _loglik(eta, n, s)
     trace = [ll]
     grad_norm = math.inf
 
     for it in range(1, max_iter + 1):
         p = 1.0 / (1.0 + np.exp(-eta))
-        grad = X.T @ (y - p)
+        grad = X.T @ (s - n * p)
         grad_norm = float(np.abs(grad).max())
-        w = np.clip(p * (1.0 - p), 1e-12, None)
-        info = (X * w[:, None]).T @ X
+        w = n * np.clip(p * (1.0 - p), 1e-12, None)
+        info = (Xt * w) @ X
         if grad_norm < tol:
             break
         try:
@@ -547,7 +601,7 @@ def fit_logistic(
         for _ in range(50):
             cand = beta + lam * step
             eta_new = X @ cand
-            ll_new = _loglik(eta_new, y)
+            ll_new = _loglik(eta_new, n, s)
             if ll_new >= ll - 1e-12 * abs(ll):
                 break
             lam *= 0.5
@@ -571,7 +625,9 @@ def fit_logistic(
     cov = T @ np.linalg.inv(info) @ T.T
     cov = 0.5 * (cov + cov.T)
 
-    report = FitReport(iterations=it, grad_norm=grad_norm, loglik=ll, loglik_trace=trace)
+    report = FitReport(
+        iterations=it, grad_norm=grad_norm, loglik=ll, loglik_trace=trace, patterns=len(X)
+    )
     return FittedGlm(
         design=design,
         coefficients=T @ beta,
@@ -606,6 +662,7 @@ def model_to_dict(model: FittedGlm, exprs: Sequence[str]) -> dict:
         "exposure_range": list(model.exposure_range) if model.exposure_range else None,
         "fit": {
             "iterations": model.report.iterations,
+            "patterns": model.report.patterns,
             "grad_norm": model.report.grad_norm,
             "loglik": model.report.loglik,
         },
@@ -620,6 +677,7 @@ def model_from_dict(d: dict) -> FittedGlm:
         iterations=int(fit.get("iterations", 0)),
         grad_norm=float(fit.get("grad_norm", 0.0)),
         loglik=float(fit.get("loglik", 0.0)),
+        patterns=int(fit.get("patterns", 0)),
     )
     rng = d.get("exposure_range")
     return FittedGlm(

@@ -469,6 +469,16 @@ class TestEffectsAndBounds:
         assert captured.err.startswith("error: ")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["effects", "bounds", "curve"])
+    def test_profile_that_lacks_a_covariate_is_named(self, workdir, tmp_path, capsys, command):
+        profiles = [{"bmi": 25.0, "gender": 0}, {"gender": 1}]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"contrasts": {"x": [30], "x_star": 10, "profiles": profiles}}))
+        assert main([command, "--config", str(cfg_path), "--models", str(workdir / "models.json")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: profile gender=1 lacks covariate 'bmi'\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("command", ["bounds", "curve"])
     def test_degenerate_mediator_is_warned_once_on_stderr(self, workdir, tmp_path, command):
         # an outcome design without 'm' gives a zero mediator effect in every row

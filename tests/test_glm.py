@@ -43,6 +43,24 @@ def cohort():
     return sample_dataset(demo_cohort_scm(), 3270, 20240801)
 
 
+def continuous_cohort(n, seed):
+    """The demo cohort with exposure and BMI jittered, so no two rows share a design row."""
+    data = sample_dataset(demo_cohort_scm(), n, seed)
+    rng = np.random.default_rng(seed)
+    covariates = dict(data.covariates, bmi=data.covariates["bmi"] + rng.normal(0.0, 0.5, n))
+    return Dataset(data.outcome, data.mediator, data.exposure + rng.uniform(-4.0, 4.0, n), covariates)
+
+
+def direct_fit(X, y):
+    """The maximum-likelihood coefficients of a general-purpose optimiser."""
+
+    def nll(beta):
+        eta = X @ beta
+        return -(y @ eta - np.logaddexp(0.0, eta).sum())
+
+    return minimize(nll, np.zeros(X.shape[1]), method="BFGS", options={"gtol": 1e-10}).x
+
+
 # ---------------------------------------------------------------- designs
 
 
@@ -149,16 +167,9 @@ class TestFitLogistic:
         data = sample_dataset(scm, 2000, seed=11)
         design = parse_design(["1", "x", "m", "bmi", "gender"])
         model = fit_logistic(data, design)
-
-        X = design.matrix(data)
-        y = data.outcome
-
-        def nll(beta):
-            eta = X @ beta
-            return -(y @ eta - np.logaddexp(0.0, eta).sum())
-
-        res = minimize(nll, np.zeros(X.shape[1]), method="BFGS", options={"gtol": 1e-10})
-        assert np.allclose(model.coefficients, res.x, atol=1e-6)
+        # the demo cohort repeats design rows, so this fit ran on patterns
+        assert model.report.patterns < data.n // 2
+        assert np.allclose(model.coefficients, direct_fit(design.matrix(data), data.outcome), atol=1e-6)
 
     def test_recovers_generating_coefficients(self):
         scm = demo_cohort_scm()
@@ -351,6 +362,71 @@ class TestFitLogistic:
         assert np.array_equal(a.coefficients, b.coefficients)
         assert np.array_equal(a.covariance, b.covariance)
 
+    def test_all_distinct_rows_match_direct_likelihood_optimizer(self):
+        data = continuous_cohort(2000, 11)
+        design = parse_design(["1", "x", "m", "bmi", "gender"])
+        model = fit_logistic(data, design)
+        assert model.report.patterns == data.n
+        assert np.allclose(model.coefficients, direct_fit(design.matrix(data), data.outcome), atol=1e-6)
+
+    def test_tripled_shuffled_rows_fit_like_the_originals(self):
+        # the originals are all distinct and fit on rows; the tripled rows
+        # fit on patterns, three rows to each
+        data = continuous_cohort(3000, 12)
+        design = parse_design(["1", "x", "m", "bmi", "gender"])
+        base = fit_logistic(data, design)
+        idx = np.random.default_rng(12).permutation(np.tile(np.arange(data.n), 3))
+        tripled = Dataset(
+            data.outcome[idx], data.mediator[idx], data.exposure[idx],
+            {k: v[idx] for k, v in data.covariates.items()},
+        )
+        model = fit_logistic(tripled, design)
+        assert base.report.patterns == model.report.patterns == data.n
+        np.testing.assert_allclose(model.coefficients, base.coefficients, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(3.0 * model.covariance, base.covariance, rtol=1e-12, atol=0.0)
+
+    def test_rows_whose_keys_collide_are_not_merged(self):
+        from medbounds.glm import _patterns, _row_keys
+
+        # the key is a dot product with fixed weights w: a row one x above
+        # another collides with it when its z is w_x / w_z below, to the
+        # last bit of the key; the nearest such z is found ulp by ulp
+        w = _row_keys(np.eye(3))
+        key = lambda x, z: _row_keys(np.array([[1.0, x, z]]))[0]
+        xa, za, xb = 3.0, 1.0, 4.0
+        guess = za - w[1] / w[2]
+        steps = sorted(range(-512, 513), key=abs)
+        zb = next(z for z in (guess + s * np.spacing(guess) for s in steps) if key(xb, z) == key(xa, za))
+
+        rng = np.random.default_rng(4)
+        n = 600
+        x = np.r_[xa, xb, rng.integers(0, 10, n - 2)].astype(float)
+        z = np.r_[za, zb, rng.integers(0, 3, n - 2)].astype(float)
+        y = rng.integers(0, 2, n).astype(float)
+        X = np.column_stack([np.ones(n), x, z])
+        keys = _row_keys(X)
+        assert keys[0] == keys[1] and not np.array_equal(X[0], X[1])
+        # without the colliding rows the data would be reduced ...
+        assert len(_patterns(X[2:], y[2:])[0]) < (n - 2) // 2
+        # ... with them, every row is still one of the patterns, bit for bit
+        rows, counts, sums = _patterns(X, y)
+        assert {r.tobytes() for r in X} <= {r.tobytes() for r in rows}
+        assert counts.sum() == n and sums.sum() == y.sum()
+
+        data = Dataset(outcome=y, mediator=rng.integers(0, 2, n), exposure=x, covariates={"z": z})
+        model = fit_logistic(data, parse_design(["1", "x", "z"]))
+        assert np.allclose(model.coefficients, direct_fit(X, y), atol=1e-6)
+
+    def test_a_signed_zero_does_not_split_a_pattern(self):
+        from medbounds.glm import _patterns
+
+        rng = np.random.default_rng(5)
+        n = 400
+        X = np.column_stack([np.ones(n), rng.integers(0, 4, n).astype(float), np.zeros(n)])
+        X[::2, 2] = -0.0
+        rows, counts, _ = _patterns(X, rng.integers(0, 2, n).astype(float))
+        assert len(rows) == 4 and counts.sum() == n
+
     def test_nonconvergence_reports_trajectory(self):
         from medbounds.errors import ConvergenceError
 
@@ -507,3 +583,11 @@ class TestModelSerialization:
         assert np.allclose(clone.covariance, model.covariance)
         point = Point(42.0, 1.0, MALE_PROFILE)
         assert linear_predictor(clone, point) == pytest.approx(linear_predictor(model, point))
+        assert clone.report.patterns == model.report.patterns > 0
+
+    def test_model_file_without_patterns_loads(self):
+        data = sample_dataset(demo_cohort_scm(), 600, seed=21)
+        exprs = ["1", "x", "bmi", "gender"]
+        d = model_to_dict(fit_logistic(data, parse_design(exprs), role="mediator"), exprs)
+        del d["fit"]["patterns"]
+        assert model_from_dict(d).report.patterns == 0

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from medbounds.errors import IngestionError
+from medbounds import glm
 from medbounds.glm import Dataset, load_csv
 
 
@@ -165,8 +166,8 @@ def test_bad_cell_is_reported_before_a_later_reader_error(tmp_path):
 
 # ------------------------------------------------ the byte route and the row route
 #
-# A file of ASCII bytes with no quote and no carriage return is scanned as
-# bytes: its plain lines go to one np.loadtxt call and its odd lines through
+# A file of ASCII bytes with no quote and no carriage return outside a CRLF
+# line end is scanned as bytes: its plain lines go to one np.loadtxt call and its odd lines through
 # the csv rows, merged back in file order. The cases below keep such files.
 
 PLAIN_ODD = st.sampled_from(["", "", " ", "\t", " 1 ", "0 ", "\x0b1", "1_0", "#1", "oops", "nan", "1e5"])
@@ -175,7 +176,8 @@ PLAIN_ODD = st.sampled_from(["", "", " ", "\t", " 1 ", "0 ", "\x0b1", "1_0", "#1
 @st.composite
 def plain_csv_texts(draw):
     """A header and at least 50 plain rows mixed with odd lines (blank, short,
-    long, or one odd cell), with or without a final line break."""
+    long, or one odd cell), with LF or CRLF line ends, with or without a
+    final line break."""
     header = draw(st.permutations(["y", "m", "x", *draw(st.lists(st.sampled_from(NAMES), max_size=2))]))
     width = len(header)
     cell = st.one_of(BINARY, st.floats(-1e3, 1e3, allow_nan=False).map(repr))
@@ -190,8 +192,10 @@ def plain_csv_texts(draw):
         elif kind == "long":
             cells += ["1"] * draw(st.integers(1, 2))
         lines.append("" if kind == "blank" else ",".join(cells))
-    ending = draw(st.sampled_from(["\n", ""]))
-    return ",".join(header) + "\n" + "\n".join(lines) + ending, draw(st.sampled_from([[], ["x"], list(header[-1:])]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    ending = draw(st.sampled_from([newline, ""]))
+    text = ",".join(header) + newline + newline.join(lines) + ending
+    return text, draw(st.sampled_from([[], ["x"], list(header[-1:])]))
 
 
 @settings(max_examples=150, deadline=None)
@@ -262,3 +266,26 @@ def test_hash_in_a_cell_is_an_error_not_a_comment(tmp_path):
     else:
         raise AssertionError("no parse error")
     assert outcome_of(load_csv, path, ()) == outcome_of(reference_load_csv, path, ())
+
+
+def test_crlf_file_loads_like_its_lf_twin_by_the_byte_route(tmp_path, monkeypatch):
+    rows = [f"{i % 2},{(i // 2) % 2},{i}.5" for i in range(60)]
+    rows[10], rows[20] = "1,,10", ""
+
+    def load(rows, newline):
+        path = tmp_path / ("crlf.csv" if newline == "\r\n" else "lf.csv")
+        path.write_bytes(("y,m,x" + newline + newline.join(rows) + newline).encode("ascii"))
+        result, error, warned = outcome_of(load_csv, path, ())
+        unnamed = lambda text: text.replace(str(path), "<file>")
+        return result, error and (error[0], unnamed(error[1])), [unnamed(w) for w in warned]
+
+    lf = load(rows, "\n")
+    assert lf[2] == ["<file>: dropped 1 rows with missing values"]
+    # the clean CRLF file never reaches the row route
+    with monkeypatch.context() as patched:
+        patched.setattr(glm, "_read_rows", None)
+        assert load(rows, "\r\n") == lf
+    rows[40] = "1,0,oops"
+    lf = load(rows, "\n")
+    assert lf[1] == (IngestionError, "<file>: line 42: could not convert string to float: 'oops'")
+    assert load(rows, "\r\n") == lf
