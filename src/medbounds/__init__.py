@@ -34,9 +34,7 @@ from .glm import (
     DesignSpec,
     FittedGlm,
     Point,
-    design_row,
     fit_logistic,
-    linear_predictor,
     load_csv,
     parse_design,
     parse_term,

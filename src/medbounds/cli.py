@@ -215,24 +215,54 @@ def _emit(text: str, args) -> None:
         sys.stdout.write(text)
 
 
+def _csv_field(text: str) -> str:
+    """One field as csv.writer writes it within a row of several fields."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
+
+
+def _float_width(col) -> int:
+    """Width of the widest "%.6f" cell of a float column, found from a few cells.
+
+    A cell grows with |value|, and a set sign bit (-0.0 too) adds a '-', so
+    the widest cell is the largest magnitude of either sign or a non-finite one.
+    """
+    a = np.array(col, dtype=float)
+    finite = np.isfinite(a)
+    negative = finite & np.signbit(a)
+    sides = [a[m][np.abs(a[m]).argmax()] for m in (negative, finite & ~negative) if m.any()]
+    return max(len("%.6f" % v) for v in [*np.unique(a[~finite]), *sides])
+
+
 def _render(table: dict, fmt: str) -> str:
     """Format a column table (header -> list of cells, all of one length):
-    float columns to 6 decimals in text and CSV, full precision in JSON."""
-    if not next(iter(table.values())):
+    float columns to 6 decimals in text and CSV, full precision in JSON.
+
+    Text and CSV fill one row template with a single %-format over all
+    cells, so no per-cell string is built in Python.
+    """
+    n = len(next(iter(table.values())))
+    if not n:
         return ""
     if fmt == "json":
         rows = [dict(zip(table, row)) for row in zip(*table.values())]
         return json.dumps(rows, indent=1, sort_keys=True) + "\n"
-    cols = [
-        [name, *map("{:.6f}".format if isinstance(col[0], float) else str, col)]
-        for name, col in table.items()
-    ]
+    floats = [isinstance(col[0], float) for col in table.values()]
+    cols = [col if f else list(map(str, col)) for col, f in zip(table.values(), floats)]
     if fmt == "csv":
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(zip(*cols))
-        return buf.getvalue()
-    cols = [[cell.rjust(max(map(len, col))) for cell in col] for col in cols]
-    return "\n".join(map("  ".join, zip(*cols))) + "\n"
+        quoted = {text: _csv_field(text) for col, f in zip(cols, floats) if not f for text in set(col)}
+        cols = [col if f else [quoted[text] for text in col] for col, f in zip(cols, floats)]
+        header = ",".join(map(_csv_field, table))
+        row = ",".join("%.6f" if f else "%s" for f in floats)
+    else:
+        widths = [
+            max(len(name), _float_width(col) if f else max(map(len, col)))
+            for name, col, f in zip(table, cols, floats)
+        ]
+        header = "  ".join(name.rjust(w) for name, w in zip(table, widths))
+        row = "  ".join(f"%{w}.6f" if f else f"%{w}s" for w, f in zip(widths, floats))
+    return header + "\n" + ((row + "\n") * n) % tuple(itertools.chain.from_iterable(zip(*cols)))
 
 
 def _fmt(cfg: dict, args) -> str:
@@ -472,8 +502,16 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _warning_line(message, category, filename, lineno, line=None) -> str:
+    """A warning as one stderr line that names no source file or line."""
+    return f"warning: {category.__name__}: {message}\n"
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    # formatwarning, not showwarning: a caller's recorder (catch_warnings(record=True),
+    # pytest.warns) still receives every warning; catch_warnings does not restore it
+    default_format, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
@@ -483,6 +521,8 @@ def main(argv=None) -> int:
     except (MedboundsError, ValueError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    finally:
+        warnings.formatwarning = default_format
 
 
 if __name__ == "__main__":

@@ -638,16 +638,6 @@ def fit_logistic(
     )
 
 
-def linear_predictor(model: FittedGlm, point: Point) -> float:
-    """Coefficient-weighted sum of basis evaluations at one point."""
-    return float(design_row(model, point) @ model.coefficients)
-
-
-def design_row(model: FittedGlm, point: Point) -> np.ndarray:
-    """Basis evaluations at one point (the gradient of the linear predictor)."""
-    return model.design.row(point)
-
-
 # --------------------------------------------------------------------------
 # (De)serialization for the CLI model file
 # --------------------------------------------------------------------------

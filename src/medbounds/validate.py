@@ -3,9 +3,9 @@
 Each check pits a production code path against ground truth computed a
 different way (grid brute force, finite differences, exact enumeration, or
 Monte Carlo) and records the worst observed discrepancy next to its
-tolerance. The CLI surfaces this as the ``validate`` subcommand. The
-acceptance tests run their own checks at full sample sizes and share only
-``coverage_simulation`` with this module.
+tolerance. The CLI surfaces this as the ``validate`` subcommand at small
+sample sizes; the acceptance tests run these same check functions at full
+size, with their own seeds and counts.
 """
 
 from __future__ import annotations
@@ -39,6 +39,15 @@ from .scm import (
 from .uncertainty import bound_covariance, bounds_jacobian, uncertainty_intervals
 
 __all__ = ["CheckResult", "ValidationReport", "run_validation", "coverage_simulation", "coverage_scm"]
+
+SWEEP_TOL = 1e-6
+FD_TOL = 1e-6
+EXACT_TOL = 1e-9
+CROSSWORLD_TOL = 1e-12
+CROSSWORLD_MIN_GAP = 1e-3
+MEDIATION_TOL = 1e-10
+SHIFT_ZERO_TOL = 1e-12
+COVERAGE_TARGET = 0.93
 
 
 @dataclass(frozen=True)
@@ -75,13 +84,15 @@ class ValidationReport:
         return "\n".join(lines) + "\n"
 
 
+def _triple(effects) -> tuple:
+    return effects.nde, effects.nie, effects.te
+
+
 def _bounds_vector(eb) -> np.ndarray:
-    return np.array(
-        [eb.nde.lower, eb.nde.upper, eb.nie.lower, eb.nie.upper, eb.te.lower, eb.te.upper]
-    )
+    return np.array([end for bp in _triple(eb) for end in (bp.lower, bp.upper)])
 
 
-def check_sweep_agreement(rng, n_thetas: int, points: int = 20_001, tol: float = 1e-6) -> CheckResult:
+def check_sweep_agreement(rng, n_thetas: int, points: int = 20_001) -> CheckResult:
     worst = 0.0
     for _ in range(n_thetas):
         bundle = random_bundle(rng)
@@ -89,24 +100,23 @@ def check_sweep_agreement(rng, n_thetas: int, points: int = 20_001, tol: float =
         swept = _bounds_vector(sweep_bounds(bundle, points=points))
         worst = max(worst, float(np.abs(closed - swept).max()))
     return CheckResult(
-        "sweep-agreement", worst <= tol, worst, tol, "<=",
+        "sweep-agreement", worst <= SWEEP_TOL, worst, SWEEP_TOL, "<=",
         f"closed-form bounds vs grid sweep, {n_thetas} random bundles",
     )
 
 
-def check_jacobian(rng, n_thetas: int, tol: float = 1e-6, jacobian_fn=None) -> CheckResult:
-    jac = jacobian_fn or bounds_jacobian
+def check_jacobian(rng, n_thetas: int) -> CheckResult:
     worst = 0.0
     for _ in range(n_thetas):
         bundle = random_bundle(rng)
-        worst = max(worst, float(np.abs(jac(bundle) - finite_difference_jacobian(bundle)).max()))
+        worst = max(worst, float(np.abs(bounds_jacobian(bundle) - finite_difference_jacobian(bundle)).max()))
     return CheckResult(
-        "jacobian-vs-fd", worst <= tol, worst, tol, "<=",
+        "jacobian-vs-fd", worst <= FD_TOL, worst, FD_TOL, "<=",
         f"analytic derivative matrix vs central differences, {n_thetas} random bundles",
     )
 
 
-def check_scm_containment(rng, n_scms: int, tol: float = 1e-9) -> CheckResult:
+def check_scm_containment(rng, n_scms: int) -> CheckResult:
     worst = 0.0
     for _ in range(n_scms):
         scm = random_scm(rng, n_c=int(rng.integers(1, 3)), n_x=int(rng.integers(2, 4)))
@@ -115,23 +125,16 @@ def check_scm_containment(rng, n_scms: int, tol: float = 1e-9) -> CheckResult:
         contrast = Contrast(active=float(scm.x_grid[i]), reference=float(scm.x_grid[j]), profile=profile)
         truth = true_effects(scm, contrast)
         bundle = observational_theta(scm, contrast)
-        pt = point_effects(bundle)
-        worst = max(
-            worst,
-            abs(truth.nde - pt.nde),
-            abs(truth.nie - pt.nie),
-            abs(truth.te - pt.te),
-        )
-        eb = effect_bounds(bundle)
-        for val, bp in ((truth.nde, eb.nde), (truth.nie, eb.nie), (truth.te, eb.te)):
-            worst = max(worst, bp.lower - val, val - bp.upper)
+        estimates = zip(_triple(truth), _triple(point_effects(bundle)), _triple(effect_bounds(bundle)))
+        for val, pt, bp in estimates:
+            worst = max(worst, abs(val - pt), bp.lower - val, val - bp.upper)
     return CheckResult(
-        "scm-containment", worst <= tol, worst, tol, "<=",
+        "scm-containment", worst <= EXACT_TOL, worst, EXACT_TOL, "<=",
         f"exact truth vs point estimate and bounds on {n_scms} confounding-free models",
     )
 
 
-def check_crossworld_strictness(tol_eq: float = 1e-12, min_gap: float = 1e-3) -> CheckResult:
+def check_crossworld_strictness() -> CheckResult:
     scm = crossworld_demo_scm()
     contrast = Contrast(active=1.0, reference=0.0, profile={"z": 0.0})
     law = enumerate_counterfactuals(scm, contrast)
@@ -146,14 +149,14 @@ def check_crossworld_strictness(tol_eq: float = 1e-12, min_gap: float = 1e-3) ->
         gaps.append(abs(law.conditional[("active", m, "reference", 1 - m)] - base))
         gaps.append(abs(law.marginal[("active", m)] - base))
     gap = max(gaps)
-    passed = eq_err <= tol_eq and gap >= min_gap
+    passed = eq_err <= CROSSWORLD_TOL and gap >= CROSSWORLD_MIN_GAP
     return CheckResult(
-        "crossworld-strictness", passed, eq_err, tol_eq, "<=",
+        "crossworld-strictness", passed, eq_err, CROSSWORLD_TOL, "<=",
         f"matched conditionals equal while some unmatched one differs by {gap:.3f}",
     )
 
 
-def check_mediation_reduction(rng, n_thetas: int, tol: float = 1e-10) -> CheckResult:
+def check_mediation_reduction(rng, n_thetas: int) -> CheckResult:
     worst = 0.0
     for _ in range(n_thetas):
         bundle = random_bundle(rng)
@@ -163,20 +166,19 @@ def check_mediation_reduction(rng, n_thetas: int, tol: float = 1e-10) -> CheckRe
                 abs(counterfactual_outcome_logit(bundle, pair) - mediation_formula_logit(bundle, pair)),
             )
     return CheckResult(
-        "mediation-reduction", worst <= tol, worst, tol, "<=",
+        "mediation-reduction", worst <= MEDIATION_TOL, worst, MEDIATION_TOL, "<=",
         f"outcome logit of every pair vs plug-in mediation formula, {n_thetas} random bundles",
     )
 
 
-def check_shift_zero(rng, n_thetas: int, tol: float = 1e-12) -> CheckResult:
+def check_shift_zero(rng, n_thetas: int) -> CheckResult:
     worst = 0.0
     for _ in range(n_thetas):
         bundle = random_bundle(rng)
-        a = shifted_effects(bundle, 0.0)
-        b = point_effects(bundle)
-        worst = max(worst, abs(a.nde - b.nde), abs(a.nie - b.nie), abs(a.te - b.te))
+        pairs = zip(_triple(shifted_effects(bundle, 0.0)), _triple(point_effects(bundle)))
+        worst = max(worst, *(abs(a - b) for a, b in pairs))
     return CheckResult(
-        "shift-zero-identity", worst <= tol, worst, tol, "<=",
+        "shift-zero-identity", worst <= SHIFT_ZERO_TOL, worst, SHIFT_ZERO_TOL, "<=",
         f"shift-parametrized effects at 0 vs point effects, {n_thetas} random bundles",
     )
 
@@ -199,8 +201,6 @@ def coverage_simulation(
     replicates: int = 500,
     alpha: float = 0.05,
     seed: int = 20_240_801,
-    scm=None,
-    contrast: Contrast | None = None,
 ) -> dict[str, float]:
     """Fraction of replicates whose uncertainty intervals cover the truth.
 
@@ -208,8 +208,8 @@ def coverage_simulation(
     logistic models are refit per replicate, and coverage is tallied for
     each of the three effects separately.
     """
-    scm = scm or coverage_scm()
-    contrast = contrast or Contrast(active=3.0, reference=0.0, profile={"z": 1.0})
+    scm = coverage_scm()
+    contrast = Contrast(active=3.0, reference=0.0, profile={"z": 1.0})
     truth = true_effects(scm, contrast)
     outcome_design = parse_design(["1", "x", "m", "z"])
     mediator_design = parse_design(["1", "x", "z"])
@@ -229,11 +229,11 @@ def coverage_simulation(
     return {k: v / replicates for k, v in hits.items()}
 
 
-def check_coverage(seed: int, replicates: int, n: int, target: float = 0.93) -> CheckResult:
+def check_coverage(seed: int, replicates: int, n: int) -> CheckResult:
     cov = coverage_simulation(n=n, replicates=replicates, seed=seed)
     worst = min(cov.values())
     return CheckResult(
-        "coverage", worst >= target, worst, target, ">=",
+        "coverage", worst >= COVERAGE_TARGET, worst, COVERAGE_TARGET, ">=",
         f"nde={cov['nde']:.3f} nie={cov['nie']:.3f} te={cov['te']:.3f} "
         f"({replicates} replicates, n={n})",
     )
@@ -246,13 +246,12 @@ def run_validation(
     n_scms: int = 60,
     coverage_replicates: int = 200,
     coverage_n: int = 2000,
-    jacobian_fn=None,
 ) -> ValidationReport:
     """Run every check with pinned seeds; the report text is deterministic."""
     rng = np.random.default_rng(seed)
     report = ValidationReport()
     report.results.append(check_sweep_agreement(rng, sweep_thetas))
-    report.results.append(check_jacobian(rng, fd_thetas, jacobian_fn=jacobian_fn))
+    report.results.append(check_jacobian(rng, fd_thetas))
     report.results.append(check_scm_containment(rng, n_scms))
     report.results.append(check_crossworld_strictness())
     report.results.append(check_mediation_reduction(rng, sweep_thetas))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from medbounds import Contrast, PredictorBundle
+from medbounds.scm import random_bundle
 
 # Bundle evaluated from the demo-cohort coefficient tables at the
 # reference contrast used throughout the tests: active 50 vs reference 10
@@ -24,7 +25,7 @@ def derived_contrast() -> Contrast:
     return Contrast(active=50.0, reference=10.0, profile=MALE_PROFILE)
 
 
-def random_bundles(seed: int, count: int, scale: float = 4.0):
+def random_bundles(seed: int, count: int):
     rng = np.random.default_rng(seed)
     for _ in range(count):
-        yield PredictorBundle(values=rng.uniform(-scale, scale, 6), cov=np.zeros((6, 6)))
+        yield random_bundle(rng)

@@ -10,34 +10,21 @@ import time
 import numpy as np
 import pytest
 
-from medbounds.bounds import (
-    effect_bounds,
-    factor_range,
-    sensitivity_probability_range,
-    shifted_effects,
-)
-from medbounds.effects import (
-    Contrast,
-    Pair,
-    PredictorBundle,
-    counterfactual_outcome_logit,
-    point_effects,
-)
+from medbounds.bounds import effect_bounds, factor_range, sensitivity_probability_range
+from medbounds.effects import Pair, PredictorBundle
 from medbounds.glm import fit_logistic, parse_design
-from medbounds.scm import (
-    demo_cohort_scm,
-    finite_difference_jacobian,
-    mediation_formula_logit,
-    observational_theta,
-    random_scm,
-    sample_dataset,
-    sweep_bounds,
-    true_effects,
-)
+from medbounds.scm import demo_cohort_scm, sample_dataset, sweep_bounds
 from medbounds.uncertainty import bound_covariance, bounds_jacobian
-from medbounds.validate import coverage_simulation
+from medbounds.validate import (
+    check_jacobian,
+    check_mediation_reduction,
+    check_scm_containment,
+    check_shift_zero,
+    check_sweep_agreement,
+    coverage_simulation,
+)
 
-from conftest import DERIVED_THETA, MEDIATOR_COEFS
+from conftest import DERIVED_THETA, MEDIATOR_COEFS, random_bundles
 
 SWEEP_TOL = 1e-6
 FD_TOL = 1e-6
@@ -64,60 +51,34 @@ def bounds_vector(eb) -> np.ndarray:
 
 
 def test_criterion_1_sweep_oracle_agreement():
-    rng = np.random.default_rng(101)
     t0 = time.perf_counter()
-    worst = 0.0
-    for _ in range(1000):
-        bundle = zero_cov_bundle(rng.uniform(-4, 4, 6))
-        closed = bounds_vector(effect_bounds(bundle))
-        swept = bounds_vector(sweep_bounds(bundle, lo=-30.0, hi=30.0, points=100_001))
-        worst = max(worst, float(np.abs(closed - swept).max()))
+    result = check_sweep_agreement(np.random.default_rng(101), 1000, points=100_001)
     elapsed = time.perf_counter() - t0
-    assert worst < SWEEP_TOL
+    assert result.measured < SWEEP_TOL
     assert elapsed < 60.0
-    report(1, "sweep oracle agreement", f"max abs error {worst:.3e} (tol {SWEEP_TOL}), {elapsed:.1f}s")
+    report(
+        1, "sweep oracle agreement", f"max abs error {result.measured:.3e} (tol {SWEEP_TOL}), {elapsed:.1f}s"
+    )
 
 
 def test_criterion_2_derivative_matrix_vs_finite_differences():
-    rng = np.random.default_rng(102)
-    worst = 0.0
-    for _ in range(100):
-        bundle = zero_cov_bundle(rng.uniform(-4, 4, 6))
+    for bundle in random_bundles(102, 100):
         D = bounds_jacobian(bundle)
         assert D[4, 0] == 0.0 and D[4, 1] == 0.0
-        worst = max(worst, float(np.abs(D - finite_difference_jacobian(bundle)).max()))
-    assert worst < FD_TOL
-    report(2, "derivative matrix vs finite differences", f"max abs error {worst:.3e} (tol {FD_TOL})")
+    result = check_jacobian(np.random.default_rng(102), 100)
+    assert result.measured < FD_TOL
+    report(
+        2, "derivative matrix vs finite differences", f"max abs error {result.measured:.3e} (tol {FD_TOL})"
+    )
 
 
 def test_criterion_3_containment_on_confounding_free_models():
-    rng = np.random.default_rng(103)
-    worst_point = 0.0
-    worst_containment = -np.inf
-    for _ in range(200):
-        scm = random_scm(rng, n_c=int(rng.integers(1, 3)), n_x=int(rng.integers(2, 4)))
-        profile = scm.profiles()[int(rng.integers(len(scm.profiles())))]
-        i, j = rng.choice(len(scm.x_grid), size=2, replace=False)
-        contrast = Contrast(float(scm.x_grid[i]), float(scm.x_grid[j]), profile)
-        truth = true_effects(scm, contrast)
-        bundle = observational_theta(scm, contrast)
-        pt = point_effects(bundle)
-        worst_point = max(
-            worst_point,
-            abs(pt.nde - truth.nde),
-            abs(pt.nie - truth.nie),
-            abs(pt.te - truth.te),
-        )
-        eb = effect_bounds(bundle)
-        for value, bp in ((truth.nde, eb.nde), (truth.nie, eb.nie), (truth.te, eb.te)):
-            worst_containment = max(worst_containment, bp.lower - value, value - bp.upper)
-    assert worst_point < EXACT_TOL
-    assert worst_containment < EXACT_TOL
+    result = check_scm_containment(np.random.default_rng(103), 200)
+    assert result.measured < EXACT_TOL
     report(
         3,
         "containment on 200 confounding-free models",
-        f"max point-vs-truth {worst_point:.3e}, max bound violation {worst_containment:.3e} "
-        f"(tol {EXACT_TOL})",
+        f"max of point-vs-truth gap and bound violation {result.measured:.3e} (tol {EXACT_TOL})",
     )
 
 
@@ -153,31 +114,21 @@ def test_criterion_4_derived_golden_values():
 
 
 def test_criterion_5_shift_zero_identity():
-    rng = np.random.default_rng(105)
-    worst = 0.0
-    for _ in range(10_000):
-        bundle = zero_cov_bundle(rng.uniform(-4, 4, 6))
-        a = shifted_effects(bundle, 0.0)
-        b = point_effects(bundle)
-        worst = max(worst, abs(a.nde - b.nde), abs(a.nie - b.nie), abs(a.te - b.te))
-    assert worst < SHIFT_ZERO_TOL
-    report(5, "shift-zero identity on 10^4 bundles", f"max abs gap {worst:.3e} (tol {SHIFT_ZERO_TOL})")
+    result = check_shift_zero(np.random.default_rng(105), 10_000)
+    assert result.measured < SHIFT_ZERO_TOL
+    report(
+        5, "shift-zero identity on 10^4 bundles", f"max abs gap {result.measured:.3e} (tol {SHIFT_ZERO_TOL})"
+    )
 
 
 def test_criterion_6_mediation_formula_identity():
-    rng = np.random.default_rng(106)
-    worst = 0.0
-    for _ in range(2000):
-        bundle = zero_cov_bundle(rng.uniform(-4, 4, 6))
-        worst = max(
-            worst,
-            abs(
-                counterfactual_outcome_logit(bundle, Pair.ACTIVE)
-                - mediation_formula_logit(bundle, Pair.ACTIVE)
-            ),
-        )
-    assert worst < MEDIATION_TOL
-    report(6, "mediation-formula identity", f"max abs gap {worst:.3e} (tol {MEDIATION_TOL})")
+    result = check_mediation_reduction(np.random.default_rng(106), 2000)
+    assert result.measured < MEDIATION_TOL
+    report(
+        6,
+        "mediation-formula identity, all three pairs",
+        f"max abs gap {result.measured:.3e} (tol {MEDIATION_TOL})",
+    )
 
 
 def test_criterion_7_coverage_simulation():

@@ -98,6 +98,17 @@ class TestFit:
         assert main(["fit", "--config", str(cfg), "--out", str(m2)]) == 0
         assert m1.read_bytes() == m2.read_bytes()
 
+    def test_dropped_rows_warning_is_one_plain_line(self, workdir, tmp_path):
+        lines = (workdir / "cohort.csv").read_text().splitlines()
+        lines[1] = "," + lines[1].split(",", 1)[1]  # a blank outcome cell
+        data = tmp_path / "blank.csv"
+        data.write_text("\n".join(lines) + "\n")
+        argv = [sys.executable, "-m", "medbounds.cli", "fit", "--config", str(workdir / "cfg.json")]
+        run = subprocess.run([*argv, "--data", str(data)], capture_output=True, text=True)
+        assert run.returncode == 0
+        assert run.stderr == f"warning: UserWarning: {data}: dropped 1 rows with missing values\n"
+        assert ".py" not in run.stderr
+
     def test_missing_config(self, capsys):
         assert main(["fit"]) == 1
         assert "config" in capsys.readouterr().err
@@ -179,6 +190,53 @@ def test_table_csv_and_json_give_the_same_cells(workdir, capsys, command):
     formatted = [[f"{r[h]:.6f}" if isinstance(r[h], float) else str(r[h]) for h in header] for r in rows]
     assert formatted == cells
     assert len(cells) == (9 if command == "fit" else 4)
+
+
+def test_table_render_is_linear_in_rows(monkeypatch):
+    import medbounds.cli as cli
+
+    calls = 0
+
+    def counting_len(obj):
+        nonlocal calls
+        calls += 1
+        return len(obj)
+
+    def count(rows):
+        nonlocal calls
+        calls = 0
+        table = {"x": [float(i) for i in range(rows)], "profile": ["bmi=28.5,gender=1"] * rows}
+        cli._render(table, "table")
+        return calls
+
+    monkeypatch.setattr(cli, "len", counting_len, raising=False)
+    assert count(2000) <= 2 * count(1000) + 50
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [0.5, -0.0],
+        [9.9999996, 1.0],
+        [-9.9999996, 1.0],
+        [float("nan"), float("-inf")],
+        [-1e-9, 3.25, float("inf")],
+    ],
+)
+def test_render_matches_per_cell_formatting(values):
+    import csv
+
+    import medbounds.cli as cli
+
+    table = {"x": values, "profile": ['a,"b"'] * len(values)}
+    cells = [["x", "profile"], *([f"{v:.6f}", 'a,"b"'] for v in values)]
+    widths = [max(len(row[j]) for row in cells) for j in range(2)]
+    assert cli._render(table, "table") == "".join(
+        "  ".join(cell.rjust(w) for cell, w in zip(row, widths)) + "\n" for row in cells
+    )
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(cells)
+    assert cli._render(table, "csv") == buf.getvalue()
 
 
 class TestEffectsAndBounds:
@@ -525,23 +583,24 @@ class TestValidate:
         b = run_validation(seed=3, **kw).to_text()
         assert a == b
 
-    def test_injected_jacobian_fault_fails(self):
-        from medbounds.uncertainty import bounds_jacobian
-        from medbounds.validate import run_validation
+    def test_injected_jacobian_fault_fails(self, monkeypatch):
+        import medbounds.validate as validate_mod
+
+        exact = validate_mod.bounds_jacobian
 
         def broken(bundle):
-            D = bounds_jacobian(bundle)
+            D = exact(bundle)
             D[0, 0] = -D[0, 0]  # sign error in the first NDE-lower entry
             return D
 
-        report = run_validation(
+        monkeypatch.setattr(validate_mod, "bounds_jacobian", broken)
+        report = validate_mod.run_validation(
             seed=3,
             sweep_thetas=5,
             fd_thetas=5,
             n_scms=5,
             coverage_replicates=5,
             coverage_n=500,
-            jacobian_fn=broken,
         )
         assert not report.passed
         failing = {r.name for r in report.results if not r.passed}

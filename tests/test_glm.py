@@ -14,9 +14,7 @@ from medbounds.errors import (
 from medbounds.glm import (
     Dataset,
     Point,
-    design_row,
     fit_logistic,
-    linear_predictor,
     load_csv,
     model_from_dict,
     model_to_dict,
@@ -456,7 +454,8 @@ class TestLinearPredictor:
     def test_demo_outcome_point(self, outcome_model):
         # -3.925 + 0.020*50 + 0 - 0.064*28.5 + 0.587 = -4.162
         point = Point(50.0, 0.0, MALE_PROFILE)
-        assert linear_predictor(outcome_model, point) == pytest.approx(-4.162, abs=1e-12)
+        eta = outcome_model.design.row(point) @ outcome_model.coefficients
+        assert eta == pytest.approx(-4.162, abs=1e-12)
 
     def test_demo_mediator_point(self):
         coefs = np.array([MEDIATOR_COEFS[k] for k in ("1", "x", "bmi", "gender")])
@@ -469,9 +468,8 @@ class TestLinearPredictor:
             }
         )
         # 0.418 + 0.17 - 2.793 + 0.595 = -1.610
-        assert linear_predictor(model, Point(10.0, None, MALE_PROFILE)) == pytest.approx(
-            -1.610, abs=1e-12
-        )
+        point = Point(10.0, None, MALE_PROFILE)
+        assert model.design.row(point) @ model.coefficients == pytest.approx(-1.610, abs=1e-12)
 
     def test_zero_coefficients(self, outcome_model):
         model = model_from_dict(
@@ -482,10 +480,10 @@ class TestLinearPredictor:
                 "covariance": np.zeros((5, 5)).tolist(),
             }
         )
-        assert linear_predictor(model, Point(123.0, 1.0, MALE_PROFILE)) == 0.0
+        assert model.design.row(Point(123.0, 1.0, MALE_PROFILE)) @ model.coefficients == 0.0
 
     def test_design_row_examples(self, outcome_model):
-        row = design_row(outcome_model, Point(50.0, 0.0, MALE_PROFILE))
+        row = outcome_model.design.row(Point(50.0, 0.0, MALE_PROFILE))
         assert np.allclose(row, [1.0, 50.0, 0.0, 28.5, 1.0])
 
     def test_row_dot_coefficients_consistency(self, outcome_model):
@@ -496,8 +494,10 @@ class TestLinearPredictor:
                 float(rng.integers(0, 2)),
                 {"bmi": float(rng.uniform(15, 45)), "gender": float(rng.integers(0, 2))},
             )
-            lhs = design_row(outcome_model, point) @ outcome_model.coefficients
-            assert lhs == pytest.approx(linear_predictor(outcome_model, point), abs=1e-12)
+            lhs = outcome_model.design.row(point) @ outcome_model.coefficients
+            covs = point.covariates
+            terms = [1.0, point.exposure, point.mediator, covs["bmi"], covs["gender"]]
+            assert lhs == pytest.approx(np.dot(outcome_model.coefficients, terms), abs=1e-12)
 
 
 # ---------------------------------------------------------------- ingestion
@@ -582,7 +582,8 @@ class TestModelSerialization:
         assert np.allclose(clone.coefficients, model.coefficients)
         assert np.allclose(clone.covariance, model.covariance)
         point = Point(42.0, 1.0, MALE_PROFILE)
-        assert linear_predictor(clone, point) == pytest.approx(linear_predictor(model, point))
+        eta = model.design.row(point) @ model.coefficients
+        assert clone.design.row(point) @ clone.coefficients == pytest.approx(eta)
         assert clone.report.patterns == model.report.patterns > 0
 
     def test_model_file_without_patterns_loads(self):
