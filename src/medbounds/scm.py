@@ -291,17 +291,35 @@ def sample_dataset(scm: StructuralModel, n: int, seed: int) -> Dataset:
 # --------------------------------------------------------------------------
 
 
+# e^709 is the largest whole power of e inside float64 (whose top is about e^709.78)
+_MAX_EXPONENT = 709.0
+
+
 def _factor_extrema(shifts: np.ndarray, b0: float, b1: float, g: float) -> tuple[float, float]:
     """Min/max over a shift grid of one pair's log mediator-adjustment factor.
 
     The factor is log[(1 + e^{t1}) / (1 + e^{t0})] where
     t0 = log(1+e^{s+b0}) - log(1+e^{s+b1}) + g and t1 = t0 + (b1 - b0),
-    evaluated at every shift s of the grid. It uses ``np.logaddexp``, not the
-    library's ``glm.softplus``, so that two independent softplus
-    implementations meet in every sweep check.
+    evaluated at every shift s of the grid. It runs on the probability
+    scale, where e^{t0} = R e^g and e^{t1} = R e^{g+b1-b0} with
+    R = (1 + e^s e^{b0}) / (1 + e^s e^{b1}): one ``exp`` and one ``log`` pass
+    over the grid, and no function (no softplus, no ``logaddexp``) shared
+    with the log-scale bound algebra it checks. ``sweep_bounds`` states the
+    domain in which none of its exponentials overflows.
     """
-    t0 = np.logaddexp(0.0, shifts + b0) - np.logaddexp(0.0, shifts + b1) + g
-    f = np.logaddexp(0.0, t0 + (b1 - b0)) - np.logaddexp(0.0, t0)
+    # two grid-sized buffers updated in place: fresh temporaries of this
+    # size cost more than the arithmetic on them
+    r = np.exp(shifts)
+    d = np.exp(b1) * r
+    d += 1.0
+    r *= np.exp(b0)
+    r += 1.0
+    r /= d  # R
+    np.multiply(r, np.exp(g), out=d)
+    d += 1.0  # 1 + e^{t0}
+    r *= np.exp(g + b1 - b0)
+    r += 1.0  # 1 + e^{t1}
+    f = np.log(np.divide(r, d, out=r), out=r)
     return float(f.min()), float(f.max())
 
 
@@ -318,14 +336,29 @@ def sweep_bounds(
     the grid, so taking factor extremes on the grid and recombining them
     recovers the bounds without touching the closed-form algebra. Returns
     an EffectBounds-shaped object.
+
+    The sweep exponentiates on the probability scale, so it has a stated
+    domain: the largest grid shift (or 0, if larger) plus the largest outcome
+    predictor (or 0), and g + |b1 - b0| for each pair's mediator predictor g
+    and outcome predictors b0, b1, must not exceed 709, as e^709 is near the
+    top of float64. Past that it raises ValueError. A very negative grid end
+    is fine: e^s underflows to 0, its exact limit.
     """
     if points < 2:
         raise ValueError("points must be at least 2")
     b_x0, b_xs0, b_x1, b_xs1, g_x, g_xs = (float(v) for v in bundle.values)
+    pairs = ((b_x0, b_x1, g_xs), (b_x0, b_x1, g_x), (b_xs0, b_xs1, g_xs))
+    reach = max(
+        max(lo, hi, 0.0) + max(b_x0, b_xs0, b_x1, b_xs1, 0.0),
+        *(g + abs(b1 - b0) for b0, b1, g in pairs),
+    )
+    if not reach <= _MAX_EXPONENT:
+        raise ValueError(
+            f"sweep_bounds forms exponents up to {reach:.6g} on this bundle and grid; "
+            f"its domain ends at {_MAX_EXPONENT:g} (float64 overflow)"
+        )
     shifts = np.linspace(lo, hi, points)
-    cross = _factor_extrema(shifts, b_x0, b_x1, g_xs)
-    active = _factor_extrema(shifts, b_x0, b_x1, g_x)
-    reference = _factor_extrema(shifts, b_xs0, b_xs1, g_xs)
+    cross, active, reference = (_factor_extrema(shifts, *pair) for pair in pairs)
 
     base = b_x0 - b_xs0
     nde = BoundPair(base + cross[0] - reference[1], base + cross[1] - reference[0])

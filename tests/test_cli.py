@@ -606,6 +606,22 @@ class TestValidate:
         failing = {r.name for r in report.results if not r.passed}
         assert failing == {"jacobian-vs-fd"}
 
+    def test_injected_bound_fault_fails_sweep_agreement(self, monkeypatch):
+        import dataclasses
+
+        import medbounds.validate as validate_mod
+
+        exact = validate_mod.effect_bounds
+
+        def broken(bundle):
+            eb = exact(bundle)
+            return dataclasses.replace(eb, nde=dataclasses.replace(eb.nde, upper=eb.nde.upper + 1e-4))
+
+        monkeypatch.setattr(validate_mod, "effect_bounds", broken)
+        result = validate_mod.check_sweep_agreement(np.random.default_rng(3), 5)
+        assert not result.passed
+        assert result.measured >= 9e-5
+
     def test_mediation_reduction_checks_the_cross_pair(self, monkeypatch):
         import medbounds.validate as validate_mod
         from medbounds.effects import Pair

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import medbounds.scm as scm_mod
 from medbounds.bounds import effect_bounds
-from medbounds.effects import Contrast, Pair, counterfactual_outcome_logit, point_effects
+from medbounds.effects import Contrast, Pair, PredictorBundle, counterfactual_outcome_logit, point_effects
 from medbounds.scm import (
     DegenerateLawError,
     StructuralModel,
@@ -17,6 +20,21 @@ from medbounds.scm import (
     sweep_bounds,
     true_effects,
 )
+from medbounds.validate import _bounds_vector
+
+
+def log_scale_factor_extrema(shifts, b0, b1, g):
+    """``_factor_extrema`` on the log scale, by ``np.logaddexp``: its test reference."""
+    t0 = np.logaddexp(0.0, shifts + b0) - np.logaddexp(0.0, shifts + b1) + g
+    f = np.logaddexp(0.0, t0 + (b1 - b0)) - np.logaddexp(0.0, t0)
+    return float(f.min()), float(f.max())
+
+
+def with_values(bundle, changes):
+    values = bundle.values.copy()
+    for index, value in changes.items():
+        values[index] = value
+    return PredictorBundle(values=values, cov=np.zeros((6, 6)))
 
 
 def simple_contrast(scm, ia=1, ir=0, ic=0):
@@ -383,3 +401,38 @@ class TestSweepOracle:
         f = lambda s: np.logaddexp(0, t0(s) + 1.5) - np.logaddexp(0, t0(s))
         assert lo == pytest.approx(min(f(smin), f(smax)), abs=1e-12)
         assert hi == pytest.approx(max(f(smin), f(smax)), abs=1e-12)
+
+    def test_factor_extrema_matches_the_log_scale_reference(self):
+        rng = np.random.default_rng(2024)
+        shifts = np.linspace(-30.0, 30.0, 2001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for b0, b1, g in rng.uniform(-6.0, 6.0, size=(200, 3)):
+                got = _factor_extrema(shifts, b0, b1, g)
+                want = log_scale_factor_extrema(shifts, b0, b1, g)
+                assert got == pytest.approx(want, rel=0.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "changes, lo, hi",
+        [
+            ({}, -800.0, 30.0),  # e^s underflows to 0, its exact limit
+            ({2: 679.0}, -30.0, 30.0),  # largest shift + outcome predictor at the 709 edge
+            ({4: 700.0}, -30.0, 30.0),  # a mediator predictor of 700
+        ],
+    )
+    def test_accepted_domain_matches_the_reference_without_warnings(
+        self, derived_bundle, monkeypatch, changes, lo, hi
+    ):
+        bundle = with_values(derived_bundle, changes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _bounds_vector(sweep_bounds(bundle, lo=lo, hi=hi, points=20_001))
+            monkeypatch.setattr(scm_mod, "_factor_extrema", log_scale_factor_extrema)
+            want = _bounds_vector(sweep_bounds(bundle, lo=lo, hi=hi, points=20_001))
+        assert np.isfinite(got).all()
+        assert np.abs(got - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("changes, hi", [({0: 700.0}, 30.0), ({}, 720.0)])
+    def test_past_the_domain_is_a_stated_error(self, derived_bundle, changes, hi):
+        with pytest.raises(ValueError, match="domain ends at 709"):
+            sweep_bounds(with_values(derived_bundle, changes), hi=hi)
