@@ -5,10 +5,14 @@ counterfactual outcome logit is only known up to an additive shift. The
 shift enters every effect expression through a single monotone factor per
 (outcome-level, mediator-level) pair, and that factor is a straight line in
 a bounded retrospective probability, which yields closed-form lower/upper
-bounds for the direct, indirect and total effects. The shifted effects
-and the point estimates of the stronger assumption set run through the same
-chain in ``effects``, so shift zero gives the point estimates by
-construction; ``scm`` checks that chain independently.
+bounds for the direct, indirect and total effects. The shifted effects,
+the sensitivity curve and the point estimates of the stronger assumption
+set run through the probability-scale chain in ``effects``, so shift zero
+gives the point estimates by construction. The bound algebra here stays on
+the log scale (softplus and expit of the mediator predictor and effect), so
+the containment of every shifted effect in its bound compares two routes
+that share only the NDE/NIE combination rule; the grid sweep ``scm.sweep_bounds`` checks the
+bounds with code of its own.
 
 Each endpoint combines per-pair log-factor extremes, and each extreme
 depends on one pair's mediator effect and mediator predictor only; the same
@@ -33,13 +37,14 @@ from .effects import (
     effects_at,
     expit,
     failing_rows,
+    pair_terms,
     point_effects,
-    posterior_logits0,
     scalar_or_array,
     shifted_posterior_logit,
-    softplus,
+    stay_probability,
 )
 from .errors import DegenerateMediatorError, DegenerateMediatorWarning
+from .glm import softplus
 
 __all__ = [
     "BoundPair",
@@ -142,7 +147,7 @@ def shifted_effects(bundle: PredictorBundle, shift: float | np.ndarray) -> Effec
     Reduces to ``point_effects`` at shift 0; for any finite shift each
     component stays inside the corresponding identification bound.
     """
-    return effects_at(bundle, posterior_logits0(bundle, shift))
+    return effects_at(bundle, shift)[0]
 
 
 def sensitivity_probability(bundle: PredictorBundle, shift: float | np.ndarray) -> float | np.ndarray:
@@ -151,7 +156,8 @@ def sensitivity_probability(bundle: PredictorBundle, shift: float | np.ndarray) 
     P(mediator stays 0 in the reference world | outcome 0 in the cross world);
     monotone in the shift whenever the mediator effect is nonzero.
     """
-    return expit(-posterior_logits0(bundle, shift, (Pair.CROSS,))[Pair.CROSS])
+    _, delta, g, rho = pair_terms(bundle, Pair.CROSS, shift)
+    return scalar_or_array(stay_probability(rho, delta, g))
 
 
 def sensitivity_probability_range(bundle: PredictorBundle) -> BoundPair:
@@ -230,6 +236,5 @@ def effect_bounds(bundle: PredictorBundle) -> EffectBounds:
 def sensitivity_curve(bundle: PredictorBundle, shifts) -> SensitivityCurve:
     """Trace shared-shift effects and the sensitivity probability on a grid."""
     shifts = np.asarray(shifts, dtype=float)
-    logits0 = posterior_logits0(bundle, shifts)
-    eff = effects_at(bundle, logits0)
-    return SensitivityCurve(shifts, eff.nde, eff.nie, eff.te, expit(-logits0[Pair.CROSS]))
+    eff, probabilities = effects_at(bundle, shifts)
+    return SensitivityCurve(shifts, eff.nde, eff.nie, eff.te, probabilities)

@@ -8,12 +8,22 @@ its estimator, in a fixed component order; ``PAIR_COMPONENTS`` maps each
 (outcome-level, mediator-level) pair to the components it reads.
 
 This module holds the one chain from a bundle to the effects at an
-outcome-logit shift (see ``bounds``): each pair's y=0 mediator posterior
-logit, its log adjustment factor, and the NDE/NIE combination rule. The
-point estimates are that chain at shift 0, so they equal
-``bounds.shifted_effects(bundle, 0.0)`` by construction. Acceptance
-criterion 3 (exact enumeration), criterion 6 and
-``test_mediation_formula_identity_everywhere`` check them independently.
+outcome-logit shift (see ``bounds``), on the probability scale: per outcome
+level the ratio R = (1 + e^(s+b0)) / (1 + e^(s+b1)) from positive terms only
+(``level_ratio``), per pair the log adjustment factor on the side where
+expm1 stays finite (``log_factor``), the sensitivity probability
+(``stay_probability``) and the NDE/NIE rule (``combine_effects``). Its
+domain is stated by ``MAX_EXPONENT``. The point estimates are the chain at
+shift 0, so they equal ``bounds.shifted_effects(bundle, 0.0)`` by
+construction.
+
+Independent routes check each part: the log-scale softplus chain, kept as
+the test reference in ``tests/test_effects.py``, the ratios (through the
+shifted posterior logits), factors, effects and sensitivity probability;
+the mediation formula (``scm.mediation_formula_logit``) every pair's factor
+at shift 0; exact enumeration (acceptance criterion 3) the point effects;
+and the log-scale bound algebra in ``bounds``, which shares only
+``combine_effects`` with this chain, contains every shifted effect.
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .glm import FittedGlm, Point, softplus
+from .glm import FittedGlm, Point
 
 __all__ = [
     "Contrast",
@@ -36,6 +46,12 @@ __all__ = [
     "counterfactual_outcome_logit",
     "point_effects",
 ]
+
+
+# the effect chain forms e^|delta| of each mediator effect delta and e^-g of
+# each mediator predictor g, so its domain is |delta| <= 709 and g >= -709:
+# e^709 is near the top of float64
+MAX_EXPONENT = 709.0
 
 
 def expit(z: float | np.ndarray) -> float | np.ndarray:
@@ -114,7 +130,8 @@ class PredictorBundle:
     A single bundle has values (6,) and covariance (6, 6); a batch of N has
     (N, 6) and (N, 6, 6). The closed forms here and in ``bounds`` and
     ``uncertainty`` accept both and answer row by row; the oracles in
-    ``scm`` take single bundles.
+    ``scm`` take single bundles. A non-finite predictor or covariance entry
+    is a ValueError naming its rows, so no NaN reaches the algebra.
     """
 
     values: np.ndarray
@@ -125,6 +142,9 @@ class PredictorBundle:
         s = np.asarray(self.cov, dtype=float)
         if v.ndim not in (1, 2) or v.shape[-1] != 6 or s.shape != v.shape[:-1] + (6, 6):
             raise ValueError("bundle needs 6 predictors and a 6x6 covariance per row")
+        finite = np.isfinite(v).all(axis=-1) & np.isfinite(s).all(axis=(-2, -1))
+        if not finite.all():
+            raise ValueError(f"bundle predictors or covariance are not finite{failing_rows(~finite)}")
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "cov", symmetrized(s, "bundle covariance"))
 
@@ -202,23 +222,74 @@ def predictor_bundle(
     return PredictorBundle(values=values, cov=cov)
 
 
-def posterior_logits0(bundle: PredictorBundle, shift, pairs=tuple(Pair)) -> dict:
-    """Each pair's y=0 mediator posterior logit when the outcome logit carries
-    ``shift``, with one softplus(s + b0) - softplus(s + b1) per outcome level
-    (CROSS and ACTIVE share one). An array of shifts broadcasts against rows."""
-    v, by_level, logits = bundle.values.T, {}, {}
-    for pair in pairs:
-        i0, i1, ig = PAIR_COMPONENTS[pair]
-        if (i0, i1) not in by_level:
-            by_level[i0, i1] = softplus(shift + v[i0]) - softplus(shift + v[i1])
-        logits[pair] = by_level[i0, i1] + v[ig]
-    return logits
+_CROSS = list(Pair).index(Pair.CROSS)
 
 
-def log_factor(logit0, delta):
-    """Log mediator adjustment factor of a pair with y=0 posterior logit
-    ``logit0`` and mediator effect ``delta``."""
-    return softplus(logit0 + delta) - softplus(logit0)
+def _check_domain(delta, g, axis=()) -> None:
+    """Raise ValueError naming the rows in which (over ``axis`` as well) a
+    mediator effect or mediator predictor is past the chain's domain:
+    |delta| <= 709 and g >= -709, where e^|delta| and e^-g are finite."""
+    beyond = (np.abs(delta) > MAX_EXPONENT) | (g < -MAX_EXPONENT)
+    if beyond.any():
+        raise ValueError(
+            f"mediator effects up to {np.abs(delta).max():.6g} in magnitude and mediator "
+            f"predictors down to {g.min():.6g}{failing_rows(beyond.any(axis=axis))}; the effect "
+            f"chain's domain is |mediator effect| <= {MAX_EXPONENT:g} and mediator predictor "
+            f">= {-MAX_EXPONENT:g} (float64 overflow)"
+        )
+
+
+def level_ratio(shift, b1, delta) -> np.ndarray:
+    """rho = R e^min(delta, 0) of an outcome level with m=1 outcome predictor
+    ``b1`` and mediator effect ``delta`` when the outcome logit carries
+    ``shift``; elementwise, and an array also for a single value.
+
+    R = (1 + e^(s+b0)) / (1 + e^(s+b1)) lies between 1 and e^-delta, so rho
+    lies in [c, 1] with c = e^-|delta|: rho = c + (1 - c) n / (n + m) with
+    t = sign(delta) (s + b1), n = e^-max(t, 0) and m = e^min(t, 0). Only
+    positive terms are summed, one of n and m is 1, and e^(s+b1) is never
+    formed, so no shift overflows.
+    """
+    # two buffers of the result's shape, updated in place: fresh temporaries
+    # the size of a shift grid cost more than the arithmetic on them
+    t = np.asarray(shift + b1)
+    t *= np.copysign(1.0, delta)
+    m = np.minimum(t, 0.0, out=np.empty_like(t))
+    np.exp(m, out=m)
+    n = np.exp(np.minimum(np.negative(t, out=t), 0.0, out=t), out=t)
+    m += n
+    n /= m
+    n *= -np.expm1(-np.abs(delta))
+    n += np.exp(-np.abs(delta))
+    return n
+
+
+def log_factor(rho, delta, g, out=None) -> np.ndarray:
+    """Log mediator adjustment factor of a pair with ratio ``rho``, mediator
+    effect ``delta`` and mediator predictor ``g``; elementwise.
+
+    softplus(l + delta) - softplus(l) = log1p(expm1(delta) expit(l)) at the
+    y=0 posterior logit l = g + log R. It is taken at l for delta >= 0, and at
+    l + delta with the sign swapped for delta < 0, so that expm1 sees |delta|
+    and stays finite: sign(delta) log1p(expm1|delta| sigma) with
+    sigma = expit(g + log rho) = rho / (rho + e^-g), as rho carries the
+    e^min(delta, 0) that switches the side. As for a ufunc, ``out`` may be
+    ``rho`` itself.
+    """
+    den = np.add(rho, np.exp(-g), out=np.empty_like(rho))
+    f = np.divide(rho, den, out=den if out is None else out)
+    f *= np.expm1(np.abs(delta))
+    np.log1p(f, out=f)
+    f *= np.sign(delta)
+    return f
+
+
+def stay_probability(rho, delta, g) -> np.ndarray:
+    """A pair's y=0 posterior probability of mediator 0, expit(-(g + log R)) =
+    1 / (1 + R e^g), from its ratio ``rho``; elementwise."""
+    w = np.exp(np.minimum(delta, 0.0) - g)
+    p = np.add(rho, w, out=np.empty_like(rho))
+    return np.divide(w, p, out=p)
 
 
 def combine_effects(y0, lower, upper) -> tuple:
@@ -227,15 +298,45 @@ def combine_effects(y0, lower, upper) -> tuple:
     NDE = base + cross - reference, base = y0 cross - y0 reference; NIE = active - cross."""
     (y0_cross, _, y0_ref), (cross_l, active_l, ref_l), (cross_u, active_u, ref_u) = y0, lower, upper
     base = y0_cross - y0_ref
-    return base + cross_l - ref_u, base + cross_u - ref_l, active_l - cross_u, active_u - cross_l
+    nde_l, nie_l = base + cross_l - ref_u, active_l - cross_u
+    if upper is lower:  # a point: the upper endpoints are the same numbers
+        return nde_l, nde_l, nie_l, nie_l
+    return nde_l, base + cross_u - ref_l, nie_l, active_u - cross_l
 
 
-def effects_at(bundle: PredictorBundle, logits0: dict) -> EffectTriple:
-    """Effects from each pair's y=0 posterior logit (a point: lower = upper)."""
-    y0, y1, _ = bundle.values.T[PAIR_INDEX]
-    factors = [log_factor(logits0[p], d) for p, d in zip(Pair, y1 - y0)]
+def effects_at(bundle: PredictorBundle, shift) -> tuple[EffectTriple, float | np.ndarray]:
+    """Effects when the outcome logit carries ``shift``, and the sensitivity
+    probability there (the CROSS pair's ``stay_probability``). An array of
+    shifts broadcasts against the bundle's rows.
+
+    Every pair's ratio and log factor run at once, on arrays with the pairs
+    on a leading axis in ``Pair`` order, and the log factors overwrite the
+    ratios: CROSS and ACTIVE read the same outcome level, but forming its
+    ratio once and copying it costs a third buffer, which was no faster and
+    raised the peak memory of a grid evaluation. A row whose mediator effect
+    or mediator predictor is past the chain's domain (``MAX_EXPONENT``)
+    raises ValueError.
+    """
+    y0, y1, g = bundle.values.T[PAIR_INDEX]  # each pair x rows
+    delta = y1 - y0
+    _check_domain(delta, g, axis=0)
+    # unit axes after the pair axis, so that these broadcast against the shift as the rows do
+    shape = y0.shape[:1] + (1,) * max(np.ndim(shift) - (y0.ndim - 1), 0) + y0.shape[1:]
+    y0, y1, g, delta = (a.reshape(shape) for a in (y0, y1, g, delta))
+    ratios = level_ratio(shift, y1, delta)
+    probability = stay_probability(ratios[_CROSS], delta[_CROSS], g[_CROSS])
+    factors = log_factor(ratios, delta, g, out=ratios)
     nde, _, nie, _ = combine_effects(y0, factors, factors)
-    return EffectTriple.from_parts(nde, nie)
+    return EffectTriple.from_parts(nde, nie), scalar_or_array(probability)
+
+
+def pair_terms(bundle: PredictorBundle, pair: Pair, shift) -> tuple:
+    """(m=0 outcome predictor, mediator effect, mediator predictor, ratio) of
+    one pair, read through ``PAIR_COMPONENTS``; ValueError past the domain."""
+    (b0, b1), g = bundle.outcome_parts(pair), bundle.mediator_part(pair)
+    delta = b1 - b0
+    _check_domain(delta, g)
+    return b0, delta, g, level_ratio(shift, b1, delta)
 
 
 def shifted_posterior_logit(
@@ -250,8 +351,9 @@ def shifted_posterior_logit(
     """
     if y not in (0, 1):
         raise ValueError("y must be 0 or 1")
-    b0, b1 = bundle.outcome_parts(pair)
-    return y * (b1 - b0) + posterior_logits0(bundle, shift, (pair,))[pair]
+    _, delta, g, rho = pair_terms(bundle, pair, shift)
+    # g + log R, with log R = log rho - min(delta, 0)
+    return scalar_or_array(y * delta + g + np.log(rho) - np.minimum(delta, 0.0))
 
 
 def mediator_posterior_logit(
@@ -272,10 +374,10 @@ def counterfactual_outcome_logit(bundle: PredictorBundle, pair: Pair = Pair.CROS
     For the single-world pairs this reduces to the logit of the observational
     outcome probability marginalized over the mediator.
     """
-    b0, b1 = bundle.outcome_parts(pair)
-    return b0 + log_factor(posterior_logits0(bundle, 0.0, (pair,))[pair], b1 - b0)
+    b0, delta, g, rho = pair_terms(bundle, pair, 0.0)
+    return scalar_or_array(b0 + log_factor(rho, delta, g))
 
 
 def point_effects(bundle: PredictorBundle) -> EffectTriple:
     """Natural effects under the full identification assumption set."""
-    return effects_at(bundle, posterior_logits0(bundle, 0.0))
+    return effects_at(bundle, 0.0)[0]

@@ -351,6 +351,28 @@ class TestSensitivityCurve:
         sensitivity_curve(derived_bundle, grid)
         assert 0 < len(passes) <= 10
 
+    def test_six_exp_and_three_log1p_passes_over_the_shifts(self, derived_bundle, monkeypatch):
+        # the probability-scale chain: e^min(t, 0) and e^-max(t, 0) of each
+        # pair's ratio (3 x 2 passes), then one log1p per pair (3 passes);
+        # a pass is one grid's worth of elements, counted over every call
+        grid = np.linspace(-30.0, 30.0, 1001)
+        passes = {"exp": 0, "log1p": 0}
+
+        def counting(name):
+            real = getattr(np, name)
+
+            def call(*args, **kwargs):
+                out = real(*args, **kwargs)
+                passes[name] += np.size(out) // grid.size
+                return out
+
+            return call
+
+        for name in passes:
+            monkeypatch.setattr(np, name, counting(name))
+        sensitivity_curve(derived_bundle, grid)
+        assert passes == {"exp": 6, "log1p": 3}
+
     def test_probabilities_monotone_and_admissible(self, derived_bundle):
         curve = sensitivity_curve(derived_bundle, np.linspace(-10, 10, 101))
         diffs = np.diff(curve.probabilities)

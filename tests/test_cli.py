@@ -2,6 +2,8 @@ import io
 import json
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,8 +230,9 @@ def test_render_matches_per_cell_formatting(values):
 
     import medbounds.cli as cli
 
-    table = {"x": values, "profile": ['a,"b"'] * len(values)}
-    cells = [["x", "profile"], *([f"{v:.6f}", 'a,"b"'] for v in values)]
+    label = 'a,"b" %s é'
+    table = {"x": values, "profile": [label] * len(values)}
+    cells = [["x", "profile"], *([f"{v:.6f}", label] for v in values)]
     widths = [max(len(row[j]) for row in cells) for j in range(2)]
     assert cli._render(table, "table") == "".join(
         "  ".join(cell.rjust(w) for cell, w in zip(row, widths)) + "\n" for row in cells
@@ -237,6 +240,22 @@ def test_render_matches_per_cell_formatting(values):
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(cells)
     assert cli._render(table, "csv") == buf.getvalue()
+    rows = [dict(zip(table, row)) for row in zip(*table.values())]
+    assert cli._render(table, "json") == json.dumps(rows, indent=1, sort_keys=True) + "\n"
+    assert cli._render({"a%s": values, **table}, "json") == json.dumps(
+        [{"a%s": v, **row} for v, row in zip(values, rows)], indent=1, sort_keys=True
+    ) + "\n"
+
+
+def test_readme_library_sketch_runs(tmp_path, monkeypatch):
+    # the first python block under "## Library sketch", on the README cohort
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sketch = readme.split("\n## Library sketch\n", 1)[1].split("```python\n", 1)[1].split("\n```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--n", "3270", "--seed", "7", "--out", "cohort.csv"]) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        exec(compile(sketch, "README.md", "exec"), {})
 
 
 class TestEffectsAndBounds:

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from medbounds import effects
+from medbounds.bounds import sensitivity_curve, shifted_posterior_logit
 from medbounds.effects import (
     PAIR_COMPONENTS,
     Contrast,
@@ -111,6 +113,17 @@ class TestPredictorBundle:
         with pytest.raises(ValueError):
             PredictorBundle(values=np.zeros(6), cov=np.eye(5))
 
+    @pytest.mark.parametrize("field", ["values", "cov"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries_naming_the_rows(self, field, bad):
+        values, cov = np.zeros((5, 6)), np.zeros((5, 6, 6))
+        for row in (1, 3):
+            (values if field == "values" else cov)[row, 2] = bad
+        with pytest.raises(ValueError, match=r"^bundle predictors or covariance are not finite in row 1 and 1 more$"):
+            PredictorBundle(values=values, cov=cov)
+        with pytest.raises(ValueError, match=r"^bundle predictors or covariance are not finite$"):
+            PredictorBundle(values=values[1], cov=cov[1])
+
 
 class TestPosteriorLogit:
     def test_no_mediator_effect_reduces_to_mediator_predictor(self):
@@ -205,3 +218,129 @@ class TestPointEffects:
     def test_additivity(self, values):
         pt = point_effects(bundle_of(values))
         assert pt.te == pytest.approx(pt.nde + pt.nie, abs=1e-12)
+
+
+def log_scale_chain(values, shifts) -> dict:
+    """The softplus-difference effect chain on the log scale, by ``np.logaddexp``,
+    reading the bundle by its own fixed positions: the test reference of the
+    probability-scale chain. Each pair's y=0 posterior logit at every shift,
+    and the effects and sensitivity probability traced along the shifts."""
+    b_x0, b_xs0, b_x1, b_xs1, g_x, g_xs = (float(v) for v in values)
+    s = np.asarray(shifts, dtype=float)
+    pairs = {Pair.CROSS: (b_x0, b_x1, g_xs), Pair.ACTIVE: (b_x0, b_x1, g_x), Pair.REFERENCE: (b_xs0, b_xs1, g_xs)}
+    logit0 = {p: np.logaddexp(0.0, s + b0) - np.logaddexp(0.0, s + b1) + g for p, (b0, b1, g) in pairs.items()}
+    factor = {
+        p: np.logaddexp(0.0, logit0[p] + b1 - b0) - np.logaddexp(0.0, logit0[p]) for p, (b0, b1, _) in pairs.items()
+    }
+    nde = b_x0 - b_xs0 + factor[Pair.CROSS] - factor[Pair.REFERENCE]
+    nie = factor[Pair.ACTIVE] - factor[Pair.CROSS]
+    return {
+        "logit0": logit0,
+        "nde": nde,
+        "nie": nie,
+        "te": nde + nie,
+        "probabilities": np.exp(-np.logaddexp(0.0, logit0[Pair.CROSS])),
+    }
+
+
+def chain_gaps(values, shifts) -> dict:
+    """|production - reference| of the curve fields and of both shifted
+    posterior logits of every pair, with the reference's magnitude."""
+    bundle = bundle_of(values)
+    # an overflow, a division by zero or a NaN raises; an underflow to 0 is the exact limit
+    with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
+        curve = sensitivity_curve(bundle, shifts)
+    ref = log_scale_chain(values, shifts)
+    gaps = {name: (getattr(curve, name), ref[name]) for name in ("nde", "nie", "te", "probabilities")}
+    for pair in Pair:
+        b0, b1 = bundle.outcome_parts(pair)
+        for y in (0, 1):
+            got = shifted_posterior_logit(bundle, np.asarray(shifts, dtype=float), y, pair)
+            gaps[f"logit{y} {pair.value}"] = (got, ref["logit0"][pair] + y * (b1 - b0))
+    for got, want in gaps.values():
+        assert np.all(np.isfinite(got))
+    return {name: (np.abs(got - want), np.abs(want)) for name, (got, want) in gaps.items()}
+
+
+def assert_within(gaps, atol=0.0, rtol=0.0):
+    for name, (gap, size) in gaps.items():
+        assert np.all(gap <= atol + rtol * size), f"{name}: gap {gap.max():.3g}"
+
+
+class TestProbabilityScaleChain:
+    """The probability-scale chain against the log-scale reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.floats(-40.0, 40.0), min_size=6, max_size=6),
+        st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=40),
+    )
+    def test_matches_the_log_scale_reference(self, values, shifts):
+        assert_within(chain_gaps(values, shifts), atol=1e-12)
+
+    def test_batch_broadcasts_a_shift_grid_against_the_rows(self):
+        rng = np.random.default_rng(13)
+        values = rng.uniform(-40.0, 40.0, size=(30, 6))
+        grid = np.linspace(-1e3, 1e3, 401)
+        curve = sensitivity_curve(PredictorBundle(values=values, cov=np.zeros((30, 6, 6))), grid[:, None])
+        for i, row in enumerate(values):
+            ref = log_scale_chain(row, grid)
+            for name in ("nde", "nie", "te", "probabilities"):
+                np.testing.assert_allclose(getattr(curve, name)[:, i], ref[name], rtol=0, atol=1e-12)
+
+    # (b_x0, b_xs0, b_x1, b_xs1, g_x, g_xs): mediator effects of +-600 with
+    # g = -+300, a mediator predictor of 800, and the same at shifts of +-1e6
+    EXTREMES = {
+        "delta 600, g -300": [0.0, 1.0, 600.0, 601.0, -300.0, -300.0],
+        "delta -600, g -300": [0.0, 1.0, -600.0, -599.0, -300.0, -300.0],
+        "delta 600, g 300": [0.0, 1.0, 600.0, 601.0, 300.0, 300.0],
+        "delta -600, g 300": [0.0, 1.0, -600.0, -599.0, 300.0, 300.0],
+        "delta -600, mixed g": [2.0, -3.0, -598.0, -303.0, 300.0, -300.0],
+        "g 800": [-4.2, -5.0, -2.9, -3.7, 800.0, 799.0],
+        "g 800, delta -600": [-4.2, -5.0, -604.2, -3.7, 800.0, 120.0],
+    }
+
+    @pytest.mark.parametrize("values", EXTREMES.values(), ids=EXTREMES.keys())
+    @pytest.mark.parametrize(
+        "shifts",
+        [np.linspace(-1e3, 1e3, 2001), np.array([-1e6, -1e5, 1e5, 1e6])],
+        ids=["shifts within 1e3", "shifts of 1e5 and 1e6"],
+    )
+    def test_extreme_bundles_are_finite_and_match_the_reference(self, values, shifts):
+        assert_within(chain_gaps(values, shifts), atol=1e-9, rtol=1e-9)
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({2: 710.0}, r"mediator effects up to 714\.162"),
+            ({1: -710.0, 3: 0.5}, r"mediator effects up to 710\.5"),
+            ({5: -800.0}, r"mediator predictors down to -800"),
+        ],
+    )
+    def test_past_the_domain_is_a_stated_error(self, derived_bundle, changes, message):
+        values = derived_bundle.values.copy()
+        for index, value in changes.items():
+            values[index] = value
+        batch = PredictorBundle(values=np.stack([derived_bundle.values, values]), cov=np.zeros((2, 6, 6)))
+        for bundle, rows in ((bundle_of(values), ""), (batch, " in row 1")):
+            for call in (point_effects, lambda b: sensitivity_curve(b, np.linspace(-5.0, 5.0, 11))):
+                with pytest.raises(ValueError, match=message + r".*" + rows + r"; the effect chain's domain"):
+                    call(bundle)
+
+    def test_a_chain_without_the_side_switch_fails(self, monkeypatch):
+        # the identity taken at l for either sign of delta: rho e^-min(delta, 0)
+        # is R, and expm1(delta) expit(l) cancels to -1 + tiny for delta << 0
+        def without_side_switch(rho, delta, g, out=None):
+            sigma = rho / (rho + np.exp(np.minimum(delta, 0.0) - g))
+            return np.log1p(np.expm1(delta) * sigma)
+
+        rng = np.random.default_rng(29)
+        typical = [(rng.uniform(-40.0, 40.0, size=6), rng.uniform(-1e3, 1e3, size=40)) for _ in range(20)]
+        extreme = (self.EXTREMES["delta -600, g 300"], np.linspace(-1e3, 1e3, 2001))
+        for values, shifts in [*typical, extreme]:
+            assert_within(chain_gaps(values, shifts), atol=1e-9)
+        monkeypatch.setattr(effects, "log_factor", without_side_switch)
+        for cases in (typical, [extreme]):
+            with pytest.raises((AssertionError, FloatingPointError)):
+                for values, shifts in cases:
+                    assert_within(chain_gaps(values, shifts), atol=1e-9)

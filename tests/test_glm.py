@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from medbounds import effects
+from medbounds import bounds
 from medbounds.errors import (
     IngestionError,
     MissingVariableError,
@@ -147,7 +147,8 @@ class TestSoftplus:
         assert np.isnan(softplus(np.nan))
 
     def test_is_the_softplus_of_the_effect_algebra(self):
-        assert effects.softplus is softplus
+        # the log-scale bound algebra; the effect chain runs on the probability scale
+        assert bounds.softplus is softplus
 
 
 class TestFitLogistic:
