@@ -35,8 +35,11 @@ from .effects import (
     PredictorBundle,
     combine_effects,
     effects_at,
+    effects_of,
     expit,
     failing_rows,
+    level_ratio,
+    pair_ratios,
     pair_terms,
     point_effects,
     scalar_or_array,
@@ -67,6 +70,7 @@ DELTA_EPS = 1e-10  # below this the mediator effect counts as degenerate
 # mediator) predictors, each (pair, 6)
 _D_Y0, _D_Y1, _D_G = np.eye(6)[PAIR_INDEX]
 _D_INPUTS = np.stack([_D_Y1 - _D_Y0, _D_G])  # of (delta, g), (2, pair, 6)
+_CROSS = list(Pair).index(Pair.CROSS)
 
 
 @dataclass(frozen=True)
@@ -147,7 +151,7 @@ def shifted_effects(bundle: PredictorBundle, shift: float | np.ndarray) -> Effec
     Reduces to ``point_effects`` at shift 0; for any finite shift each
     component stays inside the corresponding identification bound.
     """
-    return effects_at(bundle, shift)[0]
+    return effects_at(bundle, shift)
 
 
 def sensitivity_probability(bundle: PredictorBundle, shift: float | np.ndarray) -> float | np.ndarray:
@@ -156,8 +160,8 @@ def sensitivity_probability(bundle: PredictorBundle, shift: float | np.ndarray) 
     P(mediator stays 0 in the reference world | outcome 0 in the cross world);
     monotone in the shift whenever the mediator effect is nonzero.
     """
-    _, delta, g, rho = pair_terms(bundle, Pair.CROSS, shift)
-    return scalar_or_array(stay_probability(rho, delta, g))
+    _, b1, delta, g = pair_terms(bundle, Pair.CROSS)
+    return scalar_or_array(stay_probability(level_ratio(shift, b1, delta, g), delta, g))
 
 
 def sensitivity_probability_range(bundle: PredictorBundle) -> BoundPair:
@@ -236,5 +240,8 @@ def effect_bounds(bundle: PredictorBundle) -> EffectBounds:
 def sensitivity_curve(bundle: PredictorBundle, shifts) -> SensitivityCurve:
     """Trace shared-shift effects and the sensitivity probability on a grid."""
     shifts = np.asarray(shifts, dtype=float)
-    eff, probabilities = effects_at(bundle, shifts)
-    return SensitivityCurve(shifts, eff.nde, eff.nie, eff.te, probabilities)
+    y0, delta, g, rho = pair_ratios(bundle, shifts)
+    # the probability reads the CROSS ratios before the effects overwrite them
+    probabilities = stay_probability(rho[_CROSS], delta[_CROSS], g[_CROSS])
+    eff = effects_of(y0, delta, g, rho)
+    return SensitivityCurve(shifts, eff.nde, eff.nie, eff.te, scalar_or_array(probabilities))

@@ -235,39 +235,20 @@ def _float_width(col) -> int:
     return max(len("%.6f" % v) for v in [*np.unique(a[~finite]), *sides])
 
 
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_rows(table: dict, floats: list, n: int) -> str:
-    """``json.dumps`` of the list of row objects (indent 1, keys sorted), built
-    column by column: a float cell is its ``float.__repr__`` or JSON's NaN or
-    Infinity, and a label cell is ``json.dumps`` of it, once per distinct label."""
-    cols = {}
-    for (name, col), f in zip(table.items(), floats):
-        if f:
-            cols[name] = [_JSON_NONFINITE.get(text, text) for text in map(float.__repr__, col)]
-        else:
-            text = {label: json.dumps(label) for label in set(col)}
-            cols[name] = [text[label] for label in col]
-    names = sorted(cols)
-    row = " {\n" + ",\n".join(f"  {json.dumps(name).replace('%', '%%')}: %s" for name in names) + "\n }"
-    cells = itertools.chain.from_iterable(zip(*(cols[name] for name in names)))
-    return "[\n" + ",\n".join([row] * n) % tuple(cells) + "\n]\n"
-
-
 def _render(table: dict, fmt: str) -> str:
     """Format a column table (header -> list of cells, all of one length):
     float columns to 6 decimals in text and CSV, full precision in JSON.
 
-    Each format fills one row template with a single %-format over all
-    cells, so no row is built in Python.
+    Text and CSV fill one row template with a single %-format over all
+    cells, so no per-cell string is built in Python.
     """
     n = len(next(iter(table.values())))
     if not n:
         return ""
-    floats = [isinstance(col[0], float) for col in table.values()]
     if fmt == "json":
-        return _json_rows(table, floats, n)
+        rows = [dict(zip(table, row)) for row in zip(*table.values())]
+        return json.dumps(rows, indent=1, sort_keys=True) + "\n"
+    floats = [isinstance(col[0], float) for col in table.values()]
     cols = [col if f else list(map(str, col)) for col, f in zip(table.values(), floats)]
     if fmt == "csv":
         quoted = {text: _csv_field(text) for col, f in zip(cols, floats) if not f for text in set(col)}

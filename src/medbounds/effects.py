@@ -12,9 +12,11 @@ outcome-logit shift (see ``bounds``), on the probability scale: per outcome
 level the ratio R = (1 + e^(s+b0)) / (1 + e^(s+b1)) from positive terms only
 (``level_ratio``), per pair the log adjustment factor on the side where
 expm1 stays finite (``log_factor``), the sensitivity probability
-(``stay_probability``) and the NDE/NIE rule (``combine_effects``). Its
-domain is stated by ``MAX_EXPONENT``. The point estimates are the chain at
-shift 0, so they equal ``bounds.shifted_effects(bundle, 0.0)`` by
+(``stay_probability``) and the NDE/NIE rule (``nde_nie``, which
+``combine_effects`` applies to bound extremes). Its domain is stated by
+``MAX_EXPONENT``: |mediator effect| <= 709, while any finite mediator
+predictor and shift give finite numbers. The point estimates are the chain
+at shift 0, so they equal ``bounds.shifted_effects(bundle, 0.0)`` by
 construction.
 
 Independent routes check each part: the log-scale softplus chain, kept as
@@ -23,7 +25,7 @@ shifted posterior logits), factors, effects and sensitivity probability;
 the mediation formula (``scm.mediation_formula_logit``) every pair's factor
 at shift 0; exact enumeration (acceptance criterion 3) the point effects;
 and the log-scale bound algebra in ``bounds``, which shares only
-``combine_effects`` with this chain, contains every shifted effect.
+``nde_nie`` with this chain, contains every shifted effect.
 """
 
 from __future__ import annotations
@@ -48,9 +50,8 @@ __all__ = [
 ]
 
 
-# the effect chain forms e^|delta| of each mediator effect delta and e^-g of
-# each mediator predictor g, so its domain is |delta| <= 709 and g >= -709:
-# e^709 is near the top of float64
+# the effect chain forms e^|delta| of each mediator effect delta, so its
+# domain is |delta| <= 709: e^709 is near the top of float64
 MAX_EXPONENT = 709.0
 
 
@@ -222,33 +223,32 @@ def predictor_bundle(
     return PredictorBundle(values=values, cov=cov)
 
 
-_CROSS = list(Pair).index(Pair.CROSS)
-
-
-def _check_domain(delta, g, axis=()) -> None:
+def _check_domain(delta, axis=()) -> None:
     """Raise ValueError naming the rows in which (over ``axis`` as well) a
-    mediator effect or mediator predictor is past the chain's domain:
-    |delta| <= 709 and g >= -709, where e^|delta| and e^-g are finite."""
-    beyond = (np.abs(delta) > MAX_EXPONENT) | (g < -MAX_EXPONENT)
+    mediator effect is past the chain's domain |delta| <= 709, where
+    e^|delta| is finite."""
+    beyond = np.abs(delta) > MAX_EXPONENT
     if beyond.any():
         raise ValueError(
-            f"mediator effects up to {np.abs(delta).max():.6g} in magnitude and mediator "
-            f"predictors down to {g.min():.6g}{failing_rows(beyond.any(axis=axis))}; the effect "
-            f"chain's domain is |mediator effect| <= {MAX_EXPONENT:g} and mediator predictor "
-            f">= {-MAX_EXPONENT:g} (float64 overflow)"
+            f"mediator effects up to {np.abs(delta).max():.6g} in magnitude"
+            f"{failing_rows(beyond.any(axis=axis))}; the effect chain's domain is "
+            f"|mediator effect| <= {MAX_EXPONENT:g} (float64 overflow)"
         )
 
 
-def level_ratio(shift, b1, delta) -> np.ndarray:
-    """rho = R e^min(delta, 0) of an outcome level with m=1 outcome predictor
-    ``b1`` and mediator effect ``delta`` when the outcome logit carries
+def level_ratio(shift, b1, delta, g=0.0) -> np.ndarray:
+    """rho = R e^(min(delta, 0) + min(g, 0)) of an outcome level with m=1
+    outcome predictor ``b1``, mediator effect ``delta`` and mediator
+    predictor ``g`` (0 leaves out its scale) when the outcome logit carries
     ``shift``; elementwise, and an array also for a single value.
 
-    R = (1 + e^(s+b0)) / (1 + e^(s+b1)) lies between 1 and e^-delta, so rho
-    lies in [c, 1] with c = e^-|delta|: rho = c + (1 - c) n / (n + m) with
-    t = sign(delta) (s + b1), n = e^-max(t, 0) and m = e^min(t, 0). Only
-    positive terms are summed, one of n and m is 1, and e^(s+b1) is never
-    formed, so no shift overflows.
+    R = (1 + e^(s+b0)) / (1 + e^(s+b1)) lies between 1 and e^-delta, so
+    R e^min(delta, 0) lies in [c, 1] with c = e^-|delta|: it is
+    c + (1 - c) n / (n + m) with t = sign(delta) (s + b1), n = e^-max(t, 0)
+    and m = e^min(t, 0). Only positive terms are summed, one of n and m is 1,
+    and e^(s+b1) is never formed, so no shift overflows. The scale e^min(g, 0)
+    rides on the last two steps, and lets ``log_factor`` and
+    ``stay_probability`` add e^-max(g, 0) where e^-g would overflow.
     """
     # two buffers of the result's shape, updated in place: fresh temporaries
     # the size of a shift grid cost more than the arithmetic on them
@@ -259,24 +259,26 @@ def level_ratio(shift, b1, delta) -> np.ndarray:
     n = np.exp(np.minimum(np.negative(t, out=t), 0.0, out=t), out=t)
     m += n
     n /= m
-    n *= -np.expm1(-np.abs(delta))
-    n += np.exp(-np.abs(delta))
+    scale = np.exp(np.minimum(g, 0.0))
+    n *= -np.expm1(-np.abs(delta)) * scale
+    n += np.exp(-np.abs(delta)) * scale
     return n
 
 
 def log_factor(rho, delta, g, out=None) -> np.ndarray:
-    """Log mediator adjustment factor of a pair with ratio ``rho``, mediator
-    effect ``delta`` and mediator predictor ``g``; elementwise.
+    """Log mediator adjustment factor of a pair with ratio ``rho`` (from
+    ``level_ratio`` with its ``g``), mediator effect ``delta`` and mediator
+    predictor ``g``; elementwise.
 
     softplus(l + delta) - softplus(l) = log1p(expm1(delta) expit(l)) at the
     y=0 posterior logit l = g + log R. It is taken at l for delta >= 0, and at
     l + delta with the sign swapped for delta < 0, so that expm1 sees |delta|
     and stays finite: sign(delta) log1p(expm1|delta| sigma) with
-    sigma = expit(g + log rho) = rho / (rho + e^-g), as rho carries the
-    e^min(delta, 0) that switches the side. As for a ufunc, ``out`` may be
-    ``rho`` itself.
+    sigma = expit(l + min(delta, 0)) = rho / (rho + e^-max(g, 0)), as rho
+    carries the e^min(delta, 0) that switches the side and the e^min(g, 0)
+    that keeps the sum finite. As for a ufunc, ``out`` may be ``rho`` itself.
     """
-    den = np.add(rho, np.exp(-g), out=np.empty_like(rho))
+    den = np.add(rho, np.exp(-np.maximum(g, 0.0)), out=np.empty_like(rho))
     f = np.divide(rho, den, out=den if out is None else out)
     f *= np.expm1(np.abs(delta))
     np.log1p(f, out=f)
@@ -286,57 +288,69 @@ def log_factor(rho, delta, g, out=None) -> np.ndarray:
 
 def stay_probability(rho, delta, g) -> np.ndarray:
     """A pair's y=0 posterior probability of mediator 0, expit(-(g + log R)) =
-    1 / (1 + R e^g), from its ratio ``rho``; elementwise."""
-    w = np.exp(np.minimum(delta, 0.0) - g)
+    1 / (1 + R e^g) = w / (rho + w) with w = e^(min(delta, 0) - max(g, 0)),
+    from its ratio ``rho`` (``level_ratio`` with its ``g``); elementwise."""
+    w = np.exp(np.minimum(delta, 0.0) - np.maximum(g, 0.0))
     p = np.add(rho, w, out=np.empty_like(rho))
     return np.divide(w, p, out=p)
 
 
+def nde_nie(y0, first, second) -> tuple:
+    """(NDE, NIE) from per-pair m=0 outcome predictors y0 and log factors (or
+    their partials) in ``Pair`` order: NDE = base + cross - reference with
+    base = y0 cross - y0 reference, and NIE = active - cross, the added terms
+    read from ``first`` and the subtracted ones from ``second``."""
+    (y0_cross, _, y0_ref), (cross, active, _), (cross_second, _, ref) = y0, first, second
+    return y0_cross - y0_ref + cross - ref, active - cross_second
+
+
 def combine_effects(y0, lower, upper) -> tuple:
-    """(NDE lower, NDE upper, NIE lower, NIE upper) from per-pair m=0 outcome
-    predictors y0 and log-factor extremes (or their partials), in ``Pair`` order:
-    NDE = base + cross - reference, base = y0 cross - y0 reference; NIE = active - cross."""
-    (y0_cross, _, y0_ref), (cross_l, active_l, ref_l), (cross_u, active_u, ref_u) = y0, lower, upper
-    base = y0_cross - y0_ref
-    nde_l, nie_l = base + cross_l - ref_u, active_l - cross_u
-    if upper is lower:  # a point: the upper endpoints are the same numbers
-        return nde_l, nde_l, nie_l, nie_l
-    return nde_l, base + cross_u - ref_l, nie_l, active_u - cross_l
+    """(NDE lower, NDE upper, NIE lower, NIE upper) from per-pair log-factor
+    extremes (or their partials): a lower endpoint adds lower extremes and
+    subtracts upper ones."""
+    (nde_l, nie_l), (nde_u, nie_u) = nde_nie(y0, lower, upper), nde_nie(y0, upper, lower)
+    return nde_l, nde_u, nie_l, nie_u
 
 
-def effects_at(bundle: PredictorBundle, shift) -> tuple[EffectTriple, float | np.ndarray]:
-    """Effects when the outcome logit carries ``shift``, and the sensitivity
-    probability there (the CROSS pair's ``stay_probability``). An array of
-    shifts broadcasts against the bundle's rows.
-
-    Every pair's ratio and log factor run at once, on arrays with the pairs
-    on a leading axis in ``Pair`` order, and the log factors overwrite the
-    ratios: CROSS and ACTIVE read the same outcome level, but forming its
-    ratio once and copying it costs a third buffer, which was no faster and
-    raised the peak memory of a grid evaluation. A row whose mediator effect
-    or mediator predictor is past the chain's domain (``MAX_EXPONENT``)
-    raises ValueError.
+def pair_ratios(bundle: PredictorBundle, shift) -> tuple:
+    """(m=0 outcome predictor, mediator effect, mediator predictor, ratio) of
+    every pair when the outcome logit carries ``shift``, on a leading axis in
+    ``Pair`` order; an array of shifts broadcasts against the bundle's rows.
+    A row whose mediator effect is past the chain's domain (``MAX_EXPONENT``)
+    raises ValueError, and so does the whole batch.
     """
     y0, y1, g = bundle.values.T[PAIR_INDEX]  # each pair x rows
     delta = y1 - y0
-    _check_domain(delta, g, axis=0)
+    _check_domain(delta, axis=0)
     # unit axes after the pair axis, so that these broadcast against the shift as the rows do
     shape = y0.shape[:1] + (1,) * max(np.ndim(shift) - (y0.ndim - 1), 0) + y0.shape[1:]
     y0, y1, g, delta = (a.reshape(shape) for a in (y0, y1, g, delta))
-    ratios = level_ratio(shift, y1, delta)
-    probability = stay_probability(ratios[_CROSS], delta[_CROSS], g[_CROSS])
-    factors = log_factor(ratios, delta, g, out=ratios)
-    nde, _, nie, _ = combine_effects(y0, factors, factors)
-    return EffectTriple.from_parts(nde, nie), scalar_or_array(probability)
+    return y0, delta, g, level_ratio(shift, y1, delta, g)
 
 
-def pair_terms(bundle: PredictorBundle, pair: Pair, shift) -> tuple:
-    """(m=0 outcome predictor, mediator effect, mediator predictor, ratio) of
-    one pair, read through ``PAIR_COMPONENTS``; ValueError past the domain."""
+def effects_of(y0, delta, g, rho) -> EffectTriple:
+    """Effects from every pair's terms (``pair_ratios``). The log factors
+    overwrite the ratios ``rho``: CROSS and ACTIVE read the same outcome
+    level, but forming its ratio once and copying it costs a third grid
+    buffer, which was no faster and raised the peak memory of a curve."""
+    factors = log_factor(rho, delta, g, out=rho)
+    return EffectTriple.from_parts(*nde_nie(y0, factors, factors))
+
+
+def effects_at(bundle: PredictorBundle, shift) -> EffectTriple:
+    """Effects when the outcome logit carries ``shift``; an array of shifts
+    broadcasts against the bundle's rows."""
+    return effects_of(*pair_ratios(bundle, shift))
+
+
+def pair_terms(bundle: PredictorBundle, pair: Pair) -> tuple:
+    """(m=0 outcome predictor, m=1 outcome predictor, mediator effect,
+    mediator predictor) of one pair, read through ``PAIR_COMPONENTS``; a
+    mediator effect past the chain's domain raises ValueError."""
     (b0, b1), g = bundle.outcome_parts(pair), bundle.mediator_part(pair)
     delta = b1 - b0
-    _check_domain(delta, g)
-    return b0, delta, g, level_ratio(shift, b1, delta)
+    _check_domain(delta)
+    return b0, b1, delta, g
 
 
 def shifted_posterior_logit(
@@ -351,9 +365,9 @@ def shifted_posterior_logit(
     """
     if y not in (0, 1):
         raise ValueError("y must be 0 or 1")
-    _, delta, g, rho = pair_terms(bundle, pair, shift)
-    # g + log R, with log R = log rho - min(delta, 0)
-    return scalar_or_array(y * delta + g + np.log(rho) - np.minimum(delta, 0.0))
+    _, b1, delta, g = pair_terms(bundle, pair)
+    # g + log R, with log R = log rho - min(delta, 0) for the ratio without g's scale
+    return scalar_or_array(y * delta + g + np.log(level_ratio(shift, b1, delta)) - np.minimum(delta, 0.0))
 
 
 def mediator_posterior_logit(
@@ -374,10 +388,10 @@ def counterfactual_outcome_logit(bundle: PredictorBundle, pair: Pair = Pair.CROS
     For the single-world pairs this reduces to the logit of the observational
     outcome probability marginalized over the mediator.
     """
-    b0, delta, g, rho = pair_terms(bundle, pair, 0.0)
-    return scalar_or_array(b0 + log_factor(rho, delta, g))
+    b0, b1, delta, g = pair_terms(bundle, pair)
+    return scalar_or_array(b0 + log_factor(level_ratio(0.0, b1, delta, g), delta, g))
 
 
 def point_effects(bundle: PredictorBundle) -> EffectTriple:
     """Natural effects under the full identification assumption set."""
-    return effects_at(bundle, 0.0)[0]
+    return effects_at(bundle, 0.0)

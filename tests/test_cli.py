@@ -240,11 +240,6 @@ def test_render_matches_per_cell_formatting(values):
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(cells)
     assert cli._render(table, "csv") == buf.getvalue()
-    rows = [dict(zip(table, row)) for row in zip(*table.values())]
-    assert cli._render(table, "json") == json.dumps(rows, indent=1, sort_keys=True) + "\n"
-    assert cli._render({"a%s": values, **table}, "json") == json.dumps(
-        [{"a%s": v, **row} for v, row in zip(values, rows)], indent=1, sort_keys=True
-    ) + "\n"
 
 
 def test_readme_library_sketch_runs(tmp_path, monkeypatch):
@@ -256,6 +251,28 @@ def test_readme_library_sketch_runs(tmp_path, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         exec(compile(sketch, "README.md", "exec"), {})
+
+
+def injected_models(tmp_path):
+    """A hand-written models file (no fitting): coefficients injected directly."""
+    models = {
+        "columns": CONFIG["columns"],
+        "outcome": {
+            "role": "outcome",
+            "design": ["1", "x", "m", "bmi", "gender"],
+            "coefficients": [-3.925, 0.020, 1.250, -0.064, 0.587],
+            "covariance": np.zeros((5, 5)).tolist(),
+        },
+        "mediator": {
+            "role": "mediator",
+            "design": ["1", "x", "bmi", "gender"],
+            "coefficients": [0.418, 0.017, -0.098, 0.595],
+            "covariance": np.zeros((4, 4)).tolist(),
+        },
+    }
+    path = tmp_path / "models.json"
+    path.write_text(json.dumps(models))
+    return path
 
 
 class TestEffectsAndBounds:
@@ -296,24 +313,7 @@ class TestEffectsAndBounds:
                 assert r[f"{eff}_hi"] <= r[f"{eff}_ui_hi"]
 
     def test_injected_coefficients_reproduce_golden_bounds(self, tmp_path, capsys):
-        # hand-written models file (no fitting): coefficients injected directly
-        models = {
-            "columns": CONFIG["columns"],
-            "outcome": {
-                "role": "outcome",
-                "design": ["1", "x", "m", "bmi", "gender"],
-                "coefficients": [-3.925, 0.020, 1.250, -0.064, 0.587],
-                "covariance": np.zeros((5, 5)).tolist(),
-            },
-            "mediator": {
-                "role": "mediator",
-                "design": ["1", "x", "bmi", "gender"],
-                "coefficients": [0.418, 0.017, -0.098, 0.595],
-                "covariance": np.zeros((4, 4)).tolist(),
-            },
-        }
-        path = tmp_path / "models.json"
-        path.write_text(json.dumps(models))
+        path = injected_models(tmp_path)
         assert main(
             [
                 "curve",
@@ -330,6 +330,25 @@ class TestEffectsAndBounds:
         assert row["nde_hi"] == pytest.approx(1.0206, abs=5e-4)
         assert row["nie_lo"] == pytest.approx(-0.1216, abs=5e-4)
         assert row["nie_hi"] == pytest.approx(0.4068, abs=5e-4)
+
+    @pytest.mark.parametrize("command", ["effects", "bounds", "curve"])
+    def test_far_out_exposure_level_leaves_the_other_rows(self, tmp_path, capsys, command):
+        # at x = -5e4 the mediator predictor is about -850, so e^-g overflows
+        # float64: that row is finite and the x = 50 row is as computed alone
+        path = injected_models(tmp_path)
+        rows = {}
+        for levels in (["-50000", "50"], ["50"]):
+            argv = [command, "--models", str(path), "--x-star", "10", *PROFILE_FLAGS, "--format", "json"]
+            for x in levels:
+                argv += ["--x", x]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert main(argv) == 0
+            rows[len(levels)] = json.loads(capsys.readouterr().out)
+        far, near = rows[2]
+        assert near == rows[1][0]
+        assert far["x"] == -50000.0
+        assert all(np.isfinite(v) for v in far.values() if isinstance(v, float))
 
     def test_null_contrast_row(self, workdir, capsys):
         models = workdir / "models.json"

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medbounds import effects
+from medbounds import bounds, effects
 from medbounds.bounds import sensitivity_curve, shifted_posterior_logit
 from medbounds.effects import (
     PAIR_COMPONENTS,
@@ -289,7 +289,9 @@ class TestProbabilityScaleChain:
                 np.testing.assert_allclose(getattr(curve, name)[:, i], ref[name], rtol=0, atol=1e-12)
 
     # (b_x0, b_xs0, b_x1, b_xs1, g_x, g_xs): mediator effects of +-600 with
-    # g = -+300, a mediator predictor of 800, and the same at shifts of +-1e6
+    # g = -+300, mediator predictors of +-800 and of -712 with mediator
+    # effects of +-705 (e^-g overflows, but the factor is about +-9e-4 at
+    # one end of the shifts), and the same at shifts of +-1e6
     EXTREMES = {
         "delta 600, g -300": [0.0, 1.0, 600.0, 601.0, -300.0, -300.0],
         "delta -600, g -300": [0.0, 1.0, -600.0, -599.0, -300.0, -300.0],
@@ -298,6 +300,10 @@ class TestProbabilityScaleChain:
         "delta -600, mixed g": [2.0, -3.0, -598.0, -303.0, 300.0, -300.0],
         "g 800": [-4.2, -5.0, -2.9, -3.7, 800.0, 799.0],
         "g 800, delta -600": [-4.2, -5.0, -604.2, -3.7, 800.0, 120.0],
+        "g -800": [-4.2, -5.0, -2.9, -3.7, -800.0, -799.0],
+        "g -800 and 3": [-4.2, -5.0, 595.8, -3.7, -800.0, 3.0],
+        "g -712, delta 705": [0.0, 1.0, 705.0, 706.0, -712.0, -712.0],
+        "g -712, delta -705": [0.0, 1.0, -705.0, -704.0, -712.0, -712.0],
     }
 
     @pytest.mark.parametrize("values", EXTREMES.values(), ids=EXTREMES.keys())
@@ -314,13 +320,13 @@ class TestProbabilityScaleChain:
         [
             ({2: 710.0}, r"mediator effects up to 714\.162"),
             ({1: -710.0, 3: 0.5}, r"mediator effects up to 710\.5"),
-            ({5: -800.0}, r"mediator predictors down to -800"),
         ],
     )
     def test_past_the_domain_is_a_stated_error(self, derived_bundle, changes, message):
         values = derived_bundle.values.copy()
         for index, value in changes.items():
             values[index] = value
+        # a whole batch fails with its one row past the domain
         batch = PredictorBundle(values=np.stack([derived_bundle.values, values]), cov=np.zeros((2, 6, 6)))
         for bundle, rows in ((bundle_of(values), ""), (batch, " in row 1")):
             for call in (point_effects, lambda b: sensitivity_curve(b, np.linspace(-5.0, 5.0, 11))):
@@ -328,10 +334,11 @@ class TestProbabilityScaleChain:
                     call(bundle)
 
     def test_a_chain_without_the_side_switch_fails(self, monkeypatch):
-        # the identity taken at l for either sign of delta: rho e^-min(delta, 0)
-        # is R, and expm1(delta) expit(l) cancels to -1 + tiny for delta << 0
+        # the identity taken at l for either sign of delta: expit(l) =
+        # rho / (rho + e^(min(delta, 0) - max(g, 0))), and expm1(delta) expit(l)
+        # cancels to -1 + tiny for delta << 0
         def without_side_switch(rho, delta, g, out=None):
-            sigma = rho / (rho + np.exp(np.minimum(delta, 0.0) - g))
+            sigma = rho / (rho + np.exp(np.minimum(delta, 0.0) - np.maximum(g, 0.0)))
             return np.log1p(np.expm1(delta) * sigma)
 
         rng = np.random.default_rng(29)
@@ -344,3 +351,35 @@ class TestProbabilityScaleChain:
             with pytest.raises((AssertionError, FloatingPointError)):
                 for values, shifts in cases:
                     assert_within(chain_gaps(values, shifts), atol=1e-9)
+
+    def test_a_chain_that_forms_e_to_the_minus_g_fails(self, monkeypatch):
+        # the ratio without e^min(g, 0), and sigma = rho / (rho + e^-g): right
+        # in the typical range, but e^-g overflows to inf for g < -709, which
+        # sets the factor to 0 where it is about 9e-4 and the probability to NaN
+        real_ratio = effects.level_ratio
+
+        def unscaled(rho, delta, g, out=None):
+            with np.errstate(over="ignore"):
+                sigma = rho / (rho + np.exp(-g))
+            return np.sign(delta) * np.log1p(np.expm1(np.abs(delta)) * sigma)
+
+        def unscaled_probability(rho, delta, g):
+            with np.errstate(over="ignore", invalid="ignore"):
+                w = np.exp(np.minimum(delta, 0.0) - g)
+                return w / (rho + w)
+
+        rng = np.random.default_rng(31)
+        typical = [(rng.uniform(-40.0, 40.0, size=6), rng.uniform(-1e3, 1e3, size=40)) for _ in range(20)]
+        names = ("g -712, delta 705", "g -712, delta -705")
+        extreme = [(self.EXTREMES[name], np.linspace(-1e3, 1e3, 2001)) for name in names]
+        for values, shifts in [*typical, *extreme]:
+            assert_within(chain_gaps(values, shifts), atol=1e-9, rtol=1e-9)
+        monkeypatch.setattr(effects, "level_ratio", lambda shift, b1, delta, g=0.0: real_ratio(shift, b1, delta))
+        monkeypatch.setattr(effects, "log_factor", unscaled)
+        monkeypatch.setattr(effects, "stay_probability", unscaled_probability)
+        monkeypatch.setattr(bounds, "stay_probability", unscaled_probability)
+        for values, shifts in typical:
+            assert_within(chain_gaps(values, shifts), atol=1e-9, rtol=1e-9)
+        for values, shifts in extreme:
+            with pytest.raises(AssertionError):
+                assert_within(chain_gaps(values, shifts), atol=1e-9, rtol=1e-9)
