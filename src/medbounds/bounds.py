@@ -34,17 +34,17 @@ from .effects import (
     Pair,
     PredictorBundle,
     combine_effects,
+    effect_chain,
     effects_at,
-    effects_of,
     expit,
     failing_rows,
-    level_ratio,
-    pair_ratios,
+    pair_ratio_at,
     pair_terms,
     point_effects,
     scalar_or_array,
     shifted_posterior_logit,
     stay_probability,
+    stay_weight,
 )
 from .errors import DegenerateMediatorError, DegenerateMediatorWarning
 from .glm import softplus
@@ -70,7 +70,6 @@ DELTA_EPS = 1e-10  # below this the mediator effect counts as degenerate
 # mediator) predictors, each (pair, 6)
 _D_Y0, _D_Y1, _D_G = np.eye(6)[PAIR_INDEX]
 _D_INPUTS = np.stack([_D_Y1 - _D_Y0, _D_G])  # of (delta, g), (2, pair, 6)
-_CROSS = list(Pair).index(Pair.CROSS)
 
 
 @dataclass(frozen=True)
@@ -161,7 +160,8 @@ def sensitivity_probability(bundle: PredictorBundle, shift: float | np.ndarray) 
     monotone in the shift whenever the mediator effect is nonzero.
     """
     _, b1, delta, g = pair_terms(bundle, Pair.CROSS)
-    return scalar_or_array(stay_probability(level_ratio(shift, b1, delta, g), delta, g))
+    rho = pair_ratio_at(shift, b1, delta, g)
+    return scalar_or_array(stay_probability(rho, stay_weight(delta, g), out=rho))
 
 
 def sensitivity_probability_range(bundle: PredictorBundle) -> BoundPair:
@@ -238,10 +238,12 @@ def effect_bounds(bundle: PredictorBundle) -> EffectBounds:
 
 
 def sensitivity_curve(bundle: PredictorBundle, shifts) -> SensitivityCurve:
-    """Trace shared-shift effects and the sensitivity probability on a grid."""
+    """Trace shared-shift effects and the sensitivity probability on a grid.
+
+    One pass of ``effects.effect_chain`` over blocks of the grid: 4 ``exp``
+    and 3 ``log1p`` passes over the shifts, and the four fields are views of
+    its one output array.
+    """
     shifts = np.asarray(shifts, dtype=float)
-    y0, delta, g, rho = pair_ratios(bundle, shifts)
-    # the probability reads the CROSS ratios before the effects overwrite them
-    probabilities = stay_probability(rho[_CROSS], delta[_CROSS], g[_CROSS])
-    eff = effects_of(y0, delta, g, rho)
-    return SensitivityCurve(shifts, eff.nde, eff.nie, eff.te, scalar_or_array(probabilities))
+    nde, nie, te, probabilities = (scalar_or_array(x) for x in effect_chain(bundle, shifts, probability=True))
+    return SensitivityCurve(shifts, nde, nie, te, probabilities)

@@ -9,15 +9,19 @@ its estimator, in a fixed component order; ``PAIR_COMPONENTS`` maps each
 
 This module holds the one chain from a bundle to the effects at an
 outcome-logit shift (see ``bounds``), on the probability scale: per outcome
-level the ratio R = (1 + e^(s+b0)) / (1 + e^(s+b1)) from positive terms only
-(``level_ratio``), per pair the log adjustment factor on the side where
-expm1 stays finite (``log_factor``), the sensitivity probability
-(``stay_probability``) and the NDE/NIE rule (``nde_nie``, which
-``combine_effects`` applies to bound extremes). Its domain is stated by
+level the core of the ratio R = (1 + e^(s+b0)) / (1 + e^(s+b1)) from
+positive terms only (``ratio_core``), shared by CROSS and ACTIVE; per pair
+its ratio (``pair_ratio``), the log adjustment factor on the side where
+expm1 stays finite (``log_factor``) and the sensitivity probability
+(``stay_probability``); and the NDE/NIE rule (``nde_nie``, which
+``combine_effects`` applies to bound extremes). ``effect_chain`` forms the
+coefficients of all pairs once per call (``ratio_scales``, ``factor_terms``,
+``stay_weight``) and runs a shift grid in cache-sized blocks of ``BLOCK``
+elements; a batch of rows is one block. Its domain is stated by
 ``MAX_EXPONENT``: |mediator effect| <= 709, while any finite mediator
 predictor and shift give finite numbers. The point estimates are the chain
-at shift 0, so they equal ``bounds.shifted_effects(bundle, 0.0)`` by
-construction.
+at shift 0, a block of one, so they equal
+``bounds.shifted_effects(bundle, 0.0)`` by construction.
 
 Independent routes check each part: the log-scale softplus chain, kept as
 the test reference in ``tests/test_effects.py``, the ratios (through the
@@ -31,6 +35,7 @@ and the log-scale bound algebra in ``bounds``, which shares only
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -53,6 +58,10 @@ __all__ = [
 # the effect chain forms e^|delta| of each mediator effect delta, so its
 # domain is |delta| <= 709: e^709 is near the top of float64
 MAX_EXPONENT = 709.0
+# elements per block of the effect chain: its three-row block buffer and the
+# blocks of its outputs stay in a per-core L2 cache, where grid-sized
+# buffers (800 KB each at 100,001 shifts) did not
+BLOCK = 16_384
 
 
 def expit(z: float | np.ndarray) -> float | np.ndarray:
@@ -118,6 +127,13 @@ PAIR_COMPONENTS = {
 # The same per pair in ``Pair`` order: ``values.T[PAIR_INDEX]`` is (m=0
 # outcome, m=1 outcome, mediator) x pair x rows
 PAIR_INDEX = np.array([PAIR_COMPONENTS[pair] for pair in Pair]).T
+_CROSS, _REFERENCE = (list(Pair).index(pair) for pair in (Pair.CROSS, Pair.REFERENCE))
+# Pairs with the same (m=0, m=1) outcome components share an outcome level
+# (CROSS and ACTIVE): LEVEL_PAIRS holds one pair of each level and
+# PAIR_LEVEL each pair's level, so ``x[LEVEL_PAIRS][PAIR_LEVEL]`` reads
+# every pair's outcome level
+_, LEVEL_PAIRS, PAIR_LEVEL = np.unique(PAIR_INDEX[:2].T, axis=0, return_index=True, return_inverse=True)
+PAIR_LEVEL = PAIR_LEVEL.ravel()
 
 
 @dataclass(frozen=True)
@@ -236,39 +252,75 @@ def _check_domain(delta, axis=()) -> None:
         )
 
 
-def level_ratio(shift, b1, delta, g=0.0) -> np.ndarray:
-    """rho = R e^(min(delta, 0) + min(g, 0)) of an outcome level with m=1
-    outcome predictor ``b1``, mediator effect ``delta`` and mediator
-    predictor ``g`` (0 leaves out its scale) when the outcome logit carries
-    ``shift``; elementwise, and an array also for a single value.
+def ratio_core(shift, b1, side, out=None, spare=None) -> np.ndarray:
+    """kappa = n / (n + m) of an outcome level with m=1 outcome predictor
+    ``b1`` and ``side`` = copysign(1, delta) of its mediator effect delta,
+    when the outcome logit carries ``shift``, with t = side (s + b1),
+    n = e^-max(t, 0) and m = e^min(t, 0); elementwise, and an array also for
+    a single value.
 
-    R = (1 + e^(s+b0)) / (1 + e^(s+b1)) lies between 1 and e^-delta, so
-    R e^min(delta, 0) lies in [c, 1] with c = e^-|delta|: it is
-    c + (1 - c) n / (n + m) with t = sign(delta) (s + b1), n = e^-max(t, 0)
-    and m = e^min(t, 0). Only positive terms are summed, one of n and m is 1,
-    and e^(s+b1) is never formed, so no shift overflows. The scale e^min(g, 0)
-    rides on the last two steps, and lets ``log_factor`` and
-    ``stay_probability`` add e^-max(g, 0) where e^-g would overflow.
+    The level's ratio R = (1 + e^(s+b0)) / (1 + e^(s+b1)) lies between 1 and
+    e^-delta, so R e^min(delta, 0) lies in [c, 1] with c = e^-|delta|: it is
+    c + (1 - c) kappa (``pair_ratio``). Only positive terms are summed, one of
+    n and m is 1, and e^(s+b1) is never formed, so no shift overflows. The
+    result goes to ``out`` and ``spare`` is overwritten, both buffers of the
+    result's shape, or fresh ones if not given.
     """
-    # two buffers of the result's shape, updated in place: fresh temporaries
-    # the size of a shift grid cost more than the arithmetic on them
-    t = np.asarray(shift + b1)
-    t *= np.copysign(1.0, delta)
-    m = np.minimum(t, 0.0, out=np.empty_like(t))
+    if out is None:
+        out = np.empty(np.broadcast_shapes(np.shape(shift), np.shape(b1)))
+    t = np.add(shift, b1, out=out)
+    t *= side
+    m = np.minimum(t, 0.0, out=np.empty_like(t) if spare is None else spare)
     np.exp(m, out=m)
     n = np.exp(np.minimum(np.negative(t, out=t), 0.0, out=t), out=t)
     m += n
     n /= m
-    scale = np.exp(np.minimum(g, 0.0))
-    n *= -np.expm1(-np.abs(delta)) * scale
-    n += np.exp(-np.abs(delta)) * scale
     return n
 
 
-def log_factor(rho, delta, g, out=None) -> np.ndarray:
-    """Log mediator adjustment factor of a pair with ratio ``rho`` (from
-    ``level_ratio`` with its ``g``), mediator effect ``delta`` and mediator
-    predictor ``g``; elementwise.
+def ratio_scales(delta, g) -> tuple:
+    """(a, c) of pairs with mediator effect ``delta`` and mediator predictor
+    ``g`` (0 leaves out its scale), so that a pair's ratio is
+    rho = a kappa + c = R e^(min(delta, 0) + min(g, 0)): a = (1 - e^-|delta|) e^min(g, 0)
+    and c = e^-|delta| e^min(g, 0). The scale e^min(g, 0) lets ``log_factor``
+    and ``stay_probability`` add e^-max(g, 0) where e^-g would overflow."""
+    scale = np.exp(np.minimum(g, 0.0))
+    return -np.expm1(-np.abs(delta)) * scale, np.exp(-np.abs(delta)) * scale
+
+
+def factor_terms(delta, g) -> tuple:
+    """(sign(delta), e^-max(g, 0), expm1|delta|) of pairs with mediator effect
+    ``delta`` and mediator predictor ``g``: the terms of ``log_factor``."""
+    return np.sign(delta), np.exp(-np.maximum(g, 0.0)), np.expm1(np.abs(delta))
+
+
+def stay_weight(delta, g):
+    """w = e^(min(delta, 0) - max(g, 0)) of pairs with mediator effect
+    ``delta`` and mediator predictor ``g``: the term of ``stay_probability``."""
+    return np.exp(np.minimum(delta, 0.0) - np.maximum(g, 0.0))
+
+
+def pair_ratio(kappa, scales, out) -> np.ndarray:
+    """A pair's ratio rho = a kappa + c from its outcome level's ``kappa``
+    (``ratio_core``) and its ``scales`` (a, c) (``ratio_scales``), into
+    ``out``, which may be ``kappa`` itself."""
+    a, c = scales
+    rho = np.multiply(kappa, a, out=out)
+    rho += c
+    return rho
+
+
+def pair_ratio_at(shift, b1, delta, g) -> np.ndarray:
+    """One pair's ratio rho at ``shift``, outside the blocked chain, from its
+    m=1 outcome predictor, mediator effect and mediator predictor."""
+    kappa = ratio_core(shift, b1, np.copysign(1.0, delta))
+    return pair_ratio(kappa, ratio_scales(delta, g), out=kappa)
+
+
+def log_factor(rho, terms, spare=None) -> np.ndarray:
+    """Log mediator adjustment factor of a pair with ratio ``rho``
+    (``pair_ratio``) and its ``factor_terms``; elementwise, in place of
+    ``rho``, with ``spare`` a buffer of its shape or a fresh one.
 
     softplus(l + delta) - softplus(l) = log1p(expm1(delta) expit(l)) at the
     y=0 posterior logit l = g + log R. It is taken at l for delta >= 0, and at
@@ -276,71 +328,105 @@ def log_factor(rho, delta, g, out=None) -> np.ndarray:
     and stays finite: sign(delta) log1p(expm1|delta| sigma) with
     sigma = expit(l + min(delta, 0)) = rho / (rho + e^-max(g, 0)), as rho
     carries the e^min(delta, 0) that switches the side and the e^min(g, 0)
-    that keeps the sum finite. As for a ufunc, ``out`` may be ``rho`` itself.
+    that keeps the sum finite.
     """
-    den = np.add(rho, np.exp(-np.maximum(g, 0.0)), out=np.empty_like(rho))
-    f = np.divide(rho, den, out=den if out is None else out)
-    f *= np.expm1(np.abs(delta))
+    sign, lift, gain = terms
+    den = np.add(rho, lift, out=np.empty_like(rho) if spare is None else spare)
+    f = np.divide(rho, den, out=rho)
+    f *= gain
     np.log1p(f, out=f)
-    f *= np.sign(delta)
+    f *= sign
     return f
 
 
-def stay_probability(rho, delta, g) -> np.ndarray:
+def stay_probability(rho, w, out) -> np.ndarray:
     """A pair's y=0 posterior probability of mediator 0, expit(-(g + log R)) =
-    1 / (1 + R e^g) = w / (rho + w) with w = e^(min(delta, 0) - max(g, 0)),
-    from its ratio ``rho`` (``level_ratio`` with its ``g``); elementwise."""
-    w = np.exp(np.minimum(delta, 0.0) - np.maximum(g, 0.0))
-    p = np.add(rho, w, out=np.empty_like(rho))
+    1 / (1 + R e^g) = w / (rho + w), from its ratio ``rho`` (``pair_ratio``)
+    and ``stay_weight`` w, into ``out``, which may be ``rho`` itself."""
+    p = np.add(rho, w, out=out)
     return np.divide(w, p, out=p)
 
 
-def nde_nie(y0, first, second) -> tuple:
-    """(NDE, NIE) from per-pair m=0 outcome predictors y0 and log factors (or
-    their partials) in ``Pair`` order: NDE = base + cross - reference with
-    base = y0 cross - y0 reference, and NIE = active - cross, the added terms
-    read from ``first`` and the subtracted ones from ``second``."""
-    (y0_cross, _, y0_ref), (cross, active, _), (cross_second, _, ref) = y0, first, second
-    return y0_cross - y0_ref + cross - ref, active - cross_second
+def nde_nie(base, first, second, out=(None, None)) -> tuple:
+    """(NDE, NIE) from the NDE base (m=0 outcome predictor of CROSS minus
+    that of REFERENCE) and per-pair log factors (or their partials) in
+    ``Pair`` order: NDE = base + cross - reference and NIE = active - cross,
+    the added terms read from ``first`` and the subtracted ones from
+    ``second``. The NIE is formed first, so ``out`` (NDE, NIE) may be the
+    CROSS and ACTIVE arrays of ``first``."""
+    (cross, active, _), (cross_second, _, ref) = first, second
+    nie = np.subtract(active, cross_second, out=out[1])
+    nde = np.add(base, cross, out=out[0])
+    nde -= ref
+    return nde, nie
 
 
 def combine_effects(y0, lower, upper) -> tuple:
-    """(NDE lower, NDE upper, NIE lower, NIE upper) from per-pair log-factor
-    extremes (or their partials): a lower endpoint adds lower extremes and
-    subtracts upper ones."""
-    (nde_l, nie_l), (nde_u, nie_u) = nde_nie(y0, lower, upper), nde_nie(y0, upper, lower)
+    """(NDE lower, NDE upper, NIE lower, NIE upper) from per-pair m=0 outcome
+    predictors y0 and log-factor extremes (or their partials), in ``Pair``
+    order: a lower endpoint adds lower extremes and subtracts upper ones."""
+    base = y0[_CROSS] - y0[_REFERENCE]
+    (nde_l, nie_l), (nde_u, nie_u) = nde_nie(base, lower, upper), nde_nie(base, upper, lower)
     return nde_l, nde_u, nie_l, nie_u
 
 
-def pair_ratios(bundle: PredictorBundle, shift) -> tuple:
-    """(m=0 outcome predictor, mediator effect, mediator predictor, ratio) of
-    every pair when the outcome logit carries ``shift``, on a leading axis in
-    ``Pair`` order; an array of shifts broadcasts against the bundle's rows.
-    A row whose mediator effect is past the chain's domain (``MAX_EXPONENT``)
-    raises ValueError, and so does the whole batch.
+def effect_chain(bundle: PredictorBundle, shift, probability: bool = False) -> np.ndarray:
+    """NDE, NIE and TE, and with ``probability`` the sensitivity probability,
+    when the outcome logit carries ``shift``, stacked on a leading axis; an
+    array of shifts broadcasts against the bundle's rows. A row whose
+    mediator effect is past the chain's domain (``MAX_EXPONENT``) raises
+    ValueError, and so does the whole batch.
+
+    Each coefficient of all pairs, and the NDE base, is formed once per call
+    as one (pair, ...) array. A shift grid then runs in blocks of about
+    ``BLOCK`` elements along its leading axis: per block the ``ratio_core``
+    of each outcome level (``LEVEL_PAIRS``), each pair's ratio from its
+    level's core, the log factors of all pairs at once, and the NDE/NIE
+    rule, written into the block of one preallocated output. A batch of rows
+    runs as one block, as its terms run along that axis, and a scalar shift
+    on a single bundle is a block of one.
     """
-    y0, y1, g = bundle.values.T[PAIR_INDEX]  # each pair x rows
-    delta = y1 - y0
+    parts = bundle.values.T[PAIR_INDEX]  # (m=0, m=1, mediator) x pair x rows
+    delta = parts[1] - parts[0]
     _check_domain(delta, axis=0)
-    # unit axes after the pair axis, so that these broadcast against the shift as the rows do
-    shape = y0.shape[:1] + (1,) * max(np.ndim(shift) - (y0.ndim - 1), 0) + y0.shape[1:]
-    y0, y1, g, delta = (a.reshape(shape) for a in (y0, y1, g, delta))
-    return y0, delta, g, level_ratio(shift, y1, delta, g)
+    shift = np.asarray(shift, dtype=float)
+    rows = delta.shape[1:]
+    shape = np.broadcast_shapes(shift.shape, rows)
+    # unit axes after the pair axis, so that the terms broadcast against the
+    # shift as the rows do, with at least the one axis the blocks run along
+    lead = (1,) * (max(len(shape), 1) - len(rows))
+    y0, y1, g = parts.reshape(parts.shape[:2] + lead + rows)
+    delta = delta.reshape(delta.shape[:1] + lead + rows)
+    b1, side = y1[LEVEL_PAIRS], np.copysign(1.0, delta[LEVEL_PAIRS])
+    (a, c), terms = ratio_scales(delta, g), factor_terms(delta, g)
+    base = y0[_CROSS] - y0[_REFERENCE]
+    w = stay_weight(delta[_CROSS], g[_CROSS]) if probability else None
 
-
-def effects_of(y0, delta, g, rho) -> EffectTriple:
-    """Effects from every pair's terms (``pair_ratios``). The log factors
-    overwrite the ratios ``rho``: CROSS and ACTIVE read the same outcome
-    level, but forming its ratio once and copying it costs a third grid
-    buffer, which was no faster and raised the peak memory of a curve."""
-    factors = log_factor(rho, delta, g, out=rho)
-    return EffectTriple.from_parts(*nde_nie(y0, factors, factors))
+    out = np.empty((4 if probability else 3,) + (shape or (1,)))
+    n = out.shape[1]
+    step = n if base.shape[0] > 1 else max(1, BLOCK // max(math.prod(out.shape[2:]), 1))
+    spare = np.empty((len(Pair), min(step, n)) + out.shape[2:])
+    shift_along = shift.ndim == out.ndim - 1 and shift.shape[0] > 1
+    for start in range(0, n, step):
+        block = slice(start, start + step)
+        nde, nie, te = effects = out[:3, block]  # also the block's scratch
+        rho = spare[:, : len(nde)]  # one row per pair, in ``Pair`` order
+        kappa = ratio_core(shift[block] if shift_along else shift, b1, side, out=effects[:2], spare=rho[:2])
+        for pair, level in enumerate(PAIR_LEVEL):
+            pair_ratio(kappa[level], (a[pair], c[pair]), out=rho[pair])
+        if probability:
+            stay_probability(rho[_CROSS], w, out=out[3, block])
+        factors = log_factor(rho, terms, spare=effects)
+        nde_nie(base, factors, factors, out=(nde, nie))
+        np.add(nde, nie, out=te)
+    return out.reshape(out.shape[:1] + shape)
 
 
 def effects_at(bundle: PredictorBundle, shift) -> EffectTriple:
     """Effects when the outcome logit carries ``shift``; an array of shifts
     broadcasts against the bundle's rows."""
-    return effects_of(*pair_ratios(bundle, shift))
+    nde, nie, te = (scalar_or_array(x) for x in effect_chain(bundle, shift))
+    return EffectTriple(nde=nde, nie=nie, te=te)
 
 
 def pair_terms(bundle: PredictorBundle, pair: Pair) -> tuple:
@@ -367,7 +453,8 @@ def shifted_posterior_logit(
         raise ValueError("y must be 0 or 1")
     _, b1, delta, g = pair_terms(bundle, pair)
     # g + log R, with log R = log rho - min(delta, 0) for the ratio without g's scale
-    return scalar_or_array(y * delta + g + np.log(level_ratio(shift, b1, delta)) - np.minimum(delta, 0.0))
+    rho = pair_ratio_at(shift, b1, delta, 0.0)
+    return scalar_or_array(y * delta + g + np.log(rho) - np.minimum(delta, 0.0))
 
 
 def mediator_posterior_logit(
@@ -389,7 +476,7 @@ def counterfactual_outcome_logit(bundle: PredictorBundle, pair: Pair = Pair.CROS
     outcome probability marginalized over the mediator.
     """
     b0, b1, delta, g = pair_terms(bundle, pair)
-    return scalar_or_array(b0 + log_factor(level_ratio(0.0, b1, delta, g), delta, g))
+    return scalar_or_array(b0 + log_factor(pair_ratio_at(0.0, b1, delta, g), factor_terms(delta, g)))
 
 
 def point_effects(bundle: PredictorBundle) -> EffectTriple:

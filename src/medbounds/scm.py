@@ -293,34 +293,57 @@ def sample_dataset(scm: StructuralModel, n: int, seed: int) -> Dataset:
 
 # e^709 is the largest whole power of e inside float64 (whose top is about e^709.78)
 _MAX_EXPONENT = 709.0
+# shifts per block of the sweep: its four block buffers (512 KB) stay in a
+# per-core L2 cache, where grid-sized buffers (800 KB each at 100,001 points) did not
+_BLOCK = 16_384
 
 
-def _factor_extrema(shifts: np.ndarray, b0: float, b1: float, g: float) -> tuple[float, float]:
-    """Min/max over a shift grid of one pair's log mediator-adjustment factor.
+def _factor_extrema(shifts: np.ndarray, pairs) -> np.ndarray:
+    """Min and max over a shift grid of each pair's log mediator-adjustment
+    factor, (pair, 2) for pairs of (b0, b1, g).
 
     The factor is log[(1 + e^{t1}) / (1 + e^{t0})] where
     t0 = log(1+e^{s+b0}) - log(1+e^{s+b1}) + g and t1 = t0 + (b1 - b0),
     evaluated at every shift s of the grid. It runs on the probability
-    scale, where e^{t0} = R e^g and e^{t1} = R e^{g+b1-b0} with
-    R = (1 + e^s e^{b0}) / (1 + e^s e^{b1}): one ``exp`` and one ``log`` pass
-    over the grid, and no function (no softplus, no ``logaddexp``) shared
-    with the log-scale bound algebra it checks. ``sweep_bounds`` states the
-    domain in which none of its exponentials overflows.
+    scale, where e^{t0} = R c0 and e^{t1} = R c1 with c0 = e^g,
+    c1 = e^{g+b1-b0} and R = (1 + e^s e^{b0}) / (1 + e^s e^{b1}). The grid
+    runs in blocks of ``_BLOCK`` shifts: e^s once per block for all pairs, R
+    once per block for the pairs that share an outcome level (b0, b1), then
+    each pair's ratio (1 + R c1) / (1 + R c0) and its running min and max.
+    As log is increasing, the log of the extreme ratios is the extreme
+    factors. That is one ``exp`` pass over the grid and no ``log`` pass, and
+    no function (no softplus, no ``logaddexp``) shared with the log-scale
+    bound algebra it checks. ``sweep_bounds`` states the domain in which
+    none of its exponentials overflows.
     """
-    # two grid-sized buffers updated in place: fresh temporaries of this
-    # size cost more than the arithmetic on them
-    r = np.exp(shifts)
-    d = np.exp(b1) * r
-    d += 1.0
-    r *= np.exp(b0)
-    r += 1.0
-    r /= d  # R
-    np.multiply(r, np.exp(g), out=d)
-    d += 1.0  # 1 + e^{t0}
-    r *= np.exp(g + b1 - b0)
-    r += 1.0  # 1 + e^{t1}
-    f = np.log(np.divide(r, d, out=r), out=r)
-    return float(f.min()), float(f.max())
+    # e^{b0} and e^{b1} per outcome level, and (pair index, c0, c1) of each
+    # pair on it, formed once per call
+    levels = {}
+    for i, (b0, b1, g) in enumerate(pairs):
+        if (b0, b1) not in levels:
+            levels[b0, b1] = (np.exp(b0), np.exp(b1), [])
+        levels[b0, b1][2].append((i, np.exp(g), np.exp(g + b1 - b0)))
+    extremes = np.array([[np.inf, -np.inf]] * len(pairs))
+    # four block buffers updated in place: fresh temporaries cost more than
+    # the arithmetic on them
+    u, r, d, q = np.empty((4, min(_BLOCK, shifts.size)))
+    for start in range(0, shifts.size, _BLOCK):
+        k = min(_BLOCK, shifts.size - start)
+        e_s = np.exp(shifts[start : start + k], out=u[:k])
+        for e0, e1, on_level in levels.values():
+            den = np.multiply(e_s, e1, out=d[:k])
+            den += 1.0
+            ratio = np.multiply(e_s, e0, out=r[:k])
+            ratio += 1.0
+            ratio /= den  # R
+            for i, c0, c1 in on_level:
+                np.multiply(ratio, c0, out=den)
+                den += 1.0  # 1 + e^{t0}
+                f = np.multiply(ratio, c1, out=q[:k])
+                f += 1.0  # 1 + e^{t1}
+                f /= den
+                extremes[i] = min(extremes[i, 0], f.min()), max(extremes[i, 1], f.max())
+    return np.log(extremes)
 
 
 def sweep_bounds(
@@ -335,7 +358,9 @@ def sweep_bounds(
     each factor sweeps its full admissible range as its own shift runs over
     the grid, so taking factor extremes on the grid and recombining them
     recovers the bounds without touching the closed-form algebra. Returns
-    an EffectBounds-shaped object.
+    an EffectBounds-shaped object. The factor extremes come from
+    ``_factor_extrema`` in blocks of the grid, so the grid is the only
+    grid-sized array the sweep allocates.
 
     The sweep exponentiates on the probability scale, so it has a stated
     domain: the largest grid shift (or 0, if larger) plus the largest outcome
@@ -357,8 +382,7 @@ def sweep_bounds(
             f"sweep_bounds forms exponents up to {reach:.6g} on this bundle and grid; "
             f"its domain ends at {_MAX_EXPONENT:g} (float64 overflow)"
         )
-    shifts = np.linspace(lo, hi, points)
-    cross, active, reference = (_factor_extrema(shifts, *pair) for pair in pairs)
+    cross, active, reference = _factor_extrema(np.linspace(lo, hi, points), pairs)
 
     base = b_x0 - b_xs0
     nde = BoundPair(base + cross[0] - reference[1], base + cross[1] - reference[0])

@@ -29,3 +29,23 @@ def random_bundles(seed: int, count: int):
     rng = np.random.default_rng(seed)
     for _ in range(count):
         yield random_bundle(rng)
+
+
+def counted_elements(monkeypatch, *names: str) -> dict:
+    """Wrap each named numpy function so that it adds the size of every
+    result to the returned dict; totals // grid size are passes over a grid."""
+    elements = dict.fromkeys(names, 0)
+
+    def counting(name):
+        real = getattr(np, name)
+
+        def call(*args, **kwargs):
+            out = real(*args, **kwargs)
+            elements[name] += np.size(out)
+            return out
+
+        return call
+
+    for name in names:
+        monkeypatch.setattr(np, name, counting(name))
+    return elements

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from medbounds import effects
 from medbounds.bounds import (
     BoundPair,
     effect_bounds,
@@ -21,7 +23,7 @@ from medbounds.errors import DegenerateMediatorError, DegenerateMediatorWarning
 from medbounds.scm import sweep_bounds
 from medbounds.uncertainty import bound_covariance, bounds_jacobian
 
-from conftest import random_bundles
+from conftest import counted_elements, random_bundles
 
 theta_component = st.floats(-6.0, 6.0, allow_nan=False)
 theta_vectors = st.lists(theta_component, min_size=6, max_size=6).map(np.array)
@@ -351,27 +353,70 @@ class TestSensitivityCurve:
         sensitivity_curve(derived_bundle, grid)
         assert 0 < len(passes) <= 10
 
-    def test_six_exp_and_three_log1p_passes_over_the_shifts(self, derived_bundle, monkeypatch):
+    def test_four_exp_and_three_log1p_passes_over_the_shifts(self, derived_bundle, monkeypatch):
         # the probability-scale chain: e^min(t, 0) and e^-max(t, 0) of each
-        # pair's ratio (3 x 2 passes), then one log1p per pair (3 passes);
-        # a pass is one grid's worth of elements, counted over every call
-        grid = np.linspace(-30.0, 30.0, 1001)
-        passes = {"exp": 0, "log1p": 0}
-
-        def counting(name):
-            real = getattr(np, name)
-
-            def call(*args, **kwargs):
-                out = real(*args, **kwargs)
-                passes[name] += np.size(out) // grid.size
-                return out
-
-            return call
-
-        for name in passes:
-            monkeypatch.setattr(np, name, counting(name))
+        # outcome level's ratio core, shared by CROSS and ACTIVE (2 x 2
+        # passes), then one log1p per pair (3 passes); a pass is one grid's
+        # worth of elements, counted over every call and every block
+        grid = np.linspace(-30.0, 30.0, 2 * effects.BLOCK + 1)
+        elements = counted_elements(monkeypatch, "exp", "log1p")
         sensitivity_curve(derived_bundle, grid)
-        assert passes == {"exp": 6, "log1p": 3}
+        assert {name: n // grid.size for name, n in elements.items()} == {"exp": 4, "log1p": 3}
+
+    @pytest.mark.parametrize(
+        "offset", [(0, 1), (0, 2), (1, -1), (1, 0), (1, 1), (2, 1)], ids=lambda o: f"{o[0]}B{o[1]:+d}"
+    )
+    def test_block_edges_are_invisible(self, derived_bundle, offset):
+        # grids of 1, 2, B - 1, B, B + 1 and 2B + 1 shifts: the curve is the
+        # concatenation of the curves over slices of the grid, bit for bit,
+        # and at every shift the shifted effects of that shift alone (here a
+        # batch with one shift per row, which runs as one block)
+        points = offset[0] * effects.BLOCK + offset[1]
+        grid = np.linspace(-25.0, 25.0, points)
+        cuts = sorted({0, 1, points // 3, max(points - 1, 0), points})
+        fields = ("nde", "nie", "te", "probabilities")
+        for bundle in [derived_bundle, *random_bundles(seed=points, count=3)]:
+            curve = sensitivity_curve(bundle, grid)
+            pieces = [sensitivity_curve(bundle, grid[a:b]) for a, b in zip(cuts, cuts[1:])]
+            for name in fields:
+                joined = np.concatenate([getattr(piece, name) for piece in pieces])
+                assert np.array_equal(getattr(curve, name), joined), name
+            rows = PredictorBundle(values=np.tile(bundle.values, (points, 1)), cov=np.zeros((points, 6, 6)))
+            shifted = shifted_effects(rows, grid)
+            for name in ("nde", "nie", "te"):
+                assert np.array_equal(getattr(curve, name), getattr(shifted, name)), name
+            assert np.array_equal(curve.probabilities, sensitivity_probability(rows, grid))
+            edges = {0, points // 2, points - 1, effects.BLOCK - 1, effects.BLOCK}
+            for i in (i for i in edges if i < points):
+                one = shifted_effects(bundle, grid[i])
+                assert (curve.nde[i], curve.nie[i], curve.te[i]) == (one.nde, one.nie, one.te)
+
+    @pytest.mark.parametrize("points", [401, 2 * (effects.BLOCK // 30) + 1])
+    def test_block_edges_are_invisible_on_a_batch(self, points):
+        # a 2-D grid of shifts against 30 rows: blocks of whole grid rows
+        values = np.random.default_rng(13).uniform(-40.0, 40.0, size=(30, 6))
+        batch = PredictorBundle(values=values, cov=np.zeros((30, 6, 6)))
+        grid = np.linspace(-1e3, 1e3, points)[:, None]
+        curve = sensitivity_curve(batch, grid)
+        cuts = [0, 1, points // 3, points - 1, points]
+        pieces = [sensitivity_curve(batch, grid[a:b]) for a, b in zip(cuts, cuts[1:])]
+        for name in ("nde", "nie", "te", "probabilities"):
+            joined = np.concatenate([getattr(piece, name) for piece in pieces])
+            assert np.array_equal(getattr(curve, name), joined), name
+        for i in range(0, points, 7):
+            one = shifted_effects(batch, grid[i, 0])
+            for name in ("nde", "nie", "te"):
+                assert np.array_equal(getattr(curve, name)[i], getattr(one, name)), name
+
+    def test_peak_memory_is_the_outputs_and_a_few_blocks(self, derived_bundle):
+        grid = np.linspace(-30.0, 30.0, 100_001)
+        tracemalloc.start()
+        try:
+            sensitivity_curve(derived_bundle, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * grid.nbytes + 2**20
 
     def test_probabilities_monotone_and_admissible(self, derived_bundle):
         curve = sensitivity_curve(derived_bundle, np.linspace(-10, 10, 101))

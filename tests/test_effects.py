@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medbounds import bounds, effects
+from medbounds import effects
 from medbounds.bounds import sensitivity_curve, shifted_posterior_logit
 from medbounds.effects import (
     PAIR_COMPONENTS,
@@ -336,17 +336,16 @@ class TestProbabilityScaleChain:
     def test_a_chain_without_the_side_switch_fails(self, monkeypatch):
         # the identity taken at l for either sign of delta: expit(l) =
         # rho / (rho + e^(min(delta, 0) - max(g, 0))), and expm1(delta) expit(l)
-        # cancels to -1 + tiny for delta << 0
-        def without_side_switch(rho, delta, g, out=None):
-            sigma = rho / (rho + np.exp(np.minimum(delta, 0.0) - np.maximum(g, 0.0)))
-            return np.log1p(np.expm1(delta) * sigma)
+        # cancels to -1 + tiny for delta << 0; the ratios keep their side
+        def without_side_switch(delta, g):
+            return np.ones_like(delta), np.exp(np.minimum(delta, 0.0) - np.maximum(g, 0.0)), np.expm1(delta)
 
         rng = np.random.default_rng(29)
         typical = [(rng.uniform(-40.0, 40.0, size=6), rng.uniform(-1e3, 1e3, size=40)) for _ in range(20)]
         extreme = (self.EXTREMES["delta -600, g 300"], np.linspace(-1e3, 1e3, 2001))
         for values, shifts in [*typical, extreme]:
             assert_within(chain_gaps(values, shifts), atol=1e-9)
-        monkeypatch.setattr(effects, "log_factor", without_side_switch)
+        monkeypatch.setattr(effects, "factor_terms", without_side_switch)
         for cases in (typical, [extreme]):
             with pytest.raises((AssertionError, FloatingPointError)):
                 for values, shifts in cases:
@@ -356,17 +355,21 @@ class TestProbabilityScaleChain:
         # the ratio without e^min(g, 0), and sigma = rho / (rho + e^-g): right
         # in the typical range, but e^-g overflows to inf for g < -709, which
         # sets the factor to 0 where it is about 9e-4 and the probability to NaN
-        real_ratio = effects.level_ratio
+        real_scales, real_terms = effects.ratio_scales, effects.factor_terms
+        real_probability = effects.stay_probability
 
-        def unscaled(rho, delta, g, out=None):
+        def unscaled_terms(delta, g):
+            sign, _, gain = real_terms(delta, g)
             with np.errstate(over="ignore"):
-                sigma = rho / (rho + np.exp(-g))
-            return np.sign(delta) * np.log1p(np.expm1(np.abs(delta)) * sigma)
+                return sign, np.exp(-g), gain
 
-        def unscaled_probability(rho, delta, g):
-            with np.errstate(over="ignore", invalid="ignore"):
-                w = np.exp(np.minimum(delta, 0.0) - g)
-                return w / (rho + w)
+        def unscaled_weight(delta, g):
+            with np.errstate(over="ignore"):
+                return np.exp(np.minimum(delta, 0.0) - g)
+
+        def unchecked_probability(rho, w, out):
+            with np.errstate(invalid="ignore"):
+                return real_probability(rho, w, out)
 
         rng = np.random.default_rng(31)
         typical = [(rng.uniform(-40.0, 40.0, size=6), rng.uniform(-1e3, 1e3, size=40)) for _ in range(20)]
@@ -374,12 +377,22 @@ class TestProbabilityScaleChain:
         extreme = [(self.EXTREMES[name], np.linspace(-1e3, 1e3, 2001)) for name in names]
         for values, shifts in [*typical, *extreme]:
             assert_within(chain_gaps(values, shifts), atol=1e-9, rtol=1e-9)
-        monkeypatch.setattr(effects, "level_ratio", lambda shift, b1, delta, g=0.0: real_ratio(shift, b1, delta))
-        monkeypatch.setattr(effects, "log_factor", unscaled)
-        monkeypatch.setattr(effects, "stay_probability", unscaled_probability)
-        monkeypatch.setattr(bounds, "stay_probability", unscaled_probability)
+        monkeypatch.setattr(effects, "ratio_scales", lambda delta, g: real_scales(delta, 0.0))
+        monkeypatch.setattr(effects, "factor_terms", unscaled_terms)
+        monkeypatch.setattr(effects, "stay_weight", unscaled_weight)
+        monkeypatch.setattr(effects, "stay_probability", unchecked_probability)
         for values, shifts in typical:
             assert_within(chain_gaps(values, shifts), atol=1e-9, rtol=1e-9)
         for values, shifts in extreme:
             with pytest.raises(AssertionError):
                 assert_within(chain_gaps(values, shifts), atol=1e-9, rtol=1e-9)
+
+    def test_outcome_levels_follow_the_pair_components(self):
+        # the chain forms one ratio core per outcome level and reads it for
+        # every pair on that level: each pair's level has its (m=0, m=1)
+        # outcome components, and CROSS and ACTIVE share the active level
+        pairs = list(Pair)
+        for pair, level in zip(pairs, effects.PAIR_LEVEL):
+            assert PAIR_COMPONENTS[pairs[effects.LEVEL_PAIRS[level]]][:2] == PAIR_COMPONENTS[pair][:2]
+        assert len(effects.LEVEL_PAIRS) == len({c[:2] for c in PAIR_COMPONENTS.values()}) == 2
+        assert effects.PAIR_LEVEL[pairs.index(Pair.CROSS)] == effects.PAIR_LEVEL[pairs.index(Pair.ACTIVE)]

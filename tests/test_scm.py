@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,12 +23,41 @@ from medbounds.scm import (
 )
 from medbounds.validate import _bounds_vector
 
+from conftest import counted_elements, random_bundles
 
-def log_scale_factor_extrema(shifts, b0, b1, g):
+
+def log_scale_factor_extrema(shifts, pairs):
     """``_factor_extrema`` on the log scale, by ``np.logaddexp``: its test reference."""
-    t0 = np.logaddexp(0.0, shifts + b0) - np.logaddexp(0.0, shifts + b1) + g
-    f = np.logaddexp(0.0, t0 + (b1 - b0)) - np.logaddexp(0.0, t0)
-    return float(f.min()), float(f.max())
+    extremes = []
+    for b0, b1, g in pairs:
+        t0 = np.logaddexp(0.0, shifts + b0) - np.logaddexp(0.0, shifts + b1) + g
+        f = np.logaddexp(0.0, t0 + (b1 - b0)) - np.logaddexp(0.0, t0)
+        extremes.append([f.min(), f.max()])
+    return np.array(extremes)
+
+
+def plain_factor_extrema(shifts, pairs):
+    """``_factor_extrema``'s probability-scale algebra over the whole grid at
+    once, without blocks: min and max of log[(1 + R c1) / (1 + R c0)]."""
+    extremes = []
+    for b0, b1, g in pairs:
+        r = (1.0 + np.exp(shifts) * np.exp(b0)) / (1.0 + np.exp(shifts) * np.exp(b1))
+        f = np.log((1.0 + r * np.exp(g + b1 - b0)) / (1.0 + r * np.exp(g)))
+        extremes.append([f.min(), f.max()])
+    return np.array(extremes)
+
+
+def counted(monkeypatch, replacement):
+    """Swap ``scm._factor_extrema`` for ``replacement``; returns the grid
+    sizes it is called with, so that a test can show the swap was reached."""
+    calls = []
+
+    def swapped(shifts, pairs):
+        calls.append(shifts.size)
+        return replacement(shifts, pairs)
+
+    monkeypatch.setattr(scm_mod, "_factor_extrema", swapped)
+    return calls
 
 
 def with_values(bundle, changes):
@@ -395,7 +425,7 @@ class TestSweepOracle:
 
     def test_factor_extrema_monotone_case(self):
         # factor is monotone in the shift, so extrema sit at the grid ends
-        lo, hi = _factor_extrema(np.linspace(-30.0, 30.0, 101), -1.0, 0.5, -0.3)
+        ((lo, hi),) = _factor_extrema(np.linspace(-30.0, 30.0, 101), [(-1.0, 0.5, -0.3)])
         smin, smax = -30.0, 30.0
         t0 = lambda s: np.logaddexp(0, s - 1.0) - np.logaddexp(0, s + 0.5) - 0.3
         f = lambda s: np.logaddexp(0, t0(s) + 1.5) - np.logaddexp(0, t0(s))
@@ -405,12 +435,12 @@ class TestSweepOracle:
     def test_factor_extrema_matches_the_log_scale_reference(self):
         rng = np.random.default_rng(2024)
         shifts = np.linspace(-30.0, 30.0, 2001)
+        pairs = rng.uniform(-6.0, 6.0, size=(200, 3))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for b0, b1, g in rng.uniform(-6.0, 6.0, size=(200, 3)):
-                got = _factor_extrema(shifts, b0, b1, g)
-                want = log_scale_factor_extrema(shifts, b0, b1, g)
-                assert got == pytest.approx(want, rel=0.0, abs=1e-12)
+            got = _factor_extrema(shifts, pairs)
+        want = log_scale_factor_extrema(shifts, pairs)
+        assert np.abs(got - want).max() <= 1e-12
 
     @pytest.mark.parametrize(
         "changes, lo, hi",
@@ -427,8 +457,9 @@ class TestSweepOracle:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = _bounds_vector(sweep_bounds(bundle, lo=lo, hi=hi, points=20_001))
-            monkeypatch.setattr(scm_mod, "_factor_extrema", log_scale_factor_extrema)
+            calls = counted(monkeypatch, log_scale_factor_extrema)
             want = _bounds_vector(sweep_bounds(bundle, lo=lo, hi=hi, points=20_001))
+        assert calls == [20_001]
         assert np.isfinite(got).all()
         assert np.abs(got - want).max() <= 1e-12
 
@@ -436,3 +467,39 @@ class TestSweepOracle:
     def test_past_the_domain_is_a_stated_error(self, derived_bundle, changes, hi):
         with pytest.raises(ValueError, match="domain ends at 709"):
             sweep_bounds(with_values(derived_bundle, changes), hi=hi)
+
+    @pytest.mark.parametrize(
+        "offset", [(0, 2), (1, -1), (1, 0), (1, 1), (2, 1)], ids=lambda o: f"{o[0]}B{o[1]:+d}"
+    )
+    def test_block_edges_match_the_whole_grid_algebra(self, derived_bundle, monkeypatch, offset):
+        # grids of 2, B - 1, B, B + 1 and 2B + 1 points against the same R
+        # algebra over the whole grid at once
+        points = offset[0] * scm_mod._BLOCK + offset[1]
+        shifts = np.linspace(-30.0, 30.0, points)
+        rng = np.random.default_rng(points)
+        pairs = [*rng.uniform(-6.0, 6.0, size=(6, 3)), (-1.0, 0.5, -0.3), (-1.0, 0.5, 2.0)]
+        assert np.abs(_factor_extrema(shifts, pairs) - plain_factor_extrema(shifts, pairs)).max() <= 1e-12
+        bundles = [derived_bundle, *random_bundles(seed=points, count=4)]
+        got = [_bounds_vector(sweep_bounds(b, points=points)) for b in bundles]
+        calls = counted(monkeypatch, plain_factor_extrema)
+        want = [_bounds_vector(sweep_bounds(b, points=points)) for b in bundles]
+        assert calls == [points] * len(bundles)
+        assert np.abs(np.array(got) - np.array(want)).max() <= 1e-12
+
+    def test_one_exp_and_no_log_pass_over_the_grid(self, derived_bundle, monkeypatch):
+        # e^s once per block for all three factors, and log of the six
+        # extremes only; a pass is one grid's worth of elements over every call
+        points = 2 * scm_mod._BLOCK + 1
+        elements = counted_elements(monkeypatch, "exp", "log")
+        sweep_bounds(derived_bundle, points=points)
+        assert {name: n // points for name, n in elements.items()} == {"exp": 1, "log": 0}
+
+    def test_peak_memory_is_the_grid_and_a_few_blocks(self, derived_bundle):
+        points = 100_001
+        tracemalloc.start()
+        try:
+            sweep_bounds(derived_bundle, points=points)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * points + 2**20
