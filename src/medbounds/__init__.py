@@ -12,7 +12,6 @@ from .bounds import (
     SensitivityCurve,
     effect_bounds,
     factor_range,
-    mediator_log_odds_ratio,
     sensitivity_curve,
     sensitivity_probability,
     sensitivity_probability_range,
@@ -25,7 +24,6 @@ from .effects import (
     Pair,
     PredictorBundle,
     counterfactual_outcome_logit,
-    mediator_posterior_logit,
     point_effects,
     predictor_bundle,
 )
@@ -59,7 +57,6 @@ from .uncertainty import (
     UncertaintyIntervals,
     bound_covariance,
     bounds_jacobian,
-    normal_quantile,
     total_effect_variances,
     uncertainty_intervals,
 )

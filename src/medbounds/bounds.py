@@ -35,13 +35,13 @@ from .effects import (
     PredictorBundle,
     combine_effects,
     effect_chain,
-    effects_at,
     expit,
     failing_rows,
     pair_ratio_at,
     pair_terms,
     point_effects,
     scalar_or_array,
+    shifted_effects,
     shifted_posterior_logit,
     stay_probability,
     stay_weight,
@@ -54,7 +54,6 @@ __all__ = [
     "EffectBounds",
     "SensitivityCurve",
     "DELTA_EPS",
-    "mediator_log_odds_ratio",
     "shifted_posterior_logit",
     "shifted_effects",
     "sensitivity_probability",
@@ -124,33 +123,6 @@ def _warn_degenerate(delta, message: str) -> None:
         warnings.warn(
             message.format(rows=failing_rows(degenerate)), DegenerateMediatorWarning, stacklevel=3
         )
-
-
-def mediator_log_odds_ratio(bundle: PredictorBundle, level: str = "active") -> float | np.ndarray:
-    """Mediator-on-outcome effect (log odds-ratio) at one exposure level.
-
-    The m=1 vs m=0 gap of the outcome predictor; all bound widths scale with
-    it, and it is identified regardless of outcome confounding.
-    """
-    if level not in ("active", "reference"):
-        raise ValueError("level must be 'active' or 'reference'")
-    b0, b1 = bundle.outcome_parts(Pair.ACTIVE if level == "active" else Pair.REFERENCE)
-    delta = b1 - b0
-    _warn_degenerate(
-        delta,
-        f"mediator effect at {level} level is numerically zero{{rows}}; "
-        "the effect decomposition is degenerate",
-    )
-    return scalar_or_array(delta)
-
-
-def shifted_effects(bundle: PredictorBundle, shift: float | np.ndarray) -> EffectTriple:
-    """Natural effects when the same shift applies at every exposure level.
-
-    Reduces to ``point_effects`` at shift 0; for any finite shift each
-    component stays inside the corresponding identification bound.
-    """
-    return effects_at(bundle, shift)
 
 
 def sensitivity_probability(bundle: PredictorBundle, shift: float | np.ndarray) -> float | np.ndarray:

@@ -161,6 +161,8 @@ def _x_values(cfg: dict, args) -> list[float]:
         return [lo + step * k for k in range(int(round(count)) + 1)]
     if not isinstance(spec, list):
         raise UserError("contrasts.x must be a list of levels or a {from, to, step} range")
+    if not spec:
+        raise UserError("contrasts.x lists no active exposure levels")
     return [_number(v, "contrasts.x level") for v in spec]
 
 
@@ -243,8 +245,6 @@ def _render(table: dict, fmt: str) -> str:
     cells, so no per-cell string is built in Python.
     """
     n = len(next(iter(table.values())))
-    if not n:
-        return ""
     if fmt == "json":
         rows = [dict(zip(table, row)) for row in zip(*table.values())]
         return json.dumps(rows, indent=1, sort_keys=True) + "\n"

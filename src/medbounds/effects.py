@@ -19,9 +19,8 @@ coefficients of all pairs once per call (``ratio_scales``, ``factor_terms``,
 ``stay_weight``) and runs a shift grid in cache-sized blocks of ``BLOCK``
 elements; a batch of rows is one block. Its domain is stated by
 ``MAX_EXPONENT``: |mediator effect| <= 709, while any finite mediator
-predictor and shift give finite numbers. The point estimates are the chain
-at shift 0, a block of one, so they equal
-``bounds.shifted_effects(bundle, 0.0)`` by construction.
+predictor and shift give finite numbers. ``shifted_effects`` reads the
+chain at a shift, and the point estimates are ``shifted_effects`` at shift 0.
 
 Independent routes check each part: the log-scale softplus chain, kept as
 the test reference in ``tests/test_effects.py``, the ratios (through the
@@ -49,8 +48,8 @@ __all__ = [
     "EffectTriple",
     "Pair",
     "predictor_bundle",
-    "mediator_posterior_logit",
     "counterfactual_outcome_logit",
+    "shifted_effects",
     "point_effects",
 ]
 
@@ -422,13 +421,6 @@ def effect_chain(bundle: PredictorBundle, shift, probability: bool = False) -> n
     return out.reshape(out.shape[:1] + shape)
 
 
-def effects_at(bundle: PredictorBundle, shift) -> EffectTriple:
-    """Effects when the outcome logit carries ``shift``; an array of shifts
-    broadcasts against the bundle's rows."""
-    nde, nie, te = (scalar_or_array(x) for x in effect_chain(bundle, shift))
-    return EffectTriple(nde=nde, nie=nie, te=te)
-
-
 def pair_terms(bundle: PredictorBundle, pair: Pair) -> tuple:
     """(m=0 outcome predictor, m=1 outcome predictor, mediator effect,
     mediator predictor) of one pair, read through ``PAIR_COMPONENTS``; a
@@ -442,12 +434,15 @@ def pair_terms(bundle: PredictorBundle, pair: Pair) -> tuple:
 def shifted_posterior_logit(
     bundle: PredictorBundle, shift: float | np.ndarray, y: int, pair: Pair = Pair.CROSS
 ) -> float | np.ndarray:
-    """Retrospective mediator logit when the outcome logit carries a shift.
+    """Logit of the mediator being 1 given the outcome took value ``y``, when
+    the outcome logit carries a shift.
 
-    At shift 0 this is ``mediator_posterior_logit``; as the shift runs to
-    -inf/+inf it saturates at the mediator predictor and at the mediator
-    predictor minus the mediator effect, respectively. An array of shifts
-    broadcasts against the bundle's rows.
+    This is the retrospective (Bayes-flipped) mediator probability inside the
+    chosen pair's counterfactual world; the two single-world pairs reuse the
+    same algebra with matched exposure levels. As the shift runs to -inf/+inf
+    it saturates at the mediator predictor and at the mediator predictor
+    minus the mediator effect, respectively. An array of shifts broadcasts
+    against the bundle's rows.
     """
     if y not in (0, 1):
         raise ValueError("y must be 0 or 1")
@@ -455,18 +450,6 @@ def shifted_posterior_logit(
     # g + log R, with log R = log rho - min(delta, 0) for the ratio without g's scale
     rho = pair_ratio_at(shift, b1, delta, 0.0)
     return scalar_or_array(y * delta + g + np.log(rho) - np.minimum(delta, 0.0))
-
-
-def mediator_posterior_logit(
-    bundle: PredictorBundle, y: int, pair: Pair = Pair.CROSS
-) -> float | np.ndarray:
-    """Logit of the mediator being 1 given the outcome took value ``y``.
-
-    This is the retrospective (Bayes-flipped) mediator probability inside the
-    chosen pair's counterfactual world; the two single-world pairs reuse the
-    same algebra with matched exposure levels.
-    """
-    return shifted_posterior_logit(bundle, 0.0, y, pair)
 
 
 def counterfactual_outcome_logit(bundle: PredictorBundle, pair: Pair = Pair.CROSS) -> float | np.ndarray:
@@ -479,6 +462,17 @@ def counterfactual_outcome_logit(bundle: PredictorBundle, pair: Pair = Pair.CROS
     return scalar_or_array(b0 + log_factor(pair_ratio_at(0.0, b1, delta, g), factor_terms(delta, g)))
 
 
+def shifted_effects(bundle: PredictorBundle, shift: float | np.ndarray) -> EffectTriple:
+    """Natural effects when the same shift applies at every exposure level.
+
+    Reduces to ``point_effects`` at shift 0; for any finite shift each
+    component stays inside the corresponding identification bound. An array
+    of shifts broadcasts against the bundle's rows.
+    """
+    nde, nie, te = (scalar_or_array(x) for x in effect_chain(bundle, shift))
+    return EffectTriple(nde=nde, nie=nie, te=te)
+
+
 def point_effects(bundle: PredictorBundle) -> EffectTriple:
     """Natural effects under the full identification assumption set."""
-    return effects_at(bundle, 0.0)
+    return shifted_effects(bundle, 0.0)

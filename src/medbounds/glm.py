@@ -4,12 +4,12 @@ Two models are fit per analysis: one for the outcome (which may reference
 the mediator) and one for the mediator (which must not). Designs are lists
 of named basis terms, so the linear predictor can be any function of
 exposure, mediator and covariates that the user can express as a sum of
-bases: identities, interactions, powers, lookup tables, or arbitrary
-callables.
+bases: identities, interactions and powers parsed from term strings, or
+arbitrary callables.
 
 Terms evaluate row-wise on a point whose fields are arrays, and a single
-point is a batch of one. Parsed terms and table lookups read a name by one
-rule: ``x`` is the exposure, ``m`` the mediator, any other name a covariate.
+point is a batch of one. Parsed terms read a name by one rule: ``x`` is the
+exposure, ``m`` the mediator, any other name a covariate.
 
 Fitting is plain damped Newton on the Bernoulli log-likelihood (IRLS), with
 the coefficient covariance taken as the inverse observed information at the
@@ -89,22 +89,6 @@ def _variable(point: Point, name: str):
         return point.covariates[name]
     except KeyError:
         raise MissingVariableError(f"covariate '{name}' missing from point", name) from None
-
-
-def table_lookup(name: str, mapping: Mapping[float, float]) -> Term:
-    """Step-function basis: maps exact values of a variable through a table."""
-    if not mapping:
-        raise ValueError(f"table term '{name}' has an empty mapping")
-    keys, vals = np.array(sorted(mapping.items()), dtype=float).T
-
-    def fn(p: Point):
-        v = np.asarray(_variable(p, name), dtype=float)
-        idx = np.clip(np.searchsorted(keys, v), 0, len(keys) - 1)
-        if not np.all(np.isclose(keys[idx], v)):
-            raise MissingVariableError(f"table term '{name}' has no entry for some values")
-        return vals[idx]
-
-    return Term(f"tbl({name})", fn)
 
 
 def _factors(expr: str) -> list[tuple[str, int | None]]:

@@ -26,19 +26,11 @@ from .effects import PredictorBundle, failing_rows, scalar_or_array, symmetrized
 __all__ = [
     "BoundEstimates",
     "UncertaintyIntervals",
-    "normal_quantile",
     "bounds_jacobian",
     "bound_covariance",
     "total_effect_variances",
     "uncertainty_intervals",
 ]
-
-
-def normal_quantile(p: float) -> float:
-    """Standard normal quantile (inverse CDF), accurate to ~1e-15."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("quantile argument must be in (0, 1)")
-    return statistics.NormalDist().inv_cdf(p)
 
 
 def bounds_jacobian(bundle: PredictorBundle) -> np.ndarray:
@@ -128,7 +120,7 @@ def uncertainty_intervals(
     """Widen each estimated bound outward by z_{alpha/2} standard errors."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    z = normal_quantile(1.0 - alpha / 2.0)
+    z = statistics.NormalDist().inv_cdf(1.0 - alpha / 2.0)
     se = np.moveaxis(estimates.stderr, -1, 0)
     var_te_lo, var_te_hi = total_effect_variances(estimates)
     nde = BoundPair(bounds.nde.lower - z * se[0], bounds.nde.upper + z * se[1])

@@ -11,14 +11,13 @@ from medbounds.bounds import (
     BoundPair,
     effect_bounds,
     factor_range,
-    mediator_log_odds_ratio,
     sensitivity_curve,
     sensitivity_probability,
     sensitivity_probability_range,
     shifted_effects,
     shifted_posterior_logit,
 )
-from medbounds.effects import Pair, PredictorBundle, mediator_posterior_logit, point_effects
+from medbounds.effects import Pair, PredictorBundle, point_effects
 from medbounds.errors import DegenerateMediatorError, DegenerateMediatorWarning
 from medbounds.scm import sweep_bounds
 from medbounds.uncertainty import bound_covariance, bounds_jacobian
@@ -43,39 +42,18 @@ def bundle_of(values) -> PredictorBundle:
     return PredictorBundle(values=np.asarray(values, dtype=float), cov=np.zeros((6, 6)))
 
 
-class TestMediatorLogOddsRatio:
-    def test_demo_value_no_interaction(self, derived_bundle):
-        assert mediator_log_odds_ratio(derived_bundle, "active") == pytest.approx(1.250)
-        assert mediator_log_odds_ratio(derived_bundle, "reference") == pytest.approx(1.250)
-
-    def test_zero_effect_warns(self):
-        bundle = bundle_of([-1.0, -2.0, -1.0, -2.0, 0.1, 0.2])
-        with pytest.warns(DegenerateMediatorWarning):
-            assert mediator_log_odds_ratio(bundle, "active") == 0.0
-
-    def test_interaction_algebra(self):
-        w, x, xs = 0.07, 50.0, 10.0
-        base = np.array([-4.0, -4.5, -4.0 + 1.0 + w * x, -4.5 + 1.0 + w * xs, 0.3, -0.2])
-        bundle = bundle_of(base)
-        gap = mediator_log_odds_ratio(bundle, "active") - mediator_log_odds_ratio(
-            bundle, "reference"
-        )
-        assert gap == pytest.approx(w * (x - xs), abs=1e-12)
-
-    def test_rejects_unknown_level(self, derived_bundle):
-        with pytest.raises(ValueError):
-            mediator_log_odds_ratio(derived_bundle, "middle")
-
-
 class TestShiftedPosteriorLogit:
     @settings(max_examples=120, deadline=None)
     @given(theta_vectors)
     def test_zero_shift_is_exact_reduction(self, values):
         bundle = bundle_of(values)
         for pair in Pair:
+            b0, b1 = bundle.outcome_parts(pair)
+            # the Bayes flip at shift 0: g + y delta + log[(1 + e^b0) / (1 + e^b1)]
+            flip = bundle.mediator_part(pair) + np.logaddexp(0.0, b0) - np.logaddexp(0.0, b1)
             for y in (0, 1):
-                assert shifted_posterior_logit(bundle, 0.0, y, pair) == mediator_posterior_logit(
-                    bundle, y, pair
+                assert shifted_posterior_logit(bundle, 0.0, y, pair) == pytest.approx(
+                    flip + y * (b1 - b0), abs=1e-12
                 )
 
     def test_limits(self, derived_bundle):

@@ -520,8 +520,9 @@ class TestEffectsAndBounds:
             {"to": 170, "step": 10},
             {"from": 20, "step": 10},
             {"from": 20, "to": 170, "step": -10},
+            [],
         ],
-        ids=["zero-step", "no-from", "no-to", "step-away-from-to"],
+        ids=["zero-step", "no-from", "no-to", "step-away-from-to", "empty-list"],
     )
     def test_malformed_x_range_is_user_error(self, workdir, tmp_path, capsys, grid):
         cfg_path = tmp_path / "cfg.json"
@@ -673,6 +674,22 @@ class TestValidate:
         result = validate_mod.check_mediation_reduction(np.random.default_rng(3), 5)
         assert not result.passed
         assert result.measured == pytest.approx(1e-3, rel=1e-6)
+
+    def test_shift_zero_identity_catches_a_perturbed_curve(self, monkeypatch):
+        import dataclasses
+
+        import medbounds.validate as validate_mod
+
+        exact = validate_mod.sensitivity_curve
+
+        def perturbed(bundle, shifts):
+            curve = exact(bundle, shifts)
+            return dataclasses.replace(curve, nie=curve.nie + 1e-9)
+
+        monkeypatch.setattr(validate_mod, "sensitivity_curve", perturbed)
+        result = validate_mod.check_shift_zero(np.random.default_rng(3), 5)
+        assert not result.passed
+        assert result.measured == pytest.approx(1e-9, rel=1e-3)
 
     def test_unknown_command_is_user_error(self, capsys):
         assert main(["frobnicate"]) == 1

@@ -12,7 +12,6 @@ from medbounds.effects import (
     Pair,
     PredictorBundle,
     counterfactual_outcome_logit,
-    mediator_posterior_logit,
     point_effects,
     predictor_bundle,
 )
@@ -129,12 +128,12 @@ class TestPosteriorLogit:
     def test_no_mediator_effect_reduces_to_mediator_predictor(self):
         bundle = bundle_of([-1.2, -2.0, -1.2, -2.0, 0.7, -0.4])
         for y in (0, 1):
-            assert mediator_posterior_logit(bundle, y, Pair.CROSS) == pytest.approx(-0.4)
-            assert mediator_posterior_logit(bundle, y, Pair.ACTIVE) == pytest.approx(0.7)
+            assert shifted_posterior_logit(bundle, 0.0, y, Pair.CROSS) == pytest.approx(-0.4)
+            assert shifted_posterior_logit(bundle, 0.0, y, Pair.ACTIVE) == pytest.approx(0.7)
 
     def test_derived_value(self, derived_bundle):
         expected = np.log((1 + np.exp(-4.162)) / (1 + np.exp(-2.912))) - 1.610
-        assert mediator_posterior_logit(derived_bundle, 0, Pair.CROSS) == pytest.approx(
+        assert shifted_posterior_logit(derived_bundle, 0.0, 0, Pair.CROSS) == pytest.approx(
             expected, abs=1e-12
         )
 
@@ -144,14 +143,14 @@ class TestPosteriorLogit:
         bundle = bundle_of(values)
         for pair in Pair:
             b0, b1 = bundle.outcome_parts(pair)
-            gap = mediator_posterior_logit(bundle, 1, pair) - mediator_posterior_logit(
-                bundle, 0, pair
+            gap = shifted_posterior_logit(bundle, 0.0, 1, pair) - shifted_posterior_logit(
+                bundle, 0.0, 0, pair
             )
             assert gap == pytest.approx(b1 - b0, abs=1e-12)
 
     def test_rejects_bad_y(self, derived_bundle):
         with pytest.raises(ValueError):
-            mediator_posterior_logit(derived_bundle, 2)
+            shifted_posterior_logit(derived_bundle, 0.0, 2)
 
 
 class TestCounterfactualOutcomeLogit:

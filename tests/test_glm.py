@@ -99,32 +99,12 @@ class TestTerms:
         with pytest.raises(ValueError):
             parse_term("x+(m)")
 
-    def test_table_lookup_basis(self):
-        from medbounds.glm import table_lookup
-
-        t = table_lookup("x", {10.0: 0.0, 20.0: 1.0, 30.0: 4.0})
-        assert float(t(Point(20.0, None, {}))) == 1.0
-        assert float(t(Point(30.0, None, {}))) == 4.0
-        with pytest.raises(MissingVariableError):
-            t(Point(25.0, None, {}))
-
-    def test_table_lookup_resolves_names_like_parsed_terms(self):
-        from medbounds.glm import table_lookup
-
-        # a covariate that shares a role's name does not shadow the role
+    def test_roles_are_not_shadowed_by_covariates_of_their_name(self):
         point = Point(20.0, 1.0, {"x": 30.0, "m": 0.0, "z": 10.0})
         for name in ("x", "m", "z"):
-            t = table_lookup(name, {0.0: 5.0, 1.0: 6.0, 10.0: 7.0, 20.0: 8.0, 30.0: 9.0})
-            assert float(t(point)) == {"x": 8.0, "m": 6.0, "z": 7.0}[name]
             assert float(parse_term(name)(point)) == {"x": 20.0, "m": 1.0, "z": 10.0}[name]
         with pytest.raises(MissingVariableError, match="'m'"):
-            table_lookup("m", {0.0: 1.0})(Point(0.0, None, {"m": 0.0}))
-
-    def test_table_lookup_with_an_empty_mapping_names_the_table(self):
-        from medbounds.glm import table_lookup
-
-        with pytest.raises(ValueError, match=r"^table term 'bmi' has an empty mapping$"):
-            table_lookup("bmi", {})
+            parse_term("m")(Point(0.0, None, {"m": 0.0}))
 
 
 # ---------------------------------------------------------------- fitting

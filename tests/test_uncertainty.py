@@ -10,7 +10,6 @@ from medbounds.uncertainty import (
     BoundEstimates,
     bound_covariance,
     bounds_jacobian,
-    normal_quantile,
     total_effect_variances,
     uncertainty_intervals,
 )
@@ -161,57 +160,6 @@ class TestTotalEffectVariances:
             te_hi.append(eb.te.upper)
         assert np.var(te_lo, ddof=1) == pytest.approx(var_lo, rel=0.15)
         assert np.var(te_hi, ddof=1) == pytest.approx(var_hi, rel=0.15)
-
-
-class TestNormalQuantile:
-    def test_against_rational_approximation_oracle(self):
-        # Acklam's rational approximation, abs error < 1.15e-9; coded here
-        # independently of the implementation
-        a = [-3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-             1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00]
-        b = [-5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-             6.680131188771972e01, -1.328068155288572e01]
-        c = [-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-             -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00]
-        d = [7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-             3.754408661907416e00]
-
-        def acklam(p):
-            p_low, p_high = 0.02425, 1 - 0.02425
-            if p < p_low:
-                q = np.sqrt(-2 * np.log(p))
-                return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-                    (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1
-                )
-            if p > p_high:
-                return -acklam(1 - p)
-            q = p - 0.5
-            r = q * q
-            return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / (
-                ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1
-            )
-
-        for p in (0.001, 0.025, 0.1, 0.33, 0.5, 0.66, 0.9, 0.975, 0.999):
-            assert normal_quantile(p) == pytest.approx(acklam(p), abs=1e-8)
-
-    def test_standard_values(self):
-        assert normal_quantile(0.975) == pytest.approx(1.959964, abs=1e-6)
-        assert normal_quantile(0.5) == 0.0
-
-    def test_matches_scipy_ndtri(self):
-        from scipy.special import ndtri
-
-        ps = np.concatenate(
-            [np.logspace(-300, -1, 300), np.linspace(0.001, 0.999, 999), 1.0 - np.logspace(-16, -1, 100)]
-        )
-        for p in ps:
-            ref = float(ndtri(p))
-            assert abs(normal_quantile(float(p)) - ref) <= 2e-15 * abs(ref)
-
-    def test_domain(self):
-        for bad in (0.0, 1.0, -0.2, 1.5):
-            with pytest.raises(ValueError):
-                normal_quantile(bad)
 
 
 class TestUncertaintyIntervals:
