@@ -17,8 +17,9 @@ from medbounds.bounds import (
     shifted_effects,
     shifted_posterior_logit,
 )
-from medbounds.effects import Pair, PredictorBundle, point_effects
+from medbounds.effects import Contrast, Pair, PredictorBundle, point_effects, predictor_bundle
 from medbounds.errors import DegenerateMediatorError, DegenerateMediatorWarning
+from medbounds.glm import model_from_dict
 from medbounds.scm import sweep_bounds
 from medbounds.uncertainty import bound_covariance, bounds_jacobian
 
@@ -40,6 +41,65 @@ GOLDEN_TOL = 5e-4
 
 def bundle_of(values) -> PredictorBundle:
     return PredictorBundle(values=np.asarray(values, dtype=float), cov=np.zeros((6, 6)))
+
+
+class TestMediatorEffect:
+    """The m=1 vs m=0 gap of the outcome predictor at each exposure level:
+    every bound width scales with it."""
+
+    def test_demo_value_no_interaction(self, derived_bundle):
+        for pair in Pair:
+            b0, b1 = derived_bundle.outcome_parts(pair)
+            assert b1 - b0 == pytest.approx(1.250)
+
+    def test_interaction_algebra(self):
+        # an x*m outcome term with coefficient w moves the gap by w (x - x*)
+        w, x, xs = 0.07, 50.0, 10.0
+        outcome = model_from_dict(
+            {
+                "role": "outcome",
+                "design": ["1", "x", "m", "x*m"],
+                "coefficients": [-4.0, 0.01, 1.0, w],
+                "covariance": np.zeros((4, 4)).tolist(),
+            }
+        )
+        mediator = model_from_dict(
+            {
+                "role": "mediator",
+                "design": ["1", "x"],
+                "coefficients": [0.3, -0.01],
+                "covariance": np.zeros((2, 2)).tolist(),
+            }
+        )
+        bundle = predictor_bundle(outcome, mediator, Contrast(x, xs, {}))
+        a0, a1 = bundle.outcome_parts(Pair.ACTIVE)
+        r0, r1 = bundle.outcome_parts(Pair.REFERENCE)
+        assert (a1 - a0) - (r1 - r0) == pytest.approx(w * (x - xs), abs=1e-12)
+
+    def test_zero_effect_at_one_level_warns(self):
+        # the gap is 1.5 at the active level and 0 at the reference level
+        bundle = bundle_of([-2.0, -2.0, -0.5, -2.0, 0.1, 0.2])
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            eb = effect_bounds(bundle)
+        assert [w.category for w in record] == [DegenerateMediatorWarning]
+        for bp in (eb.nde, eb.nie, eb.te):
+            assert np.isfinite([bp.lower, bp.upper]).all()
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.floats(-6.0, 6.0),
+        st.floats(0.01, 6.0),
+        st.floats(0.0, 1.0),
+        st.sampled_from([-1.0, 1.0]),
+    )
+    def test_factor_range_widens_with_the_mediator_effect(self, g, delta, scale, sign):
+        def log_width(d):
+            fr = factor_range(bundle_of([-1.0, 0.0, -1.0 + d, 0.0, 0.0, g]), Pair.CROSS)
+            return np.log(fr.upper) - np.log(fr.lower)
+
+        smaller = max(scale * delta, 0.01)
+        assert log_width(sign * smaller) <= log_width(sign * delta) + 1e-12
 
 
 class TestShiftedPosteriorLogit:
@@ -81,6 +141,12 @@ class TestShiftedPosteriorLogit:
 
 
 class TestShiftedEffects:
+    def test_bounds_reexports_the_one_effect_chain(self):
+        from medbounds import bounds
+
+        assert bounds.shifted_effects is effects.shifted_effects
+        assert bounds.shifted_posterior_logit is effects.shifted_posterior_logit
+
     @settings(max_examples=150, deadline=None)
     @given(theta_vectors)
     def test_zero_shift_equals_point_effects(self, values):

@@ -691,6 +691,25 @@ class TestValidate:
         assert not result.passed
         assert result.measured == pytest.approx(1e-9, rel=1e-3)
 
+    def test_shift_zero_identity_compares_every_bundle(self, monkeypatch):
+        import dataclasses
+
+        import medbounds.validate as validate_mod
+
+        exact = validate_mod.sensitivity_curve
+        calls = []
+
+        def last_perturbed(bundle, shifts):
+            calls.append(bundle)
+            curve = exact(bundle, shifts)
+            return dataclasses.replace(curve, te=curve.te + (1e-9 if len(calls) == 5 else 0.0))
+
+        monkeypatch.setattr(validate_mod, "sensitivity_curve", last_perturbed)
+        result = validate_mod.check_shift_zero(np.random.default_rng(3), 5)
+        assert len(calls) == 5
+        assert not result.passed
+        assert result.measured == pytest.approx(1e-9, rel=1e-3)
+
     def test_unknown_command_is_user_error(self, capsys):
         assert main(["frobnicate"]) == 1
         assert "error" in capsys.readouterr().err

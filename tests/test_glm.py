@@ -13,7 +13,9 @@ from medbounds.errors import (
 )
 from medbounds.glm import (
     Dataset,
+    DesignSpec,
     Point,
+    Term,
     fit_logistic,
     load_csv,
     model_from_dict,
@@ -22,6 +24,7 @@ from medbounds.glm import (
     parse_term,
     softplus,
 )
+from medbounds.effects import Contrast, Pair, predictor_bundle
 from medbounds.scm import demo_cohort_scm, sample_dataset
 
 from conftest import MALE_PROFILE, MEDIATOR_COEFS, OUTCOME_COEFS
@@ -105,6 +108,28 @@ class TestTerms:
             assert float(parse_term(name)(point)) == {"x": 20.0, "m": 1.0, "z": 10.0}[name]
         with pytest.raises(MissingVariableError, match="'m'"):
             parse_term("m")(Point(0.0, None, {"m": 0.0}))
+
+    def test_callable_terms_fit_and_reach_the_effect_chain(self, cohort):
+        # a step function of x and a log covariate: bases no term expression writes
+        design = DesignSpec(
+            terms=(
+                parse_term("1"),
+                Term("band(x)", lambda p: np.floor(np.asarray(p.exposure) / 50.0)),
+                Term("log_bmi", lambda p: np.log(p.covariates["bmi"])),
+                parse_term("gender"),
+            ),
+            includes_mediator=False,
+        )
+        assert design.names == ["1", "band(x)", "log_bmi", "gender"]
+        assert np.array_equal(design.matrix(cohort)[:, 1], np.floor(cohort.exposure / 50.0))
+        mediator = fit_logistic(cohort, design, role="mediator")
+        outcome = fit_logistic(cohort, parse_design(["1", "x", "m", "bmi", "gender"]))
+        bundle = predictor_bundle(outcome, mediator, Contrast(120.0, 60.0, MALE_PROFILE))
+        for x, pair in ((120.0, Pair.ACTIVE), (60.0, Pair.REFERENCE)):
+            row = design.row(Point(x, None, MALE_PROFILE))
+            assert bundle.mediator_part(pair) == pytest.approx(row @ mediator.coefficients, abs=1e-12)
+        eb = bounds.effect_bounds(bundle)
+        assert eb.nie.lower <= eb.point.nie <= eb.nie.upper
 
 
 # ---------------------------------------------------------------- fitting

@@ -214,3 +214,21 @@ class TestUncertaintyIntervals:
         for bad in (0.0, 1.0, 2.0, -0.1):
             with pytest.raises(ValueError):
                 uncertainty_intervals(eb, est, bad)
+
+    def test_nan_alpha_is_rejected(self, derived_bundle):
+        eb = effect_bounds(derived_bundle)
+        est = bound_covariance(derived_bundle)
+        with pytest.raises(ValueError, match="alpha must lie strictly between 0 and 1"):
+            uncertainty_intervals(eb, est, float("nan"))
+
+    def test_widening_matches_scipy_ndtri(self, derived_bundle_with_cov):
+        from scipy.special import ndtri
+
+        eb = effect_bounds(derived_bundle_with_cov)
+        est = bound_covariance(derived_bundle_with_cov)
+        se = est.stderr
+        for alpha in np.concatenate([np.logspace(-12, -1, 23), np.linspace(0.05, 0.95, 19)]):
+            ui = uncertainty_intervals(eb, est, float(alpha))
+            z = float(ndtri(1.0 - alpha / 2.0))
+            assert (eb.nde.lower - ui.nde.lower) / se[0] == pytest.approx(z, rel=1e-9)
+            assert (ui.nie.upper - eb.nie.upper) / se[3] == pytest.approx(z, rel=1e-9)
