@@ -41,8 +41,6 @@ from .effects import (
     pair_terms,
     point_effects,
     scalar_or_array,
-    shifted_effects,
-    shifted_posterior_logit,
     stay_probability,
     stay_weight,
 )
@@ -54,8 +52,6 @@ __all__ = [
     "EffectBounds",
     "SensitivityCurve",
     "DELTA_EPS",
-    "shifted_posterior_logit",
-    "shifted_effects",
     "sensitivity_probability",
     "sensitivity_probability_range",
     "factor_range",

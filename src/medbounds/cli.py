@@ -177,9 +177,11 @@ def _profiles(cfg: dict, args, data: Dataset | None) -> list[dict]:
     if flag_profile:
         return [flag_profile]
     profiles = _contrasts(cfg).get("profiles")
-    if profiles:
+    if profiles is not None:
         if not isinstance(profiles, list) or not all(isinstance(p, dict) for p in profiles):
             raise UserError("contrasts.profiles must be a list of objects")
+        if not profiles:
+            raise UserError("contrasts.profiles lists no covariate profiles")
         return [{k: _number(v, f"profile value for {k!r}") for k, v in p.items()} for p in profiles]
     if data is None and (args.data or cfg.get("data")):
         data = _read_data(cfg, args)

@@ -49,6 +49,7 @@ __all__ = [
     "Pair",
     "predictor_bundle",
     "counterfactual_outcome_logit",
+    "shifted_posterior_logit",
     "shifted_effects",
     "point_effects",
 ]

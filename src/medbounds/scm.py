@@ -22,8 +22,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .bounds import BoundPair, EffectBounds, effect_bounds, shifted_effects
-from .effects import Contrast, EffectTriple, Pair, PredictorBundle
+from .bounds import BoundPair, EffectBounds, effect_bounds
+from .effects import Contrast, EffectTriple, Pair, PredictorBundle, shifted_effects
 from .errors import MedboundsError
 from .glm import Dataset
 
@@ -546,15 +546,17 @@ def demo_cohort_scm() -> StructuralModel:
     c_probs = np.array([pb * pg for pb in bmi_probs for pg in gender_probs])
 
     x_grid = np.arange(10.0, 171.0, 10.0)
-    # shifted gamma matched to mean ~36.9 and SD ~21.5 pack-years
-    from scipy.stats import gamma as gamma_dist
-
-    shape = (26.933 / 21.521) ** 2
-    scale = 26.933 / shape
-    edges = np.concatenate([[-np.inf], x_grid[:-1] + 5.0, [np.inf]])
-    cdf = gamma_dist.cdf(edges - 10.0, a=shape, scale=scale)
-    x_probs = np.diff(cdf)
-    x_probs = x_probs / x_probs.sum()
+    # A shifted gamma matched to mean ~36.9 and SD ~21.5 pack-years: shape
+    # (26.933/21.521)^2, scale 26.933/shape and offset 10, its CDF binned at
+    # the grid midpoints (the end bins open) and normalised; pinned to the
+    # last bit, and rebuilt from the gamma CDF in the tests.
+    x_probs = np.array([
+        0.08702472415945822, 0.26196927696449956, 0.22186710623632316, 0.15700272893812683,
+        0.1035906667564035, 0.06581761764286076, 0.040839349781761625, 0.024931727905466494,
+        0.015040869468054274, 0.00899222012407308, 0.00533788196089835, 0.003150452015544203,
+        0.001850615680743628, 0.0010827566667949151, 0.0006313560305183374, 0.0003670714509301787,
+        0.0005035782175428771,
+    ])
 
     return logistic_scm(
         covariate_names=("bmi", "gender"),

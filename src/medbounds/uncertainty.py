@@ -117,9 +117,22 @@ class UncertaintyIntervals:
 def uncertainty_intervals(
     bounds: EffectBounds, estimates: BoundEstimates, alpha: float = 0.05
 ) -> UncertaintyIntervals:
-    """Widen each estimated bound outward by z_{alpha/2} standard errors."""
+    """Widen each estimated bound outward by z_{alpha/2} standard errors.
+
+    ``bounds`` and ``estimates`` must come from the same bundle: their log
+    bound endpoints, from one pass of the bound algebra, agree bit for bit.
+    """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
+    log_bounds = np.stack([bounds.nde.lower, bounds.nde.upper, bounds.nie.lower, bounds.nie.upper], axis=-1)
+    if log_bounds.shape != estimates.log_bounds.shape:
+        raise ValueError(
+            f"bounds of shape {log_bounds.shape} and estimates of shape "
+            f"{estimates.log_bounds.shape} come from different bundles"
+        )
+    mismatched = (log_bounds != estimates.log_bounds).any(axis=-1)
+    if np.any(mismatched):
+        raise ValueError(f"bounds and estimates come from different bundles{failing_rows(mismatched)}")
     z = statistics.NormalDist().inv_cdf(1.0 - alpha / 2.0)
     se = np.moveaxis(estimates.stderr, -1, 0)
     var_te_lo, var_te_hi = total_effect_variances(estimates)

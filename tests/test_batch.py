@@ -16,9 +16,8 @@ from medbounds.bounds import (
     effect_bounds,
     sensitivity_curve,
     sensitivity_probability,
-    shifted_effects,
 )
-from medbounds.effects import Contrast, PredictorBundle, point_effects, predictor_bundle
+from medbounds.effects import Contrast, PredictorBundle, point_effects, predictor_bundle, shifted_effects
 from medbounds.glm import model_from_dict
 from medbounds.uncertainty import bound_covariance, bounds_jacobian, uncertainty_intervals
 
@@ -187,7 +186,7 @@ class TestRowWiseChecks:
             PredictorBundle(values=np.zeros((3, 6)), cov=np.zeros((2, 6, 6)))
 
     def test_no_contrasts_give_an_empty_batch(self):
-        # a command with an empty exposure grid prints no rows instead of failing
+        # the library keeps an empty batch; the CLI rejects an empty exposure grid before it gets here
         batch = predictor_bundle(*demo_models(0), [])
         assert batch.values.shape == (0, 6)
         ui = uncertainty_intervals(effect_bounds(batch), bound_covariance(batch))

@@ -14,10 +14,16 @@ from medbounds.bounds import (
     sensitivity_curve,
     sensitivity_probability,
     sensitivity_probability_range,
+)
+from medbounds.effects import (
+    Contrast,
+    Pair,
+    PredictorBundle,
+    point_effects,
+    predictor_bundle,
     shifted_effects,
     shifted_posterior_logit,
 )
-from medbounds.effects import Contrast, Pair, PredictorBundle, point_effects, predictor_bundle
 from medbounds.errors import DegenerateMediatorError, DegenerateMediatorWarning
 from medbounds.glm import model_from_dict
 from medbounds.scm import sweep_bounds
@@ -141,12 +147,6 @@ class TestShiftedPosteriorLogit:
 
 
 class TestShiftedEffects:
-    def test_bounds_reexports_the_one_effect_chain(self):
-        from medbounds import bounds
-
-        assert bounds.shifted_effects is effects.shifted_effects
-        assert bounds.shifted_posterior_logit is effects.shifted_posterior_logit
-
     @settings(max_examples=150, deadline=None)
     @given(theta_vectors)
     def test_zero_shift_equals_point_effects(self, values):

@@ -544,6 +544,7 @@ class TestEffectsAndBounds:
             ({"contrasts": {"x": [30], "profiles": [{"bmi": "x", "gender": 1}]}}, []),
             ({"contrasts": {"x": [30], "profiles": {"bmi": 28.5, "gender": 1}}}, []),
             ({"contrasts": {"x": [30], "profiles": [{"gender": 1}]}}, []),
+            ({"contrasts": {"x": [30], "profiles": []}}, []),
             ({}, ["--x", "nan", *PROFILE_FLAGS]),
             ({}, ["--x", "inf", *PROFILE_FLAGS]),
             ({}, ["--x-star", "nan", *PROFILE_FLAGS]),
@@ -551,15 +552,17 @@ class TestEffectsAndBounds:
         ],
         ids=[
             "x-a-number", "contrasts-a-list", "alpha-a-string", "x-level-a-string", "x-star-a-string",
-            "profile-value-a-string", "profiles-an-object", "profile-lacks-a-covariate",
+            "profile-value-a-string", "profiles-an-object", "profile-lacks-a-covariate", "profiles-empty",
             "x-nan", "x-inf", "x-star-nan", "profile-value-nan",
         ],
     )
     def test_config_or_flag_value_of_the_wrong_type_is_user_error(
         self, workdir, tmp_path, capsys, config, flags
     ):
+        # a readable data file, so that no case fails for want of one
+        base = dict(CONFIG, data=str(workdir / "cohort.csv"), contrasts={"x": [30], "x_star": 10})
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"contrasts": {"x": [30], "x_star": 10}, **config}))
+        cfg_path.write_text(json.dumps({**base, **config}))
         argv = ["bounds", "--config", str(cfg_path), "--models", str(workdir / "models.json"), *flags]
         assert main(argv) == 1
         captured = capsys.readouterr()

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from medbounds import effects
-from medbounds.bounds import sensitivity_curve, shifted_posterior_logit
+from medbounds.bounds import sensitivity_curve
 from medbounds.effects import (
     PAIR_COMPONENTS,
     Contrast,
@@ -14,6 +14,7 @@ from medbounds.effects import (
     counterfactual_outcome_logit,
     point_effects,
     predictor_bundle,
+    shifted_posterior_logit,
 )
 from medbounds.glm import model_from_dict
 from medbounds.scm import mediation_formula_logit

@@ -356,6 +356,21 @@ class TestDemoCohort:
         assert float(scm.c_probs @ gender) == pytest.approx(0.725, abs=1e-12)
         assert scm.x_grid.min() == 10.0 and scm.x_grid.max() == 170.0
 
+    def test_exposure_probabilities_are_the_binned_shifted_gamma(self):
+        # the pinned literals, rebuilt bit for bit from the distribution they stand for
+        from scipy.stats import gamma
+
+        x_grid = np.arange(10.0, 171.0, 10.0)
+        shape = (26.933 / 21.521) ** 2
+        scale = 26.933 / shape
+        edges = np.concatenate([[-np.inf], x_grid[:-1] + 5.0, [np.inf]])
+        x_probs = np.diff(gamma.cdf(edges - 10.0, a=shape, scale=scale))
+        x_probs = x_probs / x_probs.sum()
+        scm = demo_cohort_scm()
+        assert scm.x_probs.shape[-1] == 17
+        assert (scm.x_grid == x_grid).all()
+        assert (scm.x_probs == x_probs).all()
+
     def test_prevalences_near_targets(self):
         scm = demo_cohort_scm()
         w_x = scm.x_probs[0, 0, :]

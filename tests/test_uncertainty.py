@@ -221,6 +221,21 @@ class TestUncertaintyIntervals:
         with pytest.raises(ValueError, match="alpha must lie strictly between 0 and 1"):
             uncertainty_intervals(eb, est, float("nan"))
 
+    def test_bounds_and_estimates_of_different_bundles_are_rejected(self, derived_bundle_with_cov):
+        one = derived_bundle_with_cov
+        values = np.stack([one.values, one.values + 0.1, one.values])
+        batch = PredictorBundle(values=values, cov=np.stack([one.cov] * 3))
+        same_rows = PredictorBundle(values=values[[0, 0, 2]], cov=batch.cov)
+        with pytest.raises(ValueError, match=r"shape \(3, 4\) and estimates of shape \(4,\)"):
+            uncertainty_intervals(effect_bounds(batch), bound_covariance(one))
+        with pytest.raises(ValueError, match=r"shape \(4,\) and estimates of shape \(3, 4\)"):
+            uncertainty_intervals(effect_bounds(one), bound_covariance(batch))
+        with pytest.raises(ValueError, match="come from different bundles in row 1$"):
+            uncertainty_intervals(effect_bounds(batch), bound_covariance(same_rows))
+        other = PredictorBundle(values=one.values + 0.1, cov=one.cov)
+        with pytest.raises(ValueError, match="come from different bundles$"):
+            uncertainty_intervals(effect_bounds(one), bound_covariance(other))
+
     def test_widening_matches_scipy_ndtri(self, derived_bundle_with_cov):
         from scipy.special import ndtri
 
