@@ -24,7 +24,6 @@ from .effects import Contrast, point_effects, predictor_bundle
 from .errors import IngestionError, MedboundsError, MissingVariableError
 from .glm import (
     Dataset,
-    Point,
     fit_logistic,
     load_csv,
     model_from_dict,
@@ -62,8 +61,6 @@ def load_config(path) -> dict:
     try:
         with open(path) as fh:
             cfg = json.load(fh)
-    except OSError as exc:
-        raise UserError(f"cannot read config: {exc}") from None
     except json.JSONDecodeError as exc:
         raise UserError(f"config is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
@@ -172,22 +169,19 @@ def _x_star(cfg: dict, args) -> float:
     return _number(_contrasts(cfg).get("x_star", DEFAULT_X_STAR), "contrasts.x_star")
 
 
-def _profiles(cfg: dict, args, data: Dataset | None) -> list[dict]:
+def _given_profiles(cfg: dict, args) -> list[dict] | None:
+    """The profiles of --profile or contrasts.profiles; None when neither gives any."""
     flag_profile = _parse_profile_flags(args.profile)
     if flag_profile:
         return [flag_profile]
     profiles = _contrasts(cfg).get("profiles")
-    if profiles is not None:
-        if not isinstance(profiles, list) or not all(isinstance(p, dict) for p in profiles):
-            raise UserError("contrasts.profiles must be a list of objects")
-        if not profiles:
-            raise UserError("contrasts.profiles lists no covariate profiles")
-        return [{k: _number(v, f"profile value for {k!r}") for k, v in p.items()} for p in profiles]
-    if data is None and (args.data or cfg.get("data")):
-        data = _read_data(cfg, args)
-    if data is None:
-        raise UserError("no covariate profiles given (use --profile or config contrasts.profiles)")
-    return _default_profiles(data)
+    if profiles is None:
+        return None
+    if not isinstance(profiles, list) or not all(isinstance(p, dict) for p in profiles):
+        raise UserError("contrasts.profiles must be a list of objects")
+    if not profiles:
+        raise UserError("contrasts.profiles lists no covariate profiles")
+    return [{k: _number(v, f"profile value for {k!r}") for k, v in p.items()} for p in profiles]
 
 
 def _default_profiles(data: Dataset) -> list[dict]:
@@ -274,23 +268,6 @@ def _fmt(cfg: dict, args) -> str:
     return fmt
 
 
-def _profile_label(profile: dict) -> str:
-    return ",".join(f"{k}={profile[k]:g}" for k in sorted(profile))
-
-
-def _check_profiles(models, labelled, x_star: float) -> None:
-    """Name the profile and the covariate when a profile lacks one a design reads."""
-    for profile, label in labelled:
-        point = Point(x_star, 0.0, profile)
-        for model in models:
-            try:
-                model.design.row(point)
-            except MissingVariableError as exc:
-                if exc.variable is None:
-                    raise
-                raise UserError(f"profile {label} lacks covariate '{exc.variable}'") from None
-
-
 # --------------------------------------------------------------------------
 # Model acquisition
 # --------------------------------------------------------------------------
@@ -301,9 +278,7 @@ def _models_from_file(path):
         with open(path) as fh:
             payload = json.load(fh)
         return model_from_dict(payload["outcome"]), model_from_dict(payload["mediator"])
-    except OSError as exc:
-        raise UserError(f"cannot read models file: {exc}") from None
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise UserError(f"bad models file {path}: {exc}") from None
 
 
@@ -324,6 +299,7 @@ def cmd_fit(args) -> int:
     cfg = load_config(args.config) if args.config else {}
     if not cfg:
         raise UserError("fit requires --config with designs and a column mapping")
+    fmt = _fmt(cfg, args)
     outcome, mediator = _fit_models(cfg, _read_data(cfg, args))
 
     est = mediator.coefficients.tolist() + outcome.coefficients.tolist()
@@ -335,7 +311,7 @@ def cmd_fit(args) -> int:
         "s.e.": se,
         "p-value": [math.erfc(abs(b / s if s > 0 else math.inf) / math.sqrt(2.0)) for b, s in zip(est, se)],
     }
-    sys.stdout.write(_render(table, _fmt(cfg, args)))
+    sys.stdout.write(_render(table, fmt))
 
     out = args.out or cfg.get("out")
     if out:
@@ -371,40 +347,55 @@ def _check_support(models, xs: list[float], x_star: float) -> None:
         )
 
 
-def _contrast_inputs(args, x_major: bool):
-    """Config, both models, contrasts and their key columns of an ``effects``,
-    ``bounds`` or ``curve`` run: one contrast per (active level, profile), in
-    x-major or profile-major order."""
-    cfg = load_config(args.config) if args.config else {}
+def _contrast_inputs(cfg: dict, args, x_major: bool):
+    """The bundle batch and its key columns of an ``effects``, ``bounds`` or
+    ``curve`` run: one row per (active level, profile), in x-major or
+    profile-major order. The levels and given profiles are checked before
+    any data is read; only default profiles need the data."""
+    xs, x_star = _x_values(cfg, args), _x_star(cfg, args)
+    profiles = _given_profiles(cfg, args)
+    if profiles is None and args.models and not (args.data or cfg.get("data")):
+        raise UserError("no covariate profiles given (use --profile or config contrasts.profiles)")
     data = None if args.models else _read_data(cfg, args)
     outcome, mediator = _models_from_file(args.models) if args.models else _fit_models(cfg, data)
-    xs = _x_values(cfg, args)
-    x_star = _x_star(cfg, args)
     _check_support((outcome, mediator), xs, x_star)
-    labelled = [(p, _profile_label(p)) for p in _profiles(cfg, args, data)]
-    _check_profiles((outcome, mediator), labelled, x_star)
-    grid = [(x, pl) for x in xs for pl in labelled] if x_major else [(x, pl) for pl in labelled for x in xs]
-    keys = {
-        "x": [x for x, _ in grid],
-        "x_star": [x_star] * len(grid),
-        "profile": [label for _, (_, label) in grid],
-    }
-    return cfg, outcome, mediator, [Contrast(x, x_star, p) for x, (p, _) in grid], keys
+    if profiles is None:
+        profiles = _default_profiles(data if data is not None else _read_data(cfg, args))
+    labels = [",".join(f"{k}={p[k]:g}" for k in sorted(p)) for p in profiles]
+    # each row's level and profile index: the (level, profile) index grids
+    # raveled for x-major order, their transposes for profile-major
+    ix, ip = (g.ravel() if x_major else g.T.ravel() for g in np.indices((len(xs), len(profiles))))
+    x = np.array(xs)[ix]
+    # a covariate missing from any profile stays missing, so a design that
+    # reads it fails, naming the first profile that lacks it
+    names = set.intersection(*map(set, profiles))
+    columns = {k: np.array([p[k] for p in profiles])[ip] for k in sorted(names)}
+    try:
+        bundle = predictor_bundle(outcome, mediator, Contrast(x, x_star, columns))
+    except MissingVariableError as exc:
+        if exc.variable is None:
+            raise
+        label = next(label for p, label in zip(profiles, labels) if exc.variable not in p)
+        raise UserError(f"profile {label} lacks covariate '{exc.variable}'") from None
+    keys = {"x": x.tolist(), "x_star": [x_star] * len(x), "profile": [labels[i] for i in ip]}
+    return bundle, keys
 
 
 def cmd_effects(args) -> int:
-    cfg, outcome, mediator, contrasts, keys = _contrast_inputs(args, x_major=False)
-    pt = point_effects(predictor_bundle(outcome, mediator, contrasts))
+    cfg = load_config(args.config) if args.config else {}
+    fmt = _fmt(cfg, args)
+    bundle, keys = _contrast_inputs(cfg, args, x_major=False)
+    pt = point_effects(bundle)
     table = {**keys, "nde": pt.nde.tolist(), "nie": pt.nie.tolist(), "te": pt.te.tolist()}
-    _emit(_render(table, _fmt(cfg, args)), args)
+    _emit(_render(table, fmt), args)
     return EXIT_OK
 
 
 def _bounds_like(args) -> int:
     """The ``bounds`` and ``curve`` commands: every contrast evaluated in one batch."""
-    cfg, outcome, mediator, contrasts, table = _contrast_inputs(args, x_major=True)
-    alpha = _alpha(cfg, args)
-    bundle = predictor_bundle(outcome, mediator, contrasts)
+    cfg = load_config(args.config) if args.config else {}
+    fmt, alpha = _fmt(cfg, args), _alpha(cfg, args)
+    bundle, table = _contrast_inputs(cfg, args, x_major=True)
     eb = effect_bounds(bundle)
     ui = uncertainty_intervals(eb, bound_covariance(bundle), alpha)
     for name in ("nde", "nie", "te"):
@@ -412,12 +403,15 @@ def _bounds_like(args) -> int:
         ends = (getattr(eb.point, name), bound.lower, bound.upper, interval.lower, interval.upper)
         for suffix, v in zip(("", "_lo", "_hi", "_ui_lo", "_ui_hi"), ends):
             table[name + suffix] = v.tolist()
-    _emit(_render(table, _fmt(cfg, args)), args)
+    _emit(_render(table, fmt), args)
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    scm = StructuralModel.load(args.scm) if args.scm else demo_cohort_scm()
+    try:
+        scm = StructuralModel.load(args.scm) if args.scm else demo_cohort_scm()
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UserError(f"bad structural model file {args.scm}: {exc}") from None
     n = args.n
     if n < 1:
         raise UserError("--n must be at least 1")
@@ -517,7 +511,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except (UserError, IngestionError, MissingVariableError) as exc:
+    except (UserError, IngestionError, MissingVariableError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER
     except (MedboundsError, ValueError, np.linalg.LinAlgError) as exc:

@@ -36,7 +36,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -98,11 +98,13 @@ def failing_rows(bad) -> str:
 
 @dataclass(frozen=True)
 class Contrast:
-    """An exposure shift (reference -> active) at a fixed covariate profile."""
+    """An exposure shift (reference -> active) at a fixed covariate profile;
+    or a grid of N such, when the fields (``active``, ``reference`` and each
+    profile value) are numbers or 1-D arrays that broadcast to length N."""
 
-    active: float
-    reference: float
-    profile: Mapping[str, float]
+    active: float | np.ndarray
+    reference: float | np.ndarray
+    profile: Mapping[str, float | np.ndarray]
 
 
 class Pair(enum.Enum):
@@ -144,11 +146,12 @@ class PredictorBundle:
     outcome at (active, m=0), (reference, m=0), (active, m=1),
     (reference, m=1), then mediator at active and at reference.
 
-    A single bundle has values (6,) and covariance (6, 6); a batch of N has
-    (N, 6) and (N, 6, 6). The closed forms here and in ``bounds`` and
-    ``uncertainty`` accept both and answer row by row; the oracles in
-    ``scm`` take single bundles. A non-finite predictor or covariance entry
-    is a ValueError naming its rows, so no NaN reaches the algebra.
+    A single bundle (of a ``Contrast`` of numbers) has values (6,) and
+    covariance (6, 6); a batch of N (of a grid of N) has (N, 6) and
+    (N, 6, 6). The closed forms here and in ``bounds`` and ``uncertainty``
+    accept both and answer row by row; the oracles in ``scm`` take single
+    bundles. A non-finite predictor or covariance entry is a ValueError
+    naming its rows, so no NaN reaches the algebra.
     """
 
     values: np.ndarray
@@ -196,34 +199,33 @@ class EffectTriple:
 def predictor_bundle(
     outcome_model: FittedGlm,
     mediator_model: FittedGlm,
-    contrast: Contrast | Sequence[Contrast],
+    contrast: Contrast,
 ) -> PredictorBundle:
     """Evaluate both models at the six contrast points and propagate covariance.
 
-    A single ``Contrast`` gives a single bundle; a sequence of contrasts
-    gives a batch with one row per contrast, from one design evaluation per
+    A contrast of numbers gives a single bundle; one whose fields broadcast
+    to a shape (N,) gives a batch of N rows, from one design evaluation per
     model. The two coefficient vectors are treated as uncorrelated (separate
     likelihoods), so each row's covariance is A diag(covY, covM) A' with A
     stacking its six design rows.
     """
-    single = isinstance(contrast, Contrast)
-    contrasts = [contrast] if single else list(contrast)
-    n = len(contrasts)
-    if n == 0:
-        return PredictorBundle(values=np.zeros((0, 6)), cov=np.zeros((0, 6, 6)))
-    active = np.array([c.active for c in contrasts], dtype=float)
-    reference = np.array([c.reference for c in contrasts], dtype=float)
-    # a covariate missing from any profile stays missing, so a design that
-    # needs it fails as it would for that contrast alone
-    names = set.intersection(*(set(c.profile) for c in contrasts))
-    profile = {k: np.array([c.profile[k] for c in contrasts], dtype=float) for k in sorted(names)}
+    fields = {"active": contrast.active, "reference": contrast.reference, **contrast.profile}
+    shapes = {name: np.shape(v) for name, v in fields.items()}
+    # the lengths of the array fields: none for a single contrast
+    lengths = {s[0] for s in shapes.values() if s}
+    if len(lengths - {1}) > 1 or any(len(s) > 1 for s in shapes.values()):
+        named = ", ".join(f"{name} {s}" for name, s in shapes.items())
+        raise ValueError(f"contrast fields must be numbers or 1-D arrays that broadcast, got shapes {named}")
+    n = max(lengths - {1}, default=1)
 
-    def tiled(k):
-        return {name: np.tile(v, k) for name, v in profile.items()}
+    def column(v, k):  # a field broadcast to n values, repeated k times
+        a = np.asarray(v, dtype=float)
+        return np.full(n * k, a) if a.size == 1 else np.concatenate([a] * k)
 
-    levels = np.concatenate([active, reference])
-    pts_y = Point(np.tile(levels, 2), np.repeat([0.0, 1.0], 2 * n), tiled(4))
-    pts_m = Point(levels, None, tiled(2))
+    levels = np.concatenate([column(contrast.active, 1), column(contrast.reference, 1)])
+    profile = {name: column(v, 4) for name, v in contrast.profile.items()}
+    pts_y = Point(np.tile(levels, 2), np.repeat([0.0, 1.0], 2 * n), profile)
+    pts_m = Point(levels, None, {name: v[: 2 * n] for name, v in profile.items()})
     # (N, 4, ky) and (N, 2, km): design rows in bundle component order
     ky, km = len(outcome_model.coefficients), len(mediator_model.coefficients)
     X_y = outcome_model.design.evaluate(pts_y, 4 * n).reshape(4, n, ky).swapaxes(0, 1)
@@ -234,7 +236,7 @@ def predictor_bundle(
     cov = np.zeros((n, 6, 6))
     cov[:, :4, :4] = X_y @ outcome_model.covariance @ X_y.swapaxes(-1, -2)
     cov[:, 4:, 4:] = X_m @ mediator_model.covariance @ X_m.swapaxes(-1, -2)
-    if single:
+    if not lengths:
         return PredictorBundle(values=values[0], cov=cov[0])
     return PredictorBundle(values=values, cov=cov)
 

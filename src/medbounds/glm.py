@@ -517,23 +517,17 @@ def _check_role(role: str, design: DesignSpec) -> None:
         raise ValueError("mediator-model designs must not reference the mediator")
 
 
-def fit_logistic(
-    data: Dataset,
-    design: DesignSpec,
-    role: str = "outcome",
-    tol: float = GRAD_TOL,
-    max_iter: int = MAX_ITER,
-) -> FittedGlm:
+def fit_logistic(data: Dataset, design: DesignSpec, role: str = "outcome") -> FittedGlm:
     """Maximize the Bernoulli log-likelihood by damped Newton iteration.
 
     ``role`` selects the response: "outcome" fits y on a design that may
     reference the mediator, "mediator" fits m and rejects designs that do.
     Convergence is declared when the score max-norm (on internally centred and
-    rescaled columns) drops below ``tol``; step-halving keeps the
-    log-likelihood non-decreasing, and a coefficient of those columns (which a
-    change of a column's units or origin leaves alone) wandering past +-15
-    raises a separation error since fitted probabilities are then
-    numerically 0/1.
+    rescaled columns) drops below ``GRAD_TOL`` within ``MAX_ITER`` steps;
+    step-halving keeps the log-likelihood non-decreasing, and a coefficient
+    of those columns (which a change of a column's units or origin leaves
+    alone) wandering past +-15 raises a separation error since fitted
+    probabilities are then numerically 0/1.
     """
     _check_role(role, design)
     y = data.outcome if role == "outcome" else data.mediator
@@ -569,13 +563,13 @@ def fit_logistic(
     trace = [ll]
     grad_norm = math.inf
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         p = 1.0 / (1.0 + np.exp(-eta))
         grad = X.T @ (s - n * p)
         grad_norm = float(np.abs(grad).max())
         w = n * np.clip(p * (1.0 - p), 1e-12, None)
         info = (Xt * w) @ X
-        if grad_norm < tol:
+        if grad_norm < GRAD_TOL:
             break
         try:
             step = np.linalg.solve(info, grad)
@@ -601,7 +595,7 @@ def fit_logistic(
             )
     else:
         raise ConvergenceError(
-            f"no convergence in {max_iter} iterations (score max-norm {grad_norm:.3e})",
+            f"no convergence in {MAX_ITER} iterations (score max-norm {grad_norm:.3e})",
             trace,
         )
 

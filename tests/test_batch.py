@@ -68,24 +68,39 @@ def demo_models(seed: int):
     return outcome, mediator
 
 
-contrasts = st.builds(
-    Contrast,
-    active=st.floats(0.0, 200.0),
-    reference=st.floats(0.0, 200.0),
-    profile=st.fixed_dictionaries({"bmi": st.floats(15.0, 45.0), "gender": st.sampled_from([0.0, 1.0])}),
-)
+@st.composite
+def contrast_grids(draw, max_rows: int = 8) -> Contrast:
+    """One contrast of N rows: each field a number, a length-1 array or a
+    length-N array, and at least one field of length N."""
+    n = draw(st.integers(1, max_rows))
+    shapes = [(), (1,), (n,)]
+
+    def column(elements):
+        return draw(arrays(np.float64, draw(st.sampled_from(shapes)), elements=elements))
+
+    profile = {"bmi": column(st.floats(15.0, 45.0)), "gender": column(st.sampled_from([0.0, 1.0]))}
+    active = draw(arrays(np.float64, n, elements=st.floats(0.0, 200.0)))
+    return Contrast(active, column(st.floats(0.0, 200.0)), profile)
 
 
 class TestBatchMatchesSingle:
     @settings(max_examples=40, deadline=None)
-    @given(st.lists(contrasts, min_size=1, max_size=8), st.integers(0, 1000))
-    def test_predictor_bundle(self, batch_contrasts, seed):
+    @given(contrast_grids(), st.integers(0, 1000))
+    def test_predictor_bundle(self, grid, seed):
         outcome, mediator = demo_models(seed)
-        batch = predictor_bundle(outcome, mediator, batch_contrasts)
-        assert batch.values.shape == (len(batch_contrasts), 6)
-        assert batch.cov.shape == (len(batch_contrasts), 6, 6)
-        for i, c in enumerate(batch_contrasts):
-            single = predictor_bundle(outcome, mediator, c)
+        batch = predictor_bundle(outcome, mediator, grid)
+        n = len(grid.active)
+        assert batch.values.shape == (n, 6)
+        assert batch.cov.shape == (n, 6, 6)
+
+        def at(v, i):
+            return np.broadcast_to(v, (n,))[i]
+
+        for i in range(n):
+            profile = {k: at(v, i) for k, v in grid.profile.items()}
+            row = Contrast(at(grid.active, i), at(grid.reference, i), profile)
+            single = predictor_bundle(outcome, mediator, row)
+            assert single.values.shape == (6,)
             np.testing.assert_allclose(batch.values[i], single.values, **TOL)
             np.testing.assert_allclose(batch.cov[i], single.cov, **TOL)
 
@@ -187,7 +202,15 @@ class TestRowWiseChecks:
 
     def test_no_contrasts_give_an_empty_batch(self):
         # the library keeps an empty batch; the CLI rejects an empty exposure grid before it gets here
-        batch = predictor_bundle(*demo_models(0), [])
+        batch = predictor_bundle(*demo_models(0), Contrast(np.empty(0), 10.0, {"bmi": 28.5, "gender": 1.0}))
         assert batch.values.shape == (0, 6)
         ui = uncertainty_intervals(effect_bounds(batch), bound_covariance(batch))
         assert ui.te.lower.shape == (0,)
+
+    @pytest.mark.parametrize(
+        "bmi", [np.array([28.5, 30.0, 31.0]), np.full((2, 2), 28.5)], ids=["other-length", "two-dimensional"]
+    )
+    def test_fields_that_do_not_broadcast_to_one_axis_are_rejected(self, bmi):
+        contrast = Contrast(np.array([20.0, 50.0]), 10.0, {"bmi": bmi, "gender": 1.0})
+        with pytest.raises(ValueError, match=r"got shapes active \(2,\), reference \(\), bmi"):
+            predictor_bundle(*demo_models(0), contrast)

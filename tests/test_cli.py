@@ -569,6 +569,28 @@ class TestEffectsAndBounds:
         assert captured.err.startswith("error: ")
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"alpha": 2},
+            {"format": "xml"},
+            {"contrasts": {"x": [30], "profiles": []}},
+            {"contrasts": {"x": []}},
+        ],
+        ids=["alpha-out-of-range", "unknown-format", "profiles-empty", "x-empty"],
+    )
+    def test_config_error_comes_before_the_data_is_read(self, workdir, tmp_path, capsys, monkeypatch, config):
+        import medbounds.cli as cli
+
+        def unread(*args, **kwargs):
+            pytest.fail("the data were read before the config was checked")
+
+        monkeypatch.setattr(cli, "load_csv", unread)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**CONFIG, "data": str(workdir / "cohort.csv"), **config}))
+        assert main(["bounds", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     @pytest.mark.parametrize("command", ["effects", "bounds", "curve"])
     def test_profile_that_lacks_a_covariate_is_named(self, workdir, tmp_path, capsys, command):
         profiles = [{"bmi": 25.0, "gender": 0}, {"gender": 1}]
@@ -589,6 +611,41 @@ class TestEffectsAndBounds:
         run = subprocess.run(argv, capture_output=True, text=True)
         assert run.returncode == 0
         assert sum("DegenerateMediatorWarning" in line for line in run.stderr.splitlines()) == 1
+
+
+# commands that cannot read or write a file; {w} is the module's workdir, {t}
+# a test's tmp_path, which holds two structural model files of the wrong form
+FILE_ERRORS = {
+    "fit-data-missing": "fit --config {w}/cfg.json --data {t}/no.csv",
+    "bounds-config-missing": "bounds --config {t}/no.json",
+    "bounds-models-missing": "bounds --models {t}/no.json --x 30 --profile bmi=28.5 --profile gender=1",
+    "simulate-scm-missing": "simulate --scm {t}/no.json",
+    "simulate-scm-no-covariates": "simulate --scm {t}/no_covariates.json",
+    "simulate-scm-short-table": "simulate --scm {t}/short_table.json",
+    "effects-out-dir-missing": "effects --models {w}/models.json --x 30 --profile bmi=28.5 --profile gender=1"
+    " --out {t}/no/e.csv",
+    "fit-out-dir-missing": "fit --config {w}/cfg.json --out {t}/no/models.json",
+    "simulate-out-dir-missing": "simulate --n 10 --out {t}/no/d.csv",
+    "validate-out-dir-missing": "validate --out {t}/no/report.txt",
+}
+
+
+@pytest.mark.parametrize("case", FILE_ERRORS)
+def test_file_that_cannot_be_read_or_written_is_user_error(workdir, tmp_path, capsys, monkeypatch, case):
+    import types
+
+    import medbounds.cli as cli
+
+    (tmp_path / "no_covariates.json").write_text(json.dumps({"a": 1}))
+    short_table = crossworld_demo_scm().to_dict()
+    short_table["x_probs"] = short_table["x_probs"][:-1]
+    (tmp_path / "short_table.json").write_text(json.dumps(short_table))
+    report = types.SimpleNamespace(to_text=lambda: "report\n", passed=True)
+    monkeypatch.setattr(cli, "run_validation", lambda **kwargs: report)
+    assert main([arg.format(w=workdir, t=tmp_path) for arg in FILE_ERRORS[case].split()]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 class TestValidate:

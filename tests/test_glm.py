@@ -431,12 +431,14 @@ class TestFitLogistic:
         rows, counts, _ = _patterns(X, rng.integers(0, 2, n).astype(float))
         assert len(rows) == 4 and counts.sum() == n
 
-    def test_nonconvergence_reports_trajectory(self):
+    def test_nonconvergence_reports_trajectory(self, monkeypatch):
+        from medbounds import glm
         from medbounds.errors import ConvergenceError
 
+        monkeypatch.setattr(glm, "MAX_ITER", 2)
         data = sample_dataset(demo_cohort_scm(), 800, seed=17)
         with pytest.raises(ConvergenceError) as exc:
-            fit_logistic(data, parse_design(["1", "x", "m", "bmi", "gender"]), max_iter=2)
+            fit_logistic(data, parse_design(["1", "x", "m", "bmi", "gender"]))
         assert exc.value.trajectory is not None
         assert len(exc.value.trajectory) >= 2
 
