@@ -6,13 +6,15 @@ shift enters every effect expression through a single monotone factor per
 (outcome-level, mediator-level) pair, and that factor is a straight line in
 a bounded retrospective probability, which yields closed-form lower/upper
 bounds for the direct, indirect and total effects. The shifted effects,
-the sensitivity curve and the point estimates of the stronger assumption
-set run through the probability-scale chain in ``effects``, so shift zero
-gives the point estimates by construction. The bound algebra here stays on
-the log scale (softplus and expit of the mediator predictor and effect), so
-the containment of every shifted effect in its bound compares two routes
-that share only the NDE/NIE combination rule; the grid sweep ``scm.sweep_bounds`` checks the
-bounds with code of its own.
+the sensitivity probability and curve, and the point estimates of the
+stronger assumption set all run through the one probability-scale chain in
+``effects`` (``effect_chain``), so shift zero gives the point estimates by
+construction, and all share its domain |mediator effect| <= 709 at every
+pair. The bound algebra here stays on the log scale (softplus and expit of
+the mediator predictor and effect), so the containment of every shifted
+effect in its bound compares two routes that share only the NDE/NIE
+combination rule; the grid sweep ``scm.sweep_bounds`` checks the bounds
+with code of its own.
 
 Each endpoint combines per-pair log-factor extremes, and each extreme
 depends on one pair's mediator effect and mediator predictor only; the same
@@ -37,12 +39,8 @@ from .effects import (
     effect_chain,
     expit,
     failing_rows,
-    pair_ratio_at,
-    pair_terms,
     point_effects,
     scalar_or_array,
-    stay_probability,
-    stay_weight,
 )
 from .errors import DegenerateMediatorError, DegenerateMediatorWarning
 from .glm import softplus
@@ -125,11 +123,12 @@ def sensitivity_probability(bundle: PredictorBundle, shift: float | np.ndarray) 
     """The bounded retrospective probability indexing the sensitivity analysis.
 
     P(mediator stays 0 in the reference world | outcome 0 in the cross world);
-    monotone in the shift whenever the mediator effect is nonzero.
+    monotone in the shift whenever the mediator effect is nonzero. The
+    probability row of ``effects.effect_chain``, so a mediator effect past
+    its domain (|mediator effect| <= 709) at any pair, not only the cross
+    pair, raises its ValueError.
     """
-    _, b1, delta, g = pair_terms(bundle, Pair.CROSS)
-    rho = pair_ratio_at(shift, b1, delta, g)
-    return scalar_or_array(stay_probability(rho, stay_weight(delta, g), out=rho))
+    return scalar_or_array(effect_chain(bundle, shift)[3])
 
 
 def sensitivity_probability_range(bundle: PredictorBundle) -> BoundPair:
@@ -213,5 +212,5 @@ def sensitivity_curve(bundle: PredictorBundle, shifts) -> SensitivityCurve:
     its one output array.
     """
     shifts = np.asarray(shifts, dtype=float)
-    nde, nie, te, probabilities = (scalar_or_array(x) for x in effect_chain(bundle, shifts, probability=True))
+    nde, nie, te, probabilities = (scalar_or_array(x) for x in effect_chain(bundle, shifts))
     return SensitivityCurve(shifts, nde, nie, te, probabilities)

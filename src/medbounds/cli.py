@@ -226,7 +226,7 @@ def _float_width(col) -> int:
     A cell grows with |value|, and a set sign bit (-0.0 too) adds a '-', so
     the widest cell is the largest magnitude of either sign or a non-finite one.
     """
-    a = np.array(col, dtype=float)
+    a = np.asarray(col, dtype=float)
     finite = np.isfinite(a)
     negative = finite & np.signbit(a)
     sides = [a[m][np.abs(a[m]).argmax()] for m in (negative, finite & ~negative) if m.any()]
@@ -234,18 +234,22 @@ def _float_width(col) -> int:
 
 
 def _render(table: dict, fmt: str) -> str:
-    """Format a column table (header -> list of cells, all of one length):
-    float columns to 6 decimals in text and CSV, full precision in JSON.
+    """Format a column table (header -> float array or list of cells, of one
+    length): float columns to 6 decimals in text and CSV, full precision in JSON.
 
-    Text and CSV fill one row template with a single %-format over all
-    cells, so no per-cell string is built in Python.
+    Each column becomes one list, for json.dumps or for the row template that
+    text and CSV fill with a single %-format over all cells, so no per-cell
+    string is built in Python.
     """
-    n = len(next(iter(table.values())))
-    if fmt == "json":
-        rows = [dict(zip(table, row)) for row in zip(*table.values())]
-        return json.dumps(rows, indent=1, sort_keys=True) + "\n"
     floats = [isinstance(col[0], float) for col in table.values()]
-    cols = [col if f else list(map(str, col)) for col, f in zip(table.values(), floats)]
+    cols = [
+        np.asarray(col, dtype=float).tolist() if f else list(map(str, col))
+        for col, f in zip(table.values(), floats)
+    ]
+    n = len(cols[0])
+    if fmt == "json":
+        rows = [dict(zip(table, row)) for row in zip(*cols)]
+        return json.dumps(rows, indent=1, sort_keys=True) + "\n"
     if fmt == "csv":
         quoted = {text: _csv_field(text) for col, f in zip(cols, floats) if not f for text in set(col)}
         cols = [col if f else [quoted[text] for text in col] for col, f in zip(cols, floats)]
@@ -253,8 +257,8 @@ def _render(table: dict, fmt: str) -> str:
         row = ",".join("%.6f" if f else "%s" for f in floats)
     else:
         widths = [
-            max(len(name), _float_width(col) if f else max(map(len, col)))
-            for name, col, f in zip(table, cols, floats)
+            max(len(name), _float_width(col) if f else max(map(len, cells)))
+            for name, col, cells, f in zip(table, table.values(), cols, floats)
         ]
         header = "  ".join(name.rjust(w) for name, w in zip(table, widths))
         row = "  ".join(f"%{w}.6f" if f else f"%{w}s" for w, f in zip(widths, floats))
@@ -302,17 +306,7 @@ def cmd_fit(args) -> int:
     fmt = _fmt(cfg, args)
     outcome, mediator = _fit_models(cfg, _read_data(cfg, args))
 
-    est = mediator.coefficients.tolist() + outcome.coefficients.tolist()
-    se = mediator.stderr.tolist() + outcome.stderr.tolist()
-    table = {
-        "model": ["mediator"] * len(mediator.design.names) + ["outcome"] * len(outcome.design.names),
-        "term": mediator.design.names + outcome.design.names,
-        "est.": est,
-        "s.e.": se,
-        "p-value": [math.erfc(abs(b / s if s > 0 else math.inf) / math.sqrt(2.0)) for b, s in zip(est, se)],
-    }
-    sys.stdout.write(_render(table, fmt))
-
+    # the models file first, so that a bad --out fails before any output
     out = args.out or cfg.get("out")
     if out:
         payload = {
@@ -323,6 +317,18 @@ def cmd_fit(args) -> int:
         with open(out, "w") as fh:
             json.dump(payload, fh, indent=1, sort_keys=True)
             fh.write("\n")
+
+    est = np.concatenate([mediator.coefficients, outcome.coefficients])
+    se = np.concatenate([mediator.stderr, outcome.stderr])
+    p_value = [math.erfc(abs(b / s if s > 0 else math.inf) / math.sqrt(2.0)) for b, s in zip(est, se)]
+    table = {
+        "model": ["mediator"] * len(mediator.design.names) + ["outcome"] * len(outcome.design.names),
+        "term": mediator.design.names + outcome.design.names,
+        "est.": est,
+        "s.e.": se,
+        "p-value": np.array(p_value),
+    }
+    sys.stdout.write(_render(table, fmt))
     return EXIT_OK
 
 
@@ -377,7 +383,7 @@ def _contrast_inputs(cfg: dict, args, x_major: bool):
             raise
         label = next(label for p, label in zip(profiles, labels) if exc.variable not in p)
         raise UserError(f"profile {label} lacks covariate '{exc.variable}'") from None
-    keys = {"x": x.tolist(), "x_star": [x_star] * len(x), "profile": [labels[i] for i in ip]}
+    keys = {"x": x, "x_star": np.full(len(x), x_star), "profile": [labels[i] for i in ip]}
     return bundle, keys
 
 
@@ -386,7 +392,7 @@ def cmd_effects(args) -> int:
     fmt = _fmt(cfg, args)
     bundle, keys = _contrast_inputs(cfg, args, x_major=False)
     pt = point_effects(bundle)
-    table = {**keys, "nde": pt.nde.tolist(), "nie": pt.nie.tolist(), "te": pt.te.tolist()}
+    table = {**keys, "nde": pt.nde, "nie": pt.nie, "te": pt.te}
     _emit(_render(table, fmt), args)
     return EXIT_OK
 
@@ -402,7 +408,7 @@ def _bounds_like(args) -> int:
         bound, interval = getattr(eb, name), getattr(ui, name)
         ends = (getattr(eb.point, name), bound.lower, bound.upper, interval.lower, interval.upper)
         for suffix, v in zip(("", "_lo", "_hi", "_ui_lo", "_ui_hi"), ends):
-            table[name + suffix] = v.tolist()
+            table[name + suffix] = v
     _emit(_render(table, fmt), args)
     return EXIT_OK
 

@@ -17,10 +17,11 @@ expm1 stays finite (``log_factor``) and the sensitivity probability
 ``combine_effects`` applies to bound extremes). ``effect_chain`` forms the
 coefficients of all pairs once per call (``ratio_scales``, ``factor_terms``,
 ``stay_weight``) and runs a shift grid in cache-sized blocks of ``BLOCK``
-elements; a batch of rows is one block. Its domain is stated by
-``MAX_EXPONENT``: |mediator effect| <= 709, while any finite mediator
-predictor and shift give finite numbers. ``shifted_effects`` reads the
-chain at a shift, and the point estimates are ``shifted_effects`` at shift 0.
+elements; a batch of rows is one block. It is the one route to the shifted
+effects, the point estimates (``shifted_effects`` at shift 0) and the
+sensitivity probability and curve (``bounds``), and its domain, for all of
+them, is stated by ``MAX_EXPONENT``: |mediator effect| <= 709 at every
+pair, while any finite mediator predictor and shift give finite numbers.
 
 Independent routes check each part: the log-scale softplus chain, kept as
 the test reference in ``tests/test_effects.py``, the ratios (through the
@@ -372,19 +373,20 @@ def combine_effects(y0, lower, upper) -> tuple:
     return nde_l, nde_u, nie_l, nie_u
 
 
-def effect_chain(bundle: PredictorBundle, shift, probability: bool = False) -> np.ndarray:
-    """NDE, NIE and TE, and with ``probability`` the sensitivity probability,
-    when the outcome logit carries ``shift``, stacked on a leading axis; an
-    array of shifts broadcasts against the bundle's rows. A row whose
-    mediator effect is past the chain's domain (``MAX_EXPONENT``) raises
-    ValueError, and so does the whole batch.
+def effect_chain(bundle: PredictorBundle, shift) -> np.ndarray:
+    """NDE, NIE, TE and the sensitivity probability when the outcome logit
+    carries ``shift``, stacked on a leading axis of four; an array of shifts
+    broadcasts against the bundle's rows. A row whose mediator effect at any
+    pair is past the chain's domain (``MAX_EXPONENT``) raises ValueError, and
+    so does the whole batch.
 
     Each coefficient of all pairs, and the NDE base, is formed once per call
     as one (pair, ...) array. A shift grid then runs in blocks of about
     ``BLOCK`` elements along its leading axis: per block the ``ratio_core``
     of each outcome level (``LEVEL_PAIRS``), each pair's ratio from its
     level's core, the log factors of all pairs at once, and the NDE/NIE
-    rule, written into the block of one preallocated output. A batch of rows
+    rule, written into the block of one preallocated output, and the CROSS
+    pair's ``stay_probability`` from its ratio. A batch of rows
     runs as one block, as its terms run along that axis, and a scalar shift
     on a single bundle is a block of one.
     """
@@ -402,9 +404,9 @@ def effect_chain(bundle: PredictorBundle, shift, probability: bool = False) -> n
     b1, side = y1[LEVEL_PAIRS], np.copysign(1.0, delta[LEVEL_PAIRS])
     (a, c), terms = ratio_scales(delta, g), factor_terms(delta, g)
     base = y0[_CROSS] - y0[_REFERENCE]
-    w = stay_weight(delta[_CROSS], g[_CROSS]) if probability else None
+    w = stay_weight(delta[_CROSS], g[_CROSS])
 
-    out = np.empty((4 if probability else 3,) + (shape or (1,)))
+    out = np.empty((4,) + (shape or (1,)))
     n = out.shape[1]
     step = n if base.shape[0] > 1 else max(1, BLOCK // max(math.prod(out.shape[2:]), 1))
     spare = np.empty((len(Pair), min(step, n)) + out.shape[2:])
@@ -416,8 +418,7 @@ def effect_chain(bundle: PredictorBundle, shift, probability: bool = False) -> n
         kappa = ratio_core(shift[block] if shift_along else shift, b1, side, out=effects[:2], spare=rho[:2])
         for pair, level in enumerate(PAIR_LEVEL):
             pair_ratio(kappa[level], (a[pair], c[pair]), out=rho[pair])
-        if probability:
-            stay_probability(rho[_CROSS], w, out=out[3, block])
+        stay_probability(rho[_CROSS], w, out=out[3, block])
         factors = log_factor(rho, terms, spare=effects)
         nde_nie(base, factors, factors, out=(nde, nie))
         np.add(nde, nie, out=te)
@@ -472,7 +473,7 @@ def shifted_effects(bundle: PredictorBundle, shift: float | np.ndarray) -> Effec
     component stays inside the corresponding identification bound. An array
     of shifts broadcasts against the bundle's rows.
     """
-    nde, nie, te = (scalar_or_array(x) for x in effect_chain(bundle, shift))
+    nde, nie, te = (scalar_or_array(x) for x in effect_chain(bundle, shift)[:3])
     return EffectTriple(nde=nde, nie=nie, te=te)
 
 

@@ -147,9 +147,6 @@ class DesignSpec:
     def names(self) -> list[str]:
         return [t.name for t in self.terms]
 
-    def row(self, point: Point) -> np.ndarray:
-        return self.evaluate(point, 1)[0]
-
     def evaluate(self, point: Point, n: int) -> np.ndarray:
         """(n, k) basis evaluations at a point whose fields are length-n arrays."""
         cols = [np.broadcast_to(np.asarray(t(point), dtype=float), (n,)) for t in self.terms]

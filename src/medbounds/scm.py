@@ -45,6 +45,8 @@ __all__ = [
 ]
 
 _PROB_TOL = 1e-12
+# ``random_scm`` keeps its mechanism probabilities this far from 0 and 1
+PROB_FLOOR = 0.05
 
 
 class DegenerateLawError(MedboundsError):
@@ -453,29 +455,22 @@ def logistic_scm(
         x_probs = np.broadcast_to(x_probs, (nc, ng)).copy()
     x_probs = x_probs.reshape(nc, 1, ng)
 
-    def eta(coefs: Mapping[str, float], xi: float, m: int | None, crow: np.ndarray) -> float:
-        total = 0.0
+    # each term over (exposure, mediator, profile) axes
+    terms = {name: c_values[:, j] for j, name in enumerate(covariate_names)}
+    terms.update({"1": 1.0, "x": x_grid[:, None, None], "m": np.array([0.0, 1.0])[:, None]})
+
+    def eta(coefs: Mapping[str, float], levels: int) -> np.ndarray:
+        """Linear predictor at ``levels`` mediator values, terms added in dict order."""
+        total = np.zeros((ng, levels, nc))
         for key, w in coefs.items():
-            if key == "1":
-                total += w
-            elif key == "x":
-                total += w * xi
-            elif key == "m":
-                if m is None:
-                    raise ValueError("mediator coefficients cannot reference 'm'")
-                total += w * m
-            else:
-                total += w * crow[list(covariate_names).index(key)]
+            if key == "m" and levels == 1:
+                raise ValueError("mediator coefficients cannot reference 'm'")
+            total += w * terms[key]
         return total
 
     expit = lambda z: 1.0 / (1.0 + np.exp(-z))
-    m_probs = np.empty((ng, nc, 1))
-    y_probs = np.empty((ng, 2, nc, 1, 1))
-    for i, xi in enumerate(x_grid):
-        for c in range(nc):
-            m_probs[i, c, 0] = expit(eta(mediator_coefs, xi, None, c_values[c]))
-            for m in (0, 1):
-                y_probs[i, m, c, 0, 0] = expit(eta(outcome_coefs, xi, m, c_values[c]))
+    m_probs = expit(eta(mediator_coefs, 1))[:, 0, :, None]
+    y_probs = expit(eta(outcome_coefs, 2))[:, :, :, None, None]
     return StructuralModel(
         covariate_names=tuple(covariate_names),
         c_values=c_values,
@@ -495,9 +490,9 @@ def random_scm(
     n_x: int = 3,
     n_u1: int = 1,
     n_u2: int = 1,
-    prob_floor: float = 0.05,
 ) -> StructuralModel:
-    """Random discrete model with mechanism probabilities away from 0/1.
+    """Random discrete model with mechanism probabilities in
+    [``PROB_FLOOR``, 1 - ``PROB_FLOOR``], away from 0/1.
 
     Defaults have singleton latents, i.e. no unmeasured confounding, which
     is the regime where point identification is exact and the bounds must
@@ -505,14 +500,14 @@ def random_scm(
     """
 
     def simplex(k: int) -> np.ndarray:
-        p = rng.uniform(prob_floor, 1.0, size=k)
+        p = rng.uniform(PROB_FLOOR, 1.0, size=k)
         return p / p.sum()
 
     x_grid = np.sort(rng.choice(np.arange(0.0, 25.0), size=n_x, replace=False))
     x_probs = np.stack(
         [np.stack([simplex(n_x) for _ in range(n_u1)]) for _ in range(n_c)]
     )
-    lo, hi = prob_floor, 1.0 - prob_floor
+    lo, hi = PROB_FLOOR, 1.0 - PROB_FLOOR
     return StructuralModel(
         covariate_names=("c",),
         c_values=np.arange(n_c, dtype=float).reshape(-1, 1),

@@ -100,6 +100,23 @@ class TestFit:
         assert main(["fit", "--config", str(cfg), "--out", str(m2)]) == 0
         assert m1.read_bytes() == m2.read_bytes()
 
+    def test_unwritable_out_fails_before_any_output(self, workdir, tmp_path, capsys):
+        # the models file is written before the coefficient table is printed
+        cfg = workdir / "cfg.json"
+        assert main(["fit", "--config", str(cfg), "--out", str(tmp_path / "no" / "m.json")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_failed_fit_leaves_the_models_file(self, workdir, tmp_path, capsys):
+        models = tmp_path / "m.json"
+        models.write_text("kept\n")
+        data = tmp_path / "empty.csv"
+        data.write_text("")
+        argv = ["fit", "--config", str(workdir / "cfg.json"), "--data", str(data), "--out", str(models)]
+        assert main(argv) == 1
+        assert models.read_text() == "kept\n"
+
     def test_dropped_rows_warning_is_one_plain_line(self, workdir, tmp_path):
         lines = (workdir / "cohort.csv").read_text().splitlines()
         lines[1] = "," + lines[1].split(",", 1)[1]  # a blank outcome cell

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from medbounds import effects
-from medbounds.bounds import sensitivity_curve
+from medbounds.bounds import sensitivity_curve, sensitivity_probability
 from medbounds.effects import (
     PAIR_COMPONENTS,
     Contrast,
@@ -326,10 +326,17 @@ class TestProbabilityScaleChain:
         values = derived_bundle.values.copy()
         for index, value in changes.items():
             values[index] = value
-        # a whole batch fails with its one row past the domain
+        # a whole batch fails with its one row past the domain; the
+        # sensitivity probability reads the cross pair only, but shares the
+        # chain's check over all pairs (the second case is the reference pair)
         batch = PredictorBundle(values=np.stack([derived_bundle.values, values]), cov=np.zeros((2, 6, 6)))
+        calls = (
+            point_effects,
+            lambda b: sensitivity_curve(b, np.linspace(-5.0, 5.0, 11)),
+            lambda b: sensitivity_probability(b, 0.0),
+        )
         for bundle, rows in ((bundle_of(values), ""), (batch, " in row 1")):
-            for call in (point_effects, lambda b: sensitivity_curve(b, np.linspace(-5.0, 5.0, 11))):
+            for call in calls:
                 with pytest.raises(ValueError, match=message + r".*" + rows + r"; the effect chain's domain"):
                     call(bundle)
 

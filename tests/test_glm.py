@@ -74,7 +74,7 @@ class TestTerms:
         spaced = parse_design([" x * m ", "m ^2", "bmi ^ 2 * x"])
         assert spaced.names == ["x*m", "m^2", "bmi^2*x"]
         point = Point(2.0, 3.0, {"bmi": 5.0})
-        assert np.array_equal(spaced.row(point), [6.0, 9.0, 50.0])
+        assert np.array_equal(spaced.evaluate(point, 1)[0], [6.0, 9.0, 50.0])
 
     def test_mediator_flag_absent(self):
         assert not parse_design(["1", "x", "bmi"]).includes_mediator
@@ -82,7 +82,7 @@ class TestTerms:
 
     def test_row_evaluation(self):
         design = parse_design(["1", "x", "m", "bmi", "gender"])
-        row = design.row(Point(50.0, 0.0, MALE_PROFILE))
+        row = design.evaluate(Point(50.0, 0.0, MALE_PROFILE), 1)[0]
         assert np.allclose(row, [1.0, 50.0, 0.0, 28.5, 1.0])
 
     def test_interaction_and_power(self):
@@ -92,11 +92,11 @@ class TestTerms:
     def test_missing_covariate_named(self):
         design = parse_design(["1", "age"])
         with pytest.raises(MissingVariableError, match="age"):
-            design.row(Point(1.0, None, {}))
+            design.evaluate(Point(1.0, None, {}), 1)[0]
 
     def test_mediator_in_mediator_point(self):
         with pytest.raises(MissingVariableError, match="'m'"):
-            parse_design(["m"]).row(Point(1.0, None, {}))
+            parse_design(["m"]).evaluate(Point(1.0, None, {}), 1)[0]
 
     def test_bad_expression(self):
         with pytest.raises(ValueError):
@@ -126,7 +126,7 @@ class TestTerms:
         outcome = fit_logistic(cohort, parse_design(["1", "x", "m", "bmi", "gender"]))
         bundle = predictor_bundle(outcome, mediator, Contrast(120.0, 60.0, MALE_PROFILE))
         for x, pair in ((120.0, Pair.ACTIVE), (60.0, Pair.REFERENCE)):
-            row = design.row(Point(x, None, MALE_PROFILE))
+            row = design.evaluate(Point(x, None, MALE_PROFILE), 1)[0]
             assert bundle.mediator_part(pair) == pytest.approx(row @ mediator.coefficients, abs=1e-12)
         eb = bounds.effect_bounds(bundle)
         assert eb.nie.lower <= eb.point.nie <= eb.nie.upper
@@ -462,7 +462,7 @@ class TestLinearPredictor:
     def test_demo_outcome_point(self, outcome_model):
         # -3.925 + 0.020*50 + 0 - 0.064*28.5 + 0.587 = -4.162
         point = Point(50.0, 0.0, MALE_PROFILE)
-        eta = outcome_model.design.row(point) @ outcome_model.coefficients
+        eta = outcome_model.design.evaluate(point, 1)[0] @ outcome_model.coefficients
         assert eta == pytest.approx(-4.162, abs=1e-12)
 
     def test_demo_mediator_point(self):
@@ -477,7 +477,7 @@ class TestLinearPredictor:
         )
         # 0.418 + 0.17 - 2.793 + 0.595 = -1.610
         point = Point(10.0, None, MALE_PROFILE)
-        assert model.design.row(point) @ model.coefficients == pytest.approx(-1.610, abs=1e-12)
+        assert model.design.evaluate(point, 1)[0] @ model.coefficients == pytest.approx(-1.610, abs=1e-12)
 
     def test_zero_coefficients(self, outcome_model):
         model = model_from_dict(
@@ -488,10 +488,10 @@ class TestLinearPredictor:
                 "covariance": np.zeros((5, 5)).tolist(),
             }
         )
-        assert model.design.row(Point(123.0, 1.0, MALE_PROFILE)) @ model.coefficients == 0.0
+        assert model.design.evaluate(Point(123.0, 1.0, MALE_PROFILE), 1)[0] @ model.coefficients == 0.0
 
     def test_design_row_examples(self, outcome_model):
-        row = outcome_model.design.row(Point(50.0, 0.0, MALE_PROFILE))
+        row = outcome_model.design.evaluate(Point(50.0, 0.0, MALE_PROFILE), 1)[0]
         assert np.allclose(row, [1.0, 50.0, 0.0, 28.5, 1.0])
 
     def test_row_dot_coefficients_consistency(self, outcome_model):
@@ -502,7 +502,7 @@ class TestLinearPredictor:
                 float(rng.integers(0, 2)),
                 {"bmi": float(rng.uniform(15, 45)), "gender": float(rng.integers(0, 2))},
             )
-            lhs = outcome_model.design.row(point) @ outcome_model.coefficients
+            lhs = outcome_model.design.evaluate(point, 1)[0] @ outcome_model.coefficients
             covs = point.covariates
             terms = [1.0, point.exposure, point.mediator, covs["bmi"], covs["gender"]]
             assert lhs == pytest.approx(np.dot(outcome_model.coefficients, terms), abs=1e-12)
@@ -590,8 +590,8 @@ class TestModelSerialization:
         assert np.allclose(clone.coefficients, model.coefficients)
         assert np.allclose(clone.covariance, model.covariance)
         point = Point(42.0, 1.0, MALE_PROFILE)
-        eta = model.design.row(point) @ model.coefficients
-        assert clone.design.row(point) @ clone.coefficients == pytest.approx(eta)
+        eta = model.design.evaluate(point, 1)[0] @ model.coefficients
+        assert clone.design.evaluate(point, 1)[0] @ clone.coefficients == pytest.approx(eta)
         assert clone.report.patterns == model.report.patterns > 0
 
     def test_model_file_without_patterns_loads(self):
