@@ -307,14 +307,13 @@ def cmd_fit(args) -> int:
     outcome, mediator = _fit_models(cfg, _read_data(cfg, args))
 
     # the models file first, so that a bad --out fails before any output
-    out = args.out or cfg.get("out")
-    if out:
+    if args.out:
         payload = {
             "columns": _columns(cfg),
             "outcome": model_to_dict(outcome, cfg["outcome_design"]),
             "mediator": model_to_dict(mediator, cfg["mediator_design"]),
         }
-        with open(out, "w") as fh:
+        with open(args.out, "w") as fh:
             json.dump(payload, fh, indent=1, sort_keys=True)
             fh.write("\n")
 

@@ -150,9 +150,11 @@ class PredictorBundle:
     A single bundle (of a ``Contrast`` of numbers) has values (6,) and
     covariance (6, 6); a batch of N (of a grid of N) has (N, 6) and
     (N, 6, 6). The closed forms here and in ``bounds`` and ``uncertainty``
-    accept both and answer row by row; the oracles in ``scm`` take single
-    bundles. A non-finite predictor or covariance entry is a ValueError
-    naming its rows, so no NaN reaches the algebra.
+    accept both and answer row by row, and so do the point-wise oracles in
+    ``scm`` (``mediation_formula_logit``, ``finite_difference_jacobian``);
+    ``scm.sweep_bounds`` takes a single bundle. A non-finite predictor or
+    covariance entry is a ValueError naming its rows, so no NaN reaches the
+    algebra.
     """
 
     values: np.ndarray

@@ -399,6 +399,14 @@ class FitReport:
     patterns: int = 0
 
 
+def psd_check(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(not PSD, smallest eigenvalue) of each symmetric matrix over the last
+    two axes: not positive semidefinite means an eigenvalue below -1e-8 times
+    the matrix's largest entry in magnitude (or 1, if larger)."""
+    eig_min = np.linalg.eigvalsh(cov).min(axis=-1)
+    return eig_min < -1e-8 * np.maximum(1.0, np.abs(cov).max(axis=(-2, -1))), eig_min
+
+
 @dataclass(frozen=True)
 class FittedGlm:
     """A fitted logistic model: design, coefficients, and their covariance."""
@@ -414,9 +422,14 @@ class FittedGlm:
         k = len(self.design.terms)
         if self.coefficients.shape != (k,) or self.covariance.shape != (k, k):
             raise ValueError("coefficient/covariance dimensions do not match the design")
+        if not (np.isfinite(self.coefficients).all() and np.isfinite(self.covariance).all()):
+            raise ValueError("coefficients or covariance are not finite")
         asym = np.abs(self.covariance - self.covariance.T).max()
         if asym > 1e-12 * max(1.0, np.abs(self.covariance).max()):
             raise ValueError("covariance is not symmetric")
+        not_psd, eig_min = psd_check(self.covariance)
+        if not_psd:
+            raise ValueError(f"covariance is not positive semidefinite (min eig {eig_min:.3e})")
 
     @property
     def stderr(self) -> np.ndarray:

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .bounds import BoundPair, EffectBounds, effect_bounds
-from .effects import Contrast, EffectTriple, Pair, PredictorBundle, shifted_effects
+from .effects import Contrast, EffectTriple, Pair, PredictorBundle, failing_rows, scalar_or_array, shifted_effects
 from .errors import MedboundsError
 from .glm import Dataset
 
@@ -212,10 +212,13 @@ def enumerate_counterfactuals(scm: StructuralModel, contrast: Contrast) -> Count
     )
 
 
-def _logit(p: float, what: str) -> float:
-    if not 0.0 < p < 1.0:
-        raise DegenerateLawError(f"{what} is degenerate (p={p}); log odds undefined")
-    return float(np.log(p / (1.0 - p)))
+def _logit(p: float | np.ndarray, what: str) -> float | np.ndarray:
+    """Log odds, row by row; a probability outside (0, 1) is a DegenerateLawError naming its rows."""
+    p = np.asarray(p, dtype=float)
+    bad = ~((0.0 < p) & (p < 1.0))
+    if np.any(bad):
+        raise DegenerateLawError(f"{what} is degenerate{failing_rows(bad)} (p={p[bad][0]}); log odds undefined")
+    return scalar_or_array(np.log(p / (1.0 - p)))
 
 
 def true_effects(scm: StructuralModel, contrast: Contrast) -> EffectTriple:
@@ -371,6 +374,8 @@ def sweep_bounds(
     top of float64. Past that it raises ValueError. A very negative grid end
     is fine: e^s underflows to 0, its exact limit.
     """
+    if bundle.values.ndim != 1:
+        raise ValueError(f"sweep_bounds takes one bundle, got values of shape {bundle.values.shape}")
     if points < 2:
         raise ValueError("points must be at least 2")
     b_x0, b_xs0, b_x1, b_xs1, g_x, g_xs = (float(v) for v in bundle.values)
@@ -393,14 +398,14 @@ def sweep_bounds(
     return EffectBounds(nde=nde, nie=nie, te=te, point=shifted_effects(bundle, 0.0))
 
 
-def mediation_formula_logit(bundle: PredictorBundle, pair: Pair = Pair.ACTIVE) -> float:
-    """Plug-in crossed-world logit: sum_m P(Y=1|x,m) P(M=m|x') then logit.
+def mediation_formula_logit(bundle: PredictorBundle, pair: Pair = Pair.ACTIVE) -> float | np.ndarray:
+    """Plug-in crossed-world logit, row by row: sum_m P(Y=1|x,m) P(M=m|x') then logit.
 
     Computed on the probability scale, independently of the natural-effect
     model algebra it validates, and with its own fixed reading of the
     bundle's component order rather than ``effects.PAIR_COMPONENTS``.
     """
-    b_x0, b_xs0, b_x1, b_xs1, g_x, g_xs = (float(v) for v in bundle.values)
+    b_x0, b_xs0, b_x1, b_xs1, g_x, g_xs = bundle.values.T
     b0, b1, g = {
         Pair.CROSS: (b_x0, b_x1, g_xs),
         Pair.ACTIVE: (b_x0, b_x1, g_x),
@@ -408,22 +413,22 @@ def mediation_formula_logit(bundle: PredictorBundle, pair: Pair = Pair.ACTIVE) -
     }[pair]
     pm = 1.0 / (1.0 + np.exp(-g))
     p = pm / (1.0 + np.exp(-b1)) + (1.0 - pm) / (1.0 + np.exp(-b0))
-    return _logit(float(p), "mediation-formula probability")
+    return _logit(p, "mediation-formula probability")
 
 
 def finite_difference_jacobian(bundle: PredictorBundle, h: float = 1e-6) -> np.ndarray:
-    """Central-difference 6x4 jacobian of the log bound endpoints of a single bundle."""
-    steps = h * np.eye(6)
-    # rows 0-5 step each component up, rows 6-11 step it down
-    values = np.concatenate([bundle.values + steps, bundle.values - steps])
-    eb = effect_bounds(PredictorBundle(values=values, cov=np.zeros((12, 6, 6))))
+    """Central-difference 6x4 jacobian of the log bound endpoints, row by row: a batch of N gives (N, 6, 4)."""
+    # per bundle, (2, 6, 6): each component stepped up, then each stepped down
+    values = bundle.values[..., None, None, :] + h * np.stack([np.eye(6), -np.eye(6)])
+    eb = effect_bounds(PredictorBundle(values.reshape(-1, 6), np.zeros((values.size // 6, 6, 6))))
     tau = np.stack([eb.nde.lower, eb.nde.upper, eb.nie.lower, eb.nie.upper], axis=-1)
-    return (tau[:6] - tau[6:]) / (2.0 * h)
+    tau = tau.reshape(values.shape[:-1] + (4,))
+    return (tau[..., 0, :, :] - tau[..., 1, :, :]) / (2.0 * h)
 
 
-def random_bundle(rng: np.random.Generator) -> PredictorBundle:
-    """Random predictor bundle for property checks, with zero covariance."""
-    return PredictorBundle(values=rng.uniform(-4.0, 4.0, size=6), cov=np.zeros((6, 6)))
+def random_bundle(rng: np.random.Generator, n: int) -> PredictorBundle:
+    """A batch of n random bundles for property checks, zero covariance: the draws of n single bundles."""
+    return PredictorBundle(values=rng.uniform(-4.0, 4.0, size=(n, 6)), cov=np.zeros((n, 6, 6)))
 
 
 # --------------------------------------------------------------------------

@@ -22,6 +22,7 @@ import numpy as np
 
 from .bounds import BoundPair, EffectBounds, _log_bounds
 from .effects import PredictorBundle, failing_rows, scalar_or_array, symmetrized
+from .glm import psd_check
 
 __all__ = [
     "BoundEstimates",
@@ -75,8 +76,7 @@ class BoundEstimates:
 
 def bound_covariance(bundle: PredictorBundle) -> BoundEstimates:
     """Log bound endpoints with their delta-method covariance J' S J; no degenerate-mediator warning."""
-    eig_min = np.linalg.eigvalsh(bundle.cov).min(axis=-1)
-    not_psd = eig_min < -1e-8 * np.maximum(1.0, np.abs(bundle.cov).max(axis=(-2, -1)))
+    not_psd, eig_min = psd_check(bundle.cov)
     if np.any(not_psd):
         worst = np.min(np.where(not_psd, eig_min, np.inf))
         raise ValueError(

@@ -26,9 +26,9 @@ def derived_contrast() -> Contrast:
 
 
 def random_bundles(seed: int, count: int):
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        yield random_bundle(rng)
+    """The rows of ``random_bundle(default_rng(seed), count)`` as single bundles."""
+    for values in random_bundle(np.random.default_rng(seed), count).values:
+        yield PredictorBundle(values=values, cov=np.zeros((6, 6)))
 
 
 def counted_elements(monkeypatch, *names: str) -> dict:

@@ -133,7 +133,7 @@ def test_criterion_6_mediation_formula_identity():
 
 def test_criterion_7_coverage_simulation():
     t0 = time.perf_counter()
-    coverage = coverage_simulation(n=5000, replicates=500, alpha=0.05, seed=20_240_801)
+    coverage = coverage_simulation(n=5000, replicates=500, seed=20_240_801)
     elapsed = time.perf_counter() - t0
     assert elapsed < 600.0
     for effect, value in coverage.items():

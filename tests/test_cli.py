@@ -117,6 +117,16 @@ class TestFit:
         assert main(argv) == 1
         assert models.read_text() == "kept\n"
 
+    def test_config_out_writes_no_models_file(self, workdir, tmp_path, capsys):
+        # only --out names the models file: a config "out" is not read
+        cfg = json.loads((workdir / "cfg.json").read_text())
+        cfg["out"] = str(tmp_path / "m.json")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["fit", "--config", str(path), "--format", "csv"]) == 0
+        assert capsys.readouterr().out.startswith("model,term,")
+        assert not (tmp_path / "m.json").exists()
+
     def test_dropped_rows_warning_is_one_plain_line(self, workdir, tmp_path):
         lines = (workdir / "cohort.csv").read_text().splitlines()
         lines[1] = "," + lines[1].split(",", 1)[1]  # a blank outcome cell
@@ -160,6 +170,25 @@ def test_mediator_design_naming_m_is_user_error(workdir, tmp_path, capsys, sourc
     captured = capsys.readouterr()
     assert captured.err.startswith(expected)
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["effects", "bounds", "curve"])
+@pytest.mark.parametrize("defect", ["negative-variance", "nan-coefficient"])
+def test_models_file_covariance_not_psd_or_not_finite_is_user_error(workdir, tmp_path, capsys, command, defect):
+    models = json.loads((workdir / "models.json").read_text())
+    if defect == "negative-variance":
+        models["outcome"]["covariance"][1][1] = -1.0
+        message = "covariance is not positive semidefinite"
+    else:
+        models["mediator"]["coefficients"][0] = float("nan")
+        message = "coefficients or covariance are not finite"
+    path = tmp_path / "models.json"
+    path.write_text(json.dumps(models))
+    assert main([command, "--models", str(path), "--x", "50", *PROFILE_FLAGS]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: bad models file {path}: {message}")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("design", [5, ["1", 2]])
@@ -666,21 +695,7 @@ def test_file_that_cannot_be_read_or_written_is_user_error(workdir, tmp_path, ca
 
 
 class TestValidate:
-    def test_quick_run_passes(self, capsys, monkeypatch, tmp_path):
-        import medbounds.cli as cli
-        import medbounds.validate as validate_mod
-
-        def quick(seed, coverage_replicates, coverage_n):
-            return validate_mod.run_validation(
-                seed=seed,
-                sweep_thetas=20,
-                fd_thetas=10,
-                n_scms=10,
-                coverage_replicates=coverage_replicates,
-                coverage_n=coverage_n,
-            )
-
-        monkeypatch.setattr(cli, "run_validation", quick)
+    def test_quick_run_passes(self, capsys, tmp_path):
         out_path = tmp_path / "report.txt"
         code = main(
             ["validate", "--replicates", "20", "--coverage-n", "1000", "--out", str(out_path)]
@@ -694,7 +709,7 @@ class TestValidate:
     def test_report_reproducible(self, monkeypatch):
         from medbounds.validate import run_validation
 
-        kw = dict(sweep_thetas=15, fd_thetas=5, n_scms=8, coverage_replicates=15, coverage_n=800)
+        kw = dict(coverage_replicates=15, coverage_n=800)
         a = run_validation(seed=3, **kw).to_text()
         b = run_validation(seed=3, **kw).to_text()
         assert a == b
@@ -706,18 +721,11 @@ class TestValidate:
 
         def broken(bundle):
             D = exact(bundle)
-            D[0, 0] = -D[0, 0]  # sign error in the first NDE-lower entry
+            D[..., 0, 0] = -D[..., 0, 0]  # sign error in each bundle's first NDE-lower entry
             return D
 
         monkeypatch.setattr(validate_mod, "bounds_jacobian", broken)
-        report = validate_mod.run_validation(
-            seed=3,
-            sweep_thetas=5,
-            fd_thetas=5,
-            n_scms=5,
-            coverage_replicates=5,
-            coverage_n=500,
-        )
+        report = validate_mod.run_validation(seed=3, coverage_replicates=5, coverage_n=500)
         assert not report.passed
         failing = {r.name for r in report.results if not r.passed}
         assert failing == {"jacobian-vs-fd"}

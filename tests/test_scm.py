@@ -17,6 +17,9 @@ from medbounds.scm import (
     logistic_scm,
     observational_theta,
     random_scm,
+    finite_difference_jacobian,
+    mediation_formula_logit,
+    random_bundle,
     sample_dataset,
     sweep_bounds,
     true_effects,
@@ -412,6 +415,37 @@ class TestCrossworldDemo:
         assert law.mediator["active"] == pytest.approx(pm_active, abs=1e-12)
 
 
+class TestPointwiseOracles:
+    def test_random_bundle_is_the_stream_of_single_draws(self):
+        batch = random_bundle(np.random.default_rng(4), 5)
+        rng = np.random.default_rng(4)
+        assert np.array_equal(batch.values, np.stack([rng.uniform(-4.0, 4.0, size=6) for _ in range(5)]))
+        assert batch.cov.shape == (5, 6, 6) and not batch.cov.any()
+
+    @pytest.mark.parametrize("pair", list(Pair))
+    def test_mediation_formula_batch_equals_each_row_bit_for_bit(self, pair):
+        batch = random_bundle(np.random.default_rng(5), 50)
+        got = mediation_formula_logit(batch, pair)
+        rows = [mediation_formula_logit(PredictorBundle(v, np.zeros((6, 6))), pair) for v in batch.values]
+        assert got.shape == (50,) and all(isinstance(r, float) for r in rows)
+        assert np.array_equal(got, rows)
+
+    def test_finite_difference_jacobian_batch_equals_each_row_bit_for_bit(self):
+        batch = random_bundle(np.random.default_rng(6), 50)
+        got = finite_difference_jacobian(batch)
+        rows = [finite_difference_jacobian(PredictorBundle(v, np.zeros((6, 6)))) for v in batch.values]
+        assert got.shape == (50, 6, 4) and rows[0].shape == (6, 4)
+        assert np.array_equal(got, np.stack(rows))
+
+    def test_degenerate_mediation_probability_names_the_row(self):
+        values = random_bundle(np.random.default_rng(7), 4).values
+        values[2, [0, 2]] = 800.0  # P(Y=1 | active, m) rounds to 1 at both mediator values
+        with pytest.raises(DegenerateLawError, match=r"degenerate in row 2 \(p=1\.0\)"):
+            mediation_formula_logit(PredictorBundle(values, np.zeros((4, 6, 6))), Pair.ACTIVE)
+        with pytest.raises(DegenerateLawError, match=r"degenerate \(p=1\.0\)"):
+            mediation_formula_logit(PredictorBundle(values[2], np.zeros((6, 6))), Pair.ACTIVE)
+
+
 class TestSweepOracle:
     def test_matches_closed_form(self, derived_bundle):
         eb = effect_bounds(derived_bundle)
@@ -437,6 +471,10 @@ class TestSweepOracle:
     def test_requires_two_points(self, derived_bundle):
         with pytest.raises(ValueError):
             sweep_bounds(derived_bundle, points=1)
+
+    def test_rejects_a_batch_naming_its_shape(self):
+        with pytest.raises(ValueError, match=r"one bundle, got values of shape \(3, 6\)"):
+            sweep_bounds(random_bundle(np.random.default_rng(0), 3))
 
     def test_factor_extrema_monotone_case(self):
         # factor is monotone in the shift, so extrema sit at the grid ends
