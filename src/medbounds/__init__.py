@@ -7,6 +7,7 @@ simulator provides ground truth for every closed form.
 
 The root exports the library workflow and the paper's quantities; every
 other public name is imported from its own module, such as ``medbounds.scm``.
+The root's ``sweep_bounds`` loads ``medbounds.scm`` on first use.
 """
 
 from .bounds import (
@@ -29,7 +30,14 @@ from .effects import (
     shifted_effects,
 )
 from .glm import fit_logistic, load_csv, parse_design
-from .scm import sweep_bounds
 from .uncertainty import BoundEstimates, UncertaintyIntervals, bound_covariance, uncertainty_intervals
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name == "sweep_bounds":
+        from .scm import sweep_bounds
+
+        return sweep_bounds
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -30,9 +30,7 @@ from .glm import (
     model_to_dict,
     parse_design,
 )
-from .scm import StructuralModel, demo_cohort_scm, sample_dataset
 from .uncertainty import bound_covariance, uncertainty_intervals
-from .validate import run_validation
 
 EXIT_OK = 0
 EXIT_USER = 1
@@ -230,7 +228,9 @@ def _float_width(col) -> int:
     finite = np.isfinite(a)
     negative = finite & np.signbit(a)
     sides = [a[m][np.abs(a[m]).argmax()] for m in (negative, finite & ~negative) if m.any()]
-    return max(len("%.6f" % v) for v in [*np.unique(a[~finite]), *sides])
+    # a non-finite cell is "nan", "inf" or "-inf" (a NaN prints no sign)
+    odd = a[~finite]
+    return max(len("%.6f" % v) for v in [*sides, *odd[:1], *odd[odd == -math.inf][:1]])
 
 
 def _render(table: dict, fmt: str) -> str:
@@ -413,6 +413,10 @@ def _bounds_like(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    # the simulator and the self-check suite load only in the commands that run
+    # them, so fit, effects, bounds and curve start without them
+    from .scm import StructuralModel, demo_cohort_scm, sample_dataset
+
     try:
         scm = StructuralModel.load(args.scm) if args.scm else demo_cohort_scm()
     except (KeyError, TypeError, ValueError) as exc:
@@ -436,6 +440,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    for flag, value in (("--replicates", args.replicates), ("--coverage-n", args.coverage_n)):
+        if value < 1:
+            raise UserError(f"{flag} must be at least 1")
+    from .validate import run_validation
+
     report = run_validation(
         seed=args.seed,
         coverage_replicates=args.replicates,

@@ -235,7 +235,9 @@ def load_csv(
     ``csv.reader`` row logic and are merged back in file order. Every other
     file, and any file where ``np.loadtxt`` or a flagged line's cell fails,
     takes the row route whole, so drops, warnings and errors (with their
-    line numbers) do not depend on the route.
+    line numbers) do not depend on the route. A file whose every line is
+    flagged (one written with ``", "`` separators, say) takes the row route
+    as soon as the scan ends.
     """
     wanted = [outcome, mediator, exposure, *covariates]
     with open(path, "rb") as fh:
@@ -319,17 +321,20 @@ def _read_plain_bytes(path, raw: bytes, wanted: Sequence[str]) -> tuple[np.ndarr
     columns = _mapped_columns(path, header, wanted)
     body = np.frombuffer(raw, dtype=np.uint8, offset=head_end + 1)
     starts, ends, flagged = _flag_lines(body, len(header) - 1)
+    if len(flagged) == len(starts):
+        return None  # no clean line: the row route alone reads the file
     line_flagged = np.zeros(len(starts), dtype=bool)
     line_flagged[flagged] = True
     byte_flagged = np.repeat(line_flagged, np.diff(starts, append=len(body)))
+    # the flagged lines, each with its line break, for the csv rows; the clean
+    # ones as bytes, which io.BytesIO reads without a copy
+    flagged_text = body[byte_flagged].tobytes().decode("ascii")
+    clean = body[~byte_flagged].tobytes()
+    del byte_flagged
     try:
-        clean = body[~byte_flagged]
-        arr = np.loadtxt(
-            io.BytesIO(clean), delimiter=",", usecols=columns, comments=None, dtype=float, ndmin=2
-        ) if clean.size else np.empty((0, len(wanted)))
+        arr = np.loadtxt(io.BytesIO(clean), delimiter=",", usecols=columns, comments=None, dtype=float, ndmin=2)
         del clean
-        # the flagged lines, each with its line break, through the csv rows
-        picked = _pick_cells(csv.reader(io.StringIO(body[byte_flagged].tobytes().decode("ascii"))), columns)
+        picked = _pick_cells(csv.reader(io.StringIO(flagged_text)), columns)
         kept = np.array([cells is not None for cells in picked], dtype=bool)
         values = _floats([cells for cells in picked if cells is not None], len(wanted))
     except (csv.Error, ValueError):
@@ -353,13 +358,18 @@ def _flag_lines(b: np.ndarray, commas: int) -> tuple[np.ndarray, np.ndarray, np.
     kind = b[pos]
     if len(b) and b[-1] != newline:
         pos, kind = np.append(pos, len(b)), np.append(kind, newline)
-    at_newline = kind == newline
-    ends = pos[at_newline]
+    breaks = np.flatnonzero(kind == newline)
+    ends = pos[breaks]
     starts = np.append(0, ends[:-1] + 1)[: len(ends)]
-    bad = np.diff(np.cumsum(kind == comma)[at_newline], prepend=0) != commas
-    bad |= (ends == starts) | (ends - starts > csv.field_size_limit())
-    # an empty cell is a delimiter right after another one (or at offset 0)
-    odd = (np.diff(pos, prepend=-1) == 1) | ~(at_newline | (kind == comma))
+    # the offsets between two line breaks are a line's commas, unless the line
+    # has a space or control byte, which flags it below
+    bad = (np.diff(breaks, prepend=-1) != commas + 1) | (ends - starts > csv.field_size_limit())
+    del breaks
+    # a byte that is neither a comma nor a line break, and an empty cell or a
+    # blank line: a delimiter right after another one (or at offset 0)
+    odd = (kind != comma) & (kind != newline)
+    odd[1:] |= np.diff(pos) == 1
+    odd[:1] |= pos[:1] == 0
     bad[np.searchsorted(ends, pos[odd])] = True
     return starts, ends, np.flatnonzero(bad)
 
@@ -473,10 +483,26 @@ def _patterns(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     return rows, counts, np.bincount(inverse, weights=y, minlength=groups)
 
 
+# the row-key weights of _row_keys, pinned to the last bit
+_KEY_WEIGHTS = np.array([
+    1.6369616873214543, 1.2697867137638703, 1.0409735239361946, 1.016527635528529,
+    1.8132702392002724, 1.9127555772777218, 1.6066357757671799, 1.7294965609839985,
+    1.543624991465423, 1.9350724237877683, 1.8158535541215322, 1.002738500170148,
+    1.8574042765875693, 1.0335855753054644, 1.729655446429944, 1.175655620602559,
+])
+
+
 def _row_keys(X: np.ndarray) -> np.ndarray:
     """Each row of X dotted with fixed weights that have no small-integer
-    relation, in one order for every row, so that equal rows get equal keys."""
-    weights = np.random.default_rng(0).uniform(1.0, 2.0, X.shape[1])
+    relation, in one order for every row, so that equal rows get equal keys.
+
+    The weights are the first ``X.shape[1]`` of ``_KEY_WEIGHTS``, the pinned
+    draws ``np.random.default_rng(0).uniform(1.0, 2.0, 16)``. A design wider
+    than 16 terms draws all its weights from that generator, whose first 16
+    draws are the table, so the table only saves loading ``numpy.random``.
+    """
+    k = X.shape[1]
+    weights = _KEY_WEIGHTS[:k] if k <= len(_KEY_WEIGHTS) else np.random.default_rng(0).uniform(1.0, 2.0, k)
     return np.einsum("ij,j->i", X, weights)
 
 

@@ -680,14 +680,14 @@ FILE_ERRORS = {
 def test_file_that_cannot_be_read_or_written_is_user_error(workdir, tmp_path, capsys, monkeypatch, case):
     import types
 
-    import medbounds.cli as cli
+    import medbounds.validate as validate
 
     (tmp_path / "no_covariates.json").write_text(json.dumps({"a": 1}))
     short_table = crossworld_demo_scm().to_dict()
     short_table["x_probs"] = short_table["x_probs"][:-1]
     (tmp_path / "short_table.json").write_text(json.dumps(short_table))
     report = types.SimpleNamespace(to_text=lambda: "report\n", passed=True)
-    monkeypatch.setattr(cli, "run_validation", lambda **kwargs: report)
+    monkeypatch.setattr(validate, "run_validation", lambda **kwargs: report)
     assert main([arg.format(w=workdir, t=tmp_path) for arg in FILE_ERRORS[case].split()]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -695,6 +695,26 @@ def test_file_that_cannot_be_read_or_written_is_user_error(workdir, tmp_path, ca
 
 
 class TestValidate:
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--replicates", "0"], "--replicates must be at least 1"),
+            (["--replicates", "-1"], "--replicates must be at least 1"),
+            (["--coverage-n", "0"], "--coverage-n must be at least 1"),
+        ],
+        ids=["replicates-0", "replicates-negative", "coverage-n-0"],
+    )
+    def test_counts_below_one_are_user_errors(self, capsys, monkeypatch, flags, message):
+        import medbounds.validate as validate
+
+        def no_checks(**kwargs):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(validate, "run_validation", no_checks)
+        assert main(["validate", *flags]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
+
     def test_quick_run_passes(self, capsys, tmp_path):
         out_path = tmp_path / "report.txt"
         code = main(

@@ -421,6 +421,15 @@ class TestFitLogistic:
         model = fit_logistic(data, parse_design(["1", "x", "z"]))
         assert np.allclose(model.coefficients, direct_fit(X, y), atol=1e-6)
 
+    def test_row_key_weights_are_the_pinned_draws(self):
+        from medbounds.glm import _KEY_WEIGHTS, _row_keys
+
+        # the pinned table, rebuilt bit for bit from the generator it stands
+        # for; a design wider than the table draws its weights from it too
+        assert (_KEY_WEIGHTS == np.random.default_rng(0).uniform(1.0, 2.0, 16)).all()
+        for k in (1, 5, 16, 17, 40):
+            assert (_row_keys(np.eye(k)) == np.random.default_rng(0).uniform(1.0, 2.0, k)).all()
+
     def test_a_signed_zero_does_not_split_a_pattern(self):
         from medbounds.glm import _patterns
 

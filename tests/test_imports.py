@@ -1,7 +1,13 @@
-"""The package runs on numpy alone; scipy is a test dependency only."""
+"""What the package imports: numpy alone at run time (scipy is a test
+dependency only), and in each CLI command only the modules it runs."""
 
+import json
 import subprocess
 import sys
+
+import medbounds
+import medbounds.scm
+from medbounds.cli import main
 
 SIMULATE = 'import sys, medbounds, medbounds.cli; sys.exit(medbounds.cli.main(["simulate", "--n", "500", "--seed", "7"]))'
 
@@ -15,3 +21,33 @@ def test_simulate_runs_the_same_without_scipy():
     out = stdout_of(f'import sys; sys.modules["scipy"] = None; {SIMULATE}')
     assert out.startswith("y,m,x,bmi,gender\n")
     assert out == stdout_of(SIMULATE)
+
+
+def test_fit_and_curve_load_neither_the_simulator_nor_the_self_checks(tmp_path):
+    data, cfg, models = tmp_path / "d.csv", tmp_path / "cfg.json", tmp_path / "models.json"
+    assert main(["simulate", "--n", "800", "--seed", "3", "--out", str(data)]) == 0
+    cfg.write_text(json.dumps({
+        "data": str(data),
+        "columns": {"outcome": "y", "mediator": "m", "exposure": "x", "covariates": ["bmi", "gender"]},
+        "outcome_design": ["1", "x", "m", "bmi", "gender"],
+        "mediator_design": ["1", "x", "bmi", "gender"],
+        "contrasts": {"x": [30, 50], "x_star": 10, "profiles": [{"bmi": 28.5, "gender": 1}]},
+    }))
+    runs = [
+        ["fit", "--config", str(cfg), "--out", str(models)],
+        ["curve", "--config", str(cfg), "--models", str(models), "--out", str(tmp_path / "curve.txt")],
+    ]
+    # a set difference: an older numpy loads numpy.ma and numpy.random itself
+    loaded = stdout_of(
+        "import sys, numpy\n"
+        "before = set(sys.modules)\n"
+        "from medbounds.cli import main\n"
+        f"assert all(main(argv) == 0 for argv in {runs!r})\n"
+        "print(*sorted(set(sys.modules) - before))"
+    ).split()
+    assert {"medbounds.bounds", "medbounds.effects", "medbounds.glm", "medbounds.uncertainty"} <= set(loaded)
+    assert not {"numpy.ma", "numpy.random", "medbounds.scm", "medbounds.validate"} & set(loaded)
+
+
+def test_root_sweep_bounds_is_the_simulator_oracle():
+    assert medbounds.sweep_bounds is medbounds.scm.sweep_bounds

@@ -10,6 +10,7 @@ import io
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -289,3 +290,42 @@ def test_crlf_file_loads_like_its_lf_twin_by_the_byte_route(tmp_path, monkeypatc
     lf = load(rows, "\n")
     assert lf[1] == (IngestionError, "<file>: line 42: could not convert string to float: 'oops'")
     assert load(rows, "\r\n") == lf
+
+
+def both_routes(path):
+    """(shape, value bytes, drop count) of the byte route and of the row route on one file."""
+    wanted = ["y", "m", "x"]
+    by_bytes = glm._read_plain_bytes(path, path.read_bytes(), wanted)
+    assert by_bytes is not None, "the file left the byte route"
+    return [(arr.shape, arr.tobytes(), dropped) for arr, dropped in (by_bytes, glm._read_rows(path, wanted))]
+
+
+# line edits (row index -> line) of a 60-row file, and its last line end: a
+# flagged line is kept (padded cell) and merged back, or dropped (empty cell)
+EDGES = {
+    "first-line-kept": ({0: "1,0, 0.5 "}, "\n"),
+    "first-line-dropped": ({0: ",0,0.5"}, "\n"),
+    "last-line-kept-no-final-break": ({59: "0,1, 59.5"}, ""),
+    "last-line-dropped-no-final-break": ({59: "0,1,"}, ""),
+    "two-adjacent-lines": ({30: "1,0,", 31: "0,1,\t31.5"}, "\n"),
+    "no-line": ({}, "\n"),
+}
+
+
+@pytest.mark.parametrize("case", EDGES)
+def test_byte_route_edges_match_the_row_route(tmp_path, case):
+    edits, ending = EDGES[case]
+    rows = [f"{i % 2},{(i // 2) % 2},{i}.25" for i in range(60)]
+    for i, line in edits.items():
+        rows[i] = line
+    by_bytes, by_rows = both_routes(plain_file(tmp_path, rows, ending))
+    assert by_bytes == by_rows
+    assert by_rows[2] == sum("," in (line[0], line[-1]) for line in edits.values())
+
+
+def test_file_with_no_clean_line_takes_the_row_route(tmp_path):
+    # ", " separators flag every data line, so no line is left for np.loadtxt
+    rows = [f"{i % 2}, {(i // 2) % 2}, {i}" for i in range(60)]
+    path = plain_file(tmp_path, rows)
+    assert glm._read_plain_bytes(path, path.read_bytes(), ["y", "m", "x"]) is None
+    assert load_csv(path, outcome="y", mediator="m", exposure="x").exposure.tolist() == list(map(float, range(60)))
