@@ -4,8 +4,9 @@ Everything downstream of model fitting is a function of six linear
 predictors: the outcome predictor at (active, reference) exposure crossed
 with mediator 0/1, and the mediator predictor at both exposure levels.
 ``PredictorBundle`` carries that 6-vector together with the covariance of
-its estimator, in a fixed component order; ``PAIR_COMPONENTS`` maps each
-(outcome-level, mediator-level) pair to the components it reads.
+its estimator, in a fixed component order; ``PAIR_INDEX`` (built from the
+``PAIR_COMPONENTS`` literal) gives each (outcome-level, mediator-level) pair
+the components it reads, and every route reads the bundle through it.
 
 This module holds the one chain from a bundle to the effects at an
 outcome-logit shift (see ``bounds``), on the probability scale: per outcome
@@ -26,10 +27,11 @@ pair, while any finite mediator predictor and shift give finite numbers.
 Independent routes check each part: the log-scale softplus chain, kept as
 the test reference in ``tests/test_effects.py``, the ratios (through the
 shifted posterior logits), factors, effects and sensitivity probability;
-the mediation formula (``scm.mediation_formula_logit``) every pair's factor
-at shift 0; exact enumeration (acceptance criterion 3) the point effects;
-and the log-scale bound algebra in ``bounds``, which shares only
-``nde_nie`` with this chain, contains every shifted effect.
+the mediation formula (``scm.mediation_formula_logit``) the point effects,
+as differences of its pair logits (NDE = CROSS - REFERENCE, NIE = ACTIVE -
+CROSS, TE = ACTIVE - REFERENCE); exact enumeration (acceptance criterion 3)
+the point effects; and the log-scale bound algebra in ``bounds``, which
+shares only ``nde_nie`` with this chain, contains every shifted effect.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ __all__ = [
     "EffectTriple",
     "Pair",
     "predictor_bundle",
-    "counterfactual_outcome_logit",
     "shifted_posterior_logit",
     "shifted_effects",
     "point_effects",
@@ -121,7 +122,8 @@ class Pair(enum.Enum):
 
 
 # The bundle components each pair reads: (outcome at m=0, outcome at m=1,
-# mediator predictor), at the pair's outcome and mediator levels.
+# mediator predictor), at the pair's outcome and mediator levels. Only
+# ``PAIR_INDEX`` is read at run time.
 PAIR_COMPONENTS = {
     Pair.CROSS: (0, 2, 5),
     Pair.ACTIVE: (0, 2, 4),
@@ -143,7 +145,7 @@ PAIR_LEVEL = PAIR_LEVEL.ravel()
 class PredictorBundle:
     """Six linear predictors and the covariance of their estimator.
 
-    Component order (fixed; ``PAIR_COMPONENTS`` indexes against it):
+    Component order (fixed; ``PAIR_INDEX`` indexes against it):
     outcome at (active, m=0), (reference, m=0), (active, m=1),
     (reference, m=1), then mediator at active and at reference.
 
@@ -173,12 +175,12 @@ class PredictorBundle:
 
     def outcome_parts(self, pair: Pair) -> tuple[float | np.ndarray, float | np.ndarray]:
         """(m=0, m=1) outcome predictors at the pair's outcome level."""
-        i0, i1, _ = PAIR_COMPONENTS[pair]
+        i0, i1, _ = PAIR_INDEX[:, list(Pair).index(pair)]
         return self.values.T[i0], self.values.T[i1]
 
     def mediator_part(self, pair: Pair) -> float | np.ndarray:
         """Mediator predictor at the pair's mediator level."""
-        return self.values.T[PAIR_COMPONENTS[pair][2]]
+        return self.values.T[PAIR_INDEX[2, list(Pair).index(pair)]]
 
 
 @dataclass(frozen=True)
@@ -315,13 +317,6 @@ def pair_ratio(kappa, scales, out) -> np.ndarray:
     return rho
 
 
-def pair_ratio_at(shift, b1, delta, g) -> np.ndarray:
-    """One pair's ratio rho at ``shift``, outside the blocked chain, from its
-    m=1 outcome predictor, mediator effect and mediator predictor."""
-    kappa = ratio_core(shift, b1, np.copysign(1.0, delta))
-    return pair_ratio(kappa, ratio_scales(delta, g), out=kappa)
-
-
 def log_factor(rho, terms, spare=None) -> np.ndarray:
     """Log mediator adjustment factor of a pair with ratio ``rho``
     (``pair_ratio``) and its ``factor_terms``; elementwise, in place of
@@ -427,16 +422,6 @@ def effect_chain(bundle: PredictorBundle, shift) -> np.ndarray:
     return out.reshape(out.shape[:1] + shape)
 
 
-def pair_terms(bundle: PredictorBundle, pair: Pair) -> tuple:
-    """(m=0 outcome predictor, m=1 outcome predictor, mediator effect,
-    mediator predictor) of one pair, read through ``PAIR_COMPONENTS``; a
-    mediator effect past the chain's domain raises ValueError."""
-    (b0, b1), g = bundle.outcome_parts(pair), bundle.mediator_part(pair)
-    delta = b1 - b0
-    _check_domain(delta)
-    return b0, b1, delta, g
-
-
 def shifted_posterior_logit(
     bundle: PredictorBundle, shift: float | np.ndarray, y: int, pair: Pair = Pair.CROSS
 ) -> float | np.ndarray:
@@ -448,24 +433,18 @@ def shifted_posterior_logit(
     same algebra with matched exposure levels. As the shift runs to -inf/+inf
     it saturates at the mediator predictor and at the mediator predictor
     minus the mediator effect, respectively. An array of shifts broadcasts
-    against the bundle's rows.
+    against the bundle's rows. A mediator effect of the pair past the
+    chain's domain (``MAX_EXPONENT``) raises ValueError.
     """
     if y not in (0, 1):
         raise ValueError("y must be 0 or 1")
-    _, b1, delta, g = pair_terms(bundle, pair)
+    (b0, b1), g = bundle.outcome_parts(pair), bundle.mediator_part(pair)
+    delta = b1 - b0
+    _check_domain(delta)
     # g + log R, with log R = log rho - min(delta, 0) for the ratio without g's scale
-    rho = pair_ratio_at(shift, b1, delta, 0.0)
+    kappa = ratio_core(shift, b1, np.copysign(1.0, delta))
+    rho = pair_ratio(kappa, ratio_scales(delta, 0.0), out=kappa)
     return scalar_or_array(y * delta + g + np.log(rho) - np.minimum(delta, 0.0))
-
-
-def counterfactual_outcome_logit(bundle: PredictorBundle, pair: Pair = Pair.CROSS) -> float | np.ndarray:
-    """Logit of the outcome under the pair's (exposure, mediator-world) setting.
-
-    For the single-world pairs this reduces to the logit of the observational
-    outcome probability marginalized over the mediator.
-    """
-    b0, b1, delta, g = pair_terms(bundle, pair)
-    return scalar_or_array(b0 + log_factor(pair_ratio_at(0.0, b1, delta, g), factor_terms(delta, g)))
 
 
 def shifted_effects(bundle: PredictorBundle, shift: float | np.ndarray) -> EffectTriple:

@@ -403,7 +403,7 @@ def mediation_formula_logit(bundle: PredictorBundle, pair: Pair = Pair.ACTIVE) -
 
     Computed on the probability scale, independently of the natural-effect
     model algebra it validates, and with its own fixed reading of the
-    bundle's component order rather than ``effects.PAIR_COMPONENTS``.
+    bundle's component order rather than ``effects.PAIR_INDEX``.
     """
     b_x0, b_xs0, b_x1, b_xs1, g_x, g_xs = bundle.values.T
     b0, b1, g = {

@@ -14,7 +14,6 @@ identification region rather than a point.
 
 from __future__ import annotations
 
-import statistics
 import warnings
 from dataclasses import dataclass
 
@@ -133,6 +132,10 @@ def uncertainty_intervals(
     mismatched = (log_bounds != estimates.log_bounds).any(axis=-1)
     if np.any(mismatched):
         raise ValueError(f"bounds and estimates come from different bundles{failing_rows(mismatched)}")
+    # statistics (with fractions and decimal) loads only here, so that fit,
+    # which computes no interval, starts without it
+    import statistics
+
     z = statistics.NormalDist().inv_cdf(1.0 - alpha / 2.0)
     se = np.moveaxis(estimates.stderr, -1, 0)
     var_te_lo, var_te_hi = total_effect_variances(estimates)

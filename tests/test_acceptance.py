@@ -126,7 +126,7 @@ def test_criterion_6_mediation_formula_identity():
     assert result.measured < MEDIATION_TOL
     report(
         6,
-        "mediation-formula identity, all three pairs",
+        "point effects vs mediation-formula differences (NDE, NIE, TE) on 2000 bundles",
         f"max abs gap {result.measured:.3e} (tol {MEDIATION_TOL})",
     )
 

@@ -767,15 +767,18 @@ class TestValidate:
         assert result.measured >= 9e-5
 
     def test_mediation_reduction_checks_the_cross_pair(self, monkeypatch):
+        import dataclasses
+
         import medbounds.validate as validate_mod
-        from medbounds.effects import Pair
 
-        exact = validate_mod.counterfactual_outcome_logit
+        exact = validate_mod.point_effects
 
-        def shifted_cross(bundle, pair):
-            return exact(bundle, pair) + (1e-3 if pair is Pair.CROSS else 0.0)
+        def shifted_cross(bundle):
+            # a CROSS logit 1e-3 too high: the NDE gains it, the NIE loses it
+            pt = exact(bundle)
+            return dataclasses.replace(pt, nde=pt.nde + 1e-3, nie=pt.nie - 1e-3)
 
-        monkeypatch.setattr(validate_mod, "counterfactual_outcome_logit", shifted_cross)
+        monkeypatch.setattr(validate_mod, "point_effects", shifted_cross)
         result = validate_mod.check_mediation_reduction(np.random.default_rng(3), 5)
         assert not result.passed
         assert result.measured == pytest.approx(1e-3, rel=1e-6)

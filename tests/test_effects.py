@@ -11,15 +11,14 @@ from medbounds.effects import (
     EffectTriple,
     Pair,
     PredictorBundle,
-    counterfactual_outcome_logit,
     point_effects,
     predictor_bundle,
     shifted_posterior_logit,
 )
 from medbounds.glm import model_from_dict
-from medbounds.scm import mediation_formula_logit
+from medbounds.scm import mediation_formula_logit, random_bundle
 
-from conftest import DERIVED_THETA, MALE_PROFILE, MEDIATOR_COEFS, OUTCOME_COEFS, random_bundles
+from conftest import DERIVED_THETA, MALE_PROFILE, MEDIATOR_COEFS, OUTCOME_COEFS
 
 theta_component = st.floats(-6.0, 6.0, allow_nan=False)
 theta_vectors = st.lists(theta_component, min_size=6, max_size=6).map(np.array)
@@ -154,47 +153,45 @@ class TestPosteriorLogit:
             shifted_posterior_logit(derived_bundle, 0.0, 2)
 
 
-class TestCounterfactualOutcomeLogit:
-    def test_zero_mediator_effect(self):
-        bundle = bundle_of([-1.2, -2.0, -1.2, -2.0, 0.7, -0.4])
-        assert counterfactual_outcome_logit(bundle, Pair.CROSS) == pytest.approx(-1.2)
+def formula_effects(bundle) -> np.ndarray:
+    """(NDE, NIE, TE) as differences of the plug-in mediation formula's pair
+    logits: CROSS - REFERENCE, ACTIVE - CROSS and ACTIVE - REFERENCE."""
+    cross, active, reference = (mediation_formula_logit(bundle, pair) for pair in Pair)
+    return np.array([cross - reference, active - cross, active - reference])
 
-    def test_single_world_matches_mediation_formula(self, derived_bundle):
-        lhs = counterfactual_outcome_logit(derived_bundle, Pair.ACTIVE)
-        rhs = mediation_formula_logit(derived_bundle, Pair.ACTIVE)
-        assert lhs == pytest.approx(rhs, abs=1e-10)
+
+def formula_gap(bundle) -> float:
+    """Largest |point effect - mediation-formula difference| over the bundle's rows."""
+    pt = point_effects(bundle)
+    return float(np.abs(np.array([pt.nde, pt.nie, pt.te]) - formula_effects(bundle)).max())
+
+
+class TestMediationFormula:
+    """The point effects against differences of the mediation formula, which
+    reads the bundle by its own fixed positions."""
+
+    def test_derived_bundle_matches_mediation_formula(self, derived_bundle):
+        assert formula_gap(derived_bundle) < 1e-10
 
     @settings(max_examples=150, deadline=None)
     @given(theta_vectors)
     def test_mediation_formula_identity_everywhere(self, values):
-        bundle = bundle_of(values)
-        for pair in (Pair.ACTIVE, Pair.REFERENCE, Pair.CROSS):
-            assert counterfactual_outcome_logit(bundle, pair) == pytest.approx(
-                mediation_formula_logit(bundle, pair), abs=1e-10
-            )
+        assert formula_gap(bundle_of(values)) < 1e-10
 
     def test_mediation_formula_catches_a_swapped_pair_table(self, monkeypatch):
         # the oracle reads the bundle layout on its own, so a wrong
-        # production pair table breaks the identity
-        bundles = list(random_bundles(11, 20))
-
-        def gap():
-            return max(
-                abs(counterfactual_outcome_logit(b, pair) - mediation_formula_logit(b, pair))
-                for b in bundles
-                for pair in Pair
-            )
-
-        assert gap() < 1e-10
-        cross, reference = PAIR_COMPONENTS[Pair.CROSS], PAIR_COMPONENTS[Pair.REFERENCE]
-        monkeypatch.setitem(PAIR_COMPONENTS, Pair.CROSS, reference)
-        monkeypatch.setitem(PAIR_COMPONENTS, Pair.REFERENCE, cross)
-        assert gap() > 0.1
-
-    def test_mediator_forced_off(self):
-        # reference mediator predictor -> -inf forces the crossed logit to b(x, 0)
-        bundle = bundle_of([-1.2, -2.0, 0.3, -1.0, 0.5, -40.0])
-        assert counterfactual_outcome_logit(bundle, Pair.CROSS) == pytest.approx(-1.2, abs=1e-12)
+        # production pair table breaks the identity; the outcome levels are
+        # rebuilt from the swapped table, as at import
+        batch = random_bundle(np.random.default_rng(11), 20)
+        assert formula_gap(batch) < 1e-10
+        cross, reference = list(Pair).index(Pair.CROSS), list(Pair).index(Pair.REFERENCE)
+        swapped = effects.PAIR_INDEX.copy()
+        swapped[:, [cross, reference]] = swapped[:, [reference, cross]]
+        _, level_pairs, pair_level = np.unique(swapped[:2].T, axis=0, return_index=True, return_inverse=True)
+        monkeypatch.setattr(effects, "PAIR_INDEX", swapped)
+        monkeypatch.setattr(effects, "LEVEL_PAIRS", level_pairs)
+        monkeypatch.setattr(effects, "PAIR_LEVEL", pair_level.ravel())
+        assert formula_gap(batch) > 0.1
 
 
 class TestPointEffects:
@@ -208,6 +205,13 @@ class TestPointEffects:
         pt = point_effects(bundle)
         assert pt.nie == pytest.approx(0.0, abs=1e-14)
         assert pt.nde == pytest.approx(0.8, abs=1e-12)
+
+    def test_mediator_forced_off_in_the_reference_world(self):
+        # reference mediator predictor -> -inf forces the crossed and the
+        # reference outcome logits to their m=0 predictors, so the NDE is
+        # b(x, 0) - b(x*, 0)
+        bundle = bundle_of([-1.2, -2.0, 0.3, -1.0, 0.5, -40.0])
+        assert point_effects(bundle).nde == pytest.approx(0.8, abs=1e-12)
 
     def test_triple_is_constructed_additively(self):
         t = EffectTriple.from_parts(0.1, 0.2)
@@ -316,24 +320,26 @@ class TestProbabilityScaleChain:
         assert_within(chain_gaps(values, shifts), atol=1e-9, rtol=1e-9)
 
     @pytest.mark.parametrize(
-        "changes, message",
+        "changes, pair, message",
         [
-            ({2: 710.0}, r"mediator effects up to 714\.162"),
-            ({1: -710.0, 3: 0.5}, r"mediator effects up to 710\.5"),
+            ({2: 710.0}, Pair.CROSS, r"mediator effects up to 714\.162"),
+            ({1: -710.0, 3: 0.5}, Pair.REFERENCE, r"mediator effects up to 710\.5"),
         ],
     )
-    def test_past_the_domain_is_a_stated_error(self, derived_bundle, changes, message):
+    def test_past_the_domain_is_a_stated_error(self, derived_bundle, changes, pair, message):
         values = derived_bundle.values.copy()
         for index, value in changes.items():
             values[index] = value
         # a whole batch fails with its one row past the domain; the
         # sensitivity probability reads the cross pair only, but shares the
-        # chain's check over all pairs (the second case is the reference pair)
+        # chain's check over all pairs (the second case is the reference
+        # pair); the shifted posterior logit checks the pair it reads
         batch = PredictorBundle(values=np.stack([derived_bundle.values, values]), cov=np.zeros((2, 6, 6)))
         calls = (
             point_effects,
             lambda b: sensitivity_curve(b, np.linspace(-5.0, 5.0, 11)),
             lambda b: sensitivity_probability(b, 0.0),
+            lambda b: shifted_posterior_logit(b, 0.0, 0, pair),
         )
         for bundle, rows in ((bundle_of(values), ""), (batch, " in row 1")):
             for call in calls:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from medbounds import bounds
+from medbounds.bounds import effect_bounds
 from medbounds.errors import (
     IngestionError,
     MissingVariableError,
@@ -26,6 +27,7 @@ from medbounds.glm import (
 )
 from medbounds.effects import Contrast, Pair, predictor_bundle
 from medbounds.scm import demo_cohort_scm, sample_dataset
+from medbounds.uncertainty import bound_covariance, uncertainty_intervals
 
 from conftest import MALE_PROFILE, MEDIATOR_COEFS, OUTCOME_COEFS
 
@@ -264,6 +266,46 @@ class TestFitLogistic:
         p_base = 1.0 / (1.0 + np.exp(-design.matrix(data) @ base.coefficients))
         p = 1.0 / (1.0 + np.exp(-design.matrix(changed) @ model.coefficients))
         np.testing.assert_allclose(p, p_base, rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "column, scale, shift",
+        [("bmi", 0.25, -7.0), ("bmi", 1e3, 5.0), ("x", 1e-3, 0.0), ("x", 1e2, 0.0)],
+    )
+    def test_units_of_a_column_leave_bundles_bounds_and_intervals(self, cohort, column, scale, shift):
+        # end to end: a covariate changed affinely with its profile value, or
+        # the exposure rescaled with the contrast levels, leaves the bundle of
+        # a contrast grid (values and covariance), its bounds, point effects
+        # and intervals, with an exposure-by-mediator term in the outcome model
+        outcome_design = parse_design(["1", "x", "m", "x*m", "bmi", "gender"])
+        mediator_design = parse_design(["1", "x", "bmi", "gender"])
+        levels, profile = np.array([20.0, 50.0, 100.0, 170.0]), {"bmi": 27.564, "gender": 1.0}
+
+        def results(data, contrast):
+            bundle = predictor_bundle(
+                fit_logistic(data, outcome_design, role="outcome"),
+                fit_logistic(data, mediator_design, role="mediator"),
+                contrast,
+            )
+            eb = effect_bounds(bundle)
+            ui = uncertainty_intervals(eb, bound_covariance(bundle))
+            pairs = [getattr(r, k) for r in (eb, ui) for k in ("nde", "nie", "te")]
+            return [bundle.values, bundle.cov, *(bp.lower for bp in pairs), *(bp.upper for bp in pairs),
+                    eb.point.nde, eb.point.nie, eb.point.te]
+
+        def change(v):
+            return v * scale + shift
+
+        data = cohort
+        base = results(data, Contrast(levels, 10.0, profile))
+        if column == "x":
+            changed = Dataset(data.outcome, data.mediator, change(data.exposure), data.covariates)
+            contrast = Contrast(change(levels), change(10.0), profile)
+        else:
+            covariates = dict(data.covariates, bmi=change(data.covariates["bmi"]))
+            changed = Dataset(data.outcome, data.mediator, data.exposure, covariates)
+            contrast = Contrast(levels, 10.0, dict(profile, bmi=change(profile["bmi"])))
+        for got, want in zip(results(changed, contrast), base):
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
 
     def test_rank_check_matches_scipy_pivoted_qr(self):
         # same decision and same named terms as the pivoted QR of the whole

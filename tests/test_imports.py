@@ -5,6 +5,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 import medbounds
 import medbounds.scm
 from medbounds.cli import main
@@ -23,7 +25,11 @@ def test_simulate_runs_the_same_without_scipy():
     assert out == stdout_of(SIMULATE)
 
 
-def test_fit_and_curve_load_neither_the_simulator_nor_the_self_checks(tmp_path):
+# fit computes no interval, so it loads no statistics (with fractions and decimal)
+@pytest.mark.parametrize(
+    "commands, also_absent", [(("fit", "curve"), set()), (("fit",), {"statistics"})], ids=["fit-curve", "fit"]
+)
+def test_fit_and_curve_load_neither_the_simulator_nor_the_self_checks(tmp_path, commands, also_absent):
     data, cfg, models = tmp_path / "d.csv", tmp_path / "cfg.json", tmp_path / "models.json"
     assert main(["simulate", "--n", "800", "--seed", "3", "--out", str(data)]) == 0
     cfg.write_text(json.dumps({
@@ -33,10 +39,11 @@ def test_fit_and_curve_load_neither_the_simulator_nor_the_self_checks(tmp_path):
         "mediator_design": ["1", "x", "bmi", "gender"],
         "contrasts": {"x": [30, 50], "x_star": 10, "profiles": [{"bmi": 28.5, "gender": 1}]},
     }))
-    runs = [
-        ["fit", "--config", str(cfg), "--out", str(models)],
-        ["curve", "--config", str(cfg), "--models", str(models), "--out", str(tmp_path / "curve.txt")],
-    ]
+    runs = {
+        "fit": ["fit", "--config", str(cfg), "--out", str(models)],
+        "curve": ["curve", "--config", str(cfg), "--models", str(models), "--out", str(tmp_path / "curve.txt")],
+    }
+    runs = [runs[command] for command in commands]
     # a set difference: an older numpy loads numpy.ma and numpy.random itself
     loaded = stdout_of(
         "import sys, numpy\n"
@@ -46,7 +53,7 @@ def test_fit_and_curve_load_neither_the_simulator_nor_the_self_checks(tmp_path):
         "print(*sorted(set(sys.modules) - before))"
     ).split()
     assert {"medbounds.bounds", "medbounds.effects", "medbounds.glm", "medbounds.uncertainty"} <= set(loaded)
-    assert not {"numpy.ma", "numpy.random", "medbounds.scm", "medbounds.validate"} & set(loaded)
+    assert not ({"numpy.ma", "numpy.random", "medbounds.scm", "medbounds.validate"} | also_absent) & set(loaded)
 
 
 def test_root_sweep_bounds_is_the_simulator_oracle():

@@ -6,7 +6,7 @@ import pytest
 
 import medbounds.scm as scm_mod
 from medbounds.bounds import effect_bounds
-from medbounds.effects import Contrast, Pair, PredictorBundle, counterfactual_outcome_logit, point_effects
+from medbounds.effects import Contrast, Pair, PredictorBundle, point_effects
 from medbounds.scm import (
     DegenerateLawError,
     StructuralModel,
@@ -193,10 +193,6 @@ class TestEnumeration:
             p_y1 = {m: 1.0 / (1.0 + np.exp(-bundle.values[[0, 2][m]])) for m in (0, 1)}
             plug_in = pm_ref * p_y1[1] + (1 - pm_ref) * p_y1[0]
             assert law.crossed[("active", "reference")] == pytest.approx(plug_in, abs=1e-10)
-            cross = counterfactual_outcome_logit(bundle, Pair.CROSS)
-            assert law.crossed[("active", "reference")] == pytest.approx(
-                1.0 / (1.0 + np.exp(-cross)), abs=1e-10
-            )
 
     def test_law_internal_consistency(self):
         # P(Y(a, M(a))=1) decomposes over the conditional pieces exactly
