@@ -19,8 +19,9 @@ with code of its own.
 Each endpoint combines per-pair log-factor extremes, and each extreme
 depends on one pair's mediator effect and mediator predictor only; the same
 combination rule applied to their partial derivatives gives the jacobian.
-One pass gives both, to ``effect_bounds`` and to ``uncertainty``; only
-``effect_bounds`` warns of a numerically zero mediator effect.
+One pass per bundle gives both, and is kept on the bundle, so that
+``effect_bounds`` and ``uncertainty.bound_covariance`` on one bundle share
+it; only ``effect_bounds`` warns of a numerically zero mediator effect.
 """
 
 from __future__ import annotations
@@ -176,12 +177,18 @@ def factor_range(bundle: PredictorBundle, pair: Pair = Pair.CROSS) -> BoundPair:
 
 
 def _log_bounds(bundle: PredictorBundle) -> tuple:
-    """Log bound endpoints (..., 4) and their jacobian (..., 6, 4); warns nothing."""
-    y0, y1, g = bundle.values.T[PAIR_INDEX]  # each (pair, ...)
-    extremes, partials = _log_factor_range(y1 - y0, g)
-    # the chain rule through each pair's (delta, g): partials (pair, ..., 6)
-    grads = [np.einsum("kp...,kpi->p...i", partial, _D_INPUTS) for partial in partials]
-    return np.array(combine_effects(y0, *extremes)).T, np.stack(combine_effects(_D_Y0, *grads), axis=-1)
+    """Log bound endpoints (..., 4) and their jacobian (..., 6, 4), read-only;
+    warns nothing. One pass per bundle, kept on it for every later call."""
+    if bundle._bound_pass is None:
+        y0, y1, g = bundle.values.T[PAIR_INDEX]  # each (pair, ...)
+        extremes, partials = _log_factor_range(y1 - y0, g)
+        # the chain rule through each pair's (delta, g): partials (pair, ..., 6)
+        grads = [np.einsum("kp...,kpi->p...i", partial, _D_INPUTS) for partial in partials]
+        ends = np.array(combine_effects(y0, *extremes)).T
+        jacobian = np.stack(combine_effects(_D_Y0, *grads), axis=-1)
+        ends.flags.writeable = jacobian.flags.writeable = False
+        object.__setattr__(bundle, "_bound_pass", (ends, jacobian))
+    return bundle._bound_pass
 
 
 def effect_bounds(bundle: PredictorBundle) -> EffectBounds:
@@ -197,7 +204,7 @@ def effect_bounds(bundle: PredictorBundle) -> EffectBounds:
         "mediator effect is numerically zero at some exposure level{rows}; "
         "bounds collapse to their continuous limits",
     )
-    nde_lo, nde_hi, nie_lo, nie_hi = _log_bounds(bundle)[0].T
+    nde_lo, nde_hi, nie_lo, nie_hi = _log_bounds(bundle)[0].T.copy()
     nde = BoundPair(nde_lo, nde_hi)
     nie = BoundPair(nie_lo, nie_hi)
     te = BoundPair(nde.lower + nie.lower, nde.upper + nie.upper)

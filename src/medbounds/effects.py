@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -157,21 +157,32 @@ class PredictorBundle:
     ``scm.sweep_bounds`` takes a single bundle. A non-finite predictor or
     covariance entry is a ValueError naming its rows, so no NaN reaches the
     algebra.
+
+    Both arrays are read-only copies, so the one pass of the bound algebra
+    that ``effect_bounds`` and ``bound_covariance`` share, kept on the
+    bundle, cannot go stale. ``bound_covariance`` checks each row's
+    covariance for positive semidefiniteness on every bundle but those of
+    ``predictor_bundle`` that are PSD by construction.
     """
 
     values: np.ndarray
     cov: np.ndarray
+    # set once, after construction, and by this package alone
+    _bound_pass: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _psd_by_construction: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = np.array(self.values, dtype=float)
         s = np.asarray(self.cov, dtype=float)
         if v.ndim not in (1, 2) or v.shape[-1] != 6 or s.shape != v.shape[:-1] + (6, 6):
             raise ValueError("bundle needs 6 predictors and a 6x6 covariance per row")
         finite = np.isfinite(v).all(axis=-1) & np.isfinite(s).all(axis=(-2, -1))
         if not finite.all():
             raise ValueError(f"bundle predictors or covariance are not finite{failing_rows(~finite)}")
+        s = symmetrized(s, "bundle covariance")
+        v.flags.writeable = s.flags.writeable = False
         object.__setattr__(self, "values", v)
-        object.__setattr__(self, "cov", symmetrized(s, "bundle covariance"))
+        object.__setattr__(self, "cov", s)
 
     def outcome_parts(self, pair: Pair) -> tuple[float | np.ndarray, float | np.ndarray]:
         """(m=0, m=1) outcome predictors at the pair's outcome level."""
@@ -212,7 +223,9 @@ def predictor_bundle(
     to a shape (N,) gives a batch of N rows, from one design evaluation per
     model. The two coefficient vectors are treated as uncorrelated (separate
     likelihoods), so each row's covariance is A diag(covY, covM) A' with A
-    stacking its six design rows.
+    stacking its six design rows: positive semidefinite when both model
+    covariances have no negative eigenvalue, and then ``bound_covariance``
+    does not check it again.
     """
     fields = {"active": contrast.active, "reference": contrast.reference, **contrast.profile}
     shapes = {name: np.shape(v) for name, v in fields.items()}
@@ -241,9 +254,10 @@ def predictor_bundle(
     cov = np.zeros((n, 6, 6))
     cov[:, :4, :4] = X_y @ outcome_model.covariance @ X_y.swapaxes(-1, -2)
     cov[:, 4:, 4:] = X_m @ mediator_model.covariance @ X_m.swapaxes(-1, -2)
-    if not lengths:
-        return PredictorBundle(values=values[0], cov=cov[0])
-    return PredictorBundle(values=values, cov=cov)
+    bundle = PredictorBundle(values=values if lengths else values[0], cov=cov if lengths else cov[0])
+    if min(outcome_model._min_eig, mediator_model._min_eig) >= 0.0:
+        object.__setattr__(bundle, "_psd_by_construction", True)
+    return bundle
 
 
 def _check_domain(delta, axis=()) -> None:

@@ -19,6 +19,13 @@ only through the row count and the response sum of each distinct design row
 checked against its pattern bit for bit (but for the sign of a zero). It
 runs on the rows themselves, with unit counts, when at least half of them
 are distinct or the check fails.
+
+Both models share one reduction: a dataset's rows are reduced once to the
+distinct ones (equal bit for bit, the sign of a zero included), and each
+design is evaluated on those and reduced again, weighted by their counts,
+which gives the patterns, in the order, of reducing the design on every
+row. Where the dataset's rows do not reduce, each design is reduced on
+every row.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -208,6 +216,36 @@ class Dataset:
     def n(self) -> int:
         return len(self.outcome)
 
+    @cached_property
+    def _distinct_rows(self) -> tuple["Dataset", np.ndarray] | None:
+        """The distinct (outcome, mediator, exposure, covariates) rows, as a
+        Dataset, and the number of rows equal to each; None when at least half
+        the rows are distinct, or two different rows share a key. Rows are
+        equal only bit for bit, so a term may tell 0.0 from -0.0 (with
+        ``np.copysign``, say). Worked out once, on first use, for every fit
+        on this dataset."""
+        table = np.column_stack([self.outcome, self.mediator, self.exposure, *self.covariates.values()])
+        found = _key_groups(table, self.n)
+        if found is None:
+            return None
+        first, inverse = found
+        bits = table.view(np.uint64)
+        if not np.array_equal(bits[first].take(inverse, axis=0), bits):
+            return None
+        counts = np.bincount(inverse, minlength=len(first)).astype(float)
+        return _table_dataset(table[first], self.covariates), counts
+
+
+def _table_dataset(table: np.ndarray, covariates: Sequence[str]) -> Dataset:
+    """The Dataset whose columns are those of an (outcome, mediator, exposure,
+    *covariates) table."""
+    return Dataset(
+        outcome=table[:, 0],
+        mediator=table[:, 1],
+        exposure=table[:, 2],
+        covariates={c: table[:, 3 + j] for j, c in enumerate(covariates)},
+    )
+
 
 def load_csv(
     path,
@@ -227,12 +265,14 @@ def load_csv(
     One semantics, two routes. A file of ASCII bytes with no quote, and with
     no carriage return outside a CRLF line end (read as a line break, as
     ``csv.reader`` reads it), takes the byte route: one numpy scan flags
-    each line that is blank, has a comma count other than the header's, an
-    empty cell, a space or control byte, or more bytes than
-    ``csv.field_size_limit()``;
-    one ``np.loadtxt`` call parses all other lines (its numbers are
-    ``float``'s bit for bit), and the flagged lines go through the
-    ``csv.reader`` row logic and are merged back in file order. Every other
+    each line that is blank, has an empty cell, a space or control byte, or
+    more bytes than ``csv.field_size_limit()``; one ``np.loadtxt`` call
+    parses all other lines (its numbers are ``float``'s bit for bit), and
+    the flagged lines go through the ``csv.reader`` row logic and are merged
+    back in file order. The scan does not count commas: ``np.loadtxt``
+    reads only the mapped columns, so a line with more or fewer fields than
+    the header that reaches every mapped column is read as the row route
+    reads it, and one that does not makes ``np.loadtxt`` fail. Every other
     file, and any file where ``np.loadtxt`` or a flagged line's cell fails,
     takes the row route whole, so drops, warnings and errors (with their
     line numbers) do not depend on the route. A file whose every line is
@@ -253,12 +293,7 @@ def load_csv(
         warnings.warn(f"{path}: dropped {dropped} rows with missing values")
     if not arr.size:
         raise IngestionError(f"{path}: no usable data rows")
-    data = Dataset(
-        outcome=arr[:, 0],
-        mediator=arr[:, 1],
-        exposure=arr[:, 2],
-        covariates={c: arr[:, 3 + j] for j, c in enumerate(covariates)},
-    )
+    data = _table_dataset(arr, covariates)
     for label, col in (("outcome", data.outcome), ("mediator", data.mediator)):
         if col.min() == col.max():
             raise IngestionError(f"{path}: {label} column is constant; both levels are required")
@@ -319,22 +354,19 @@ def _read_plain_bytes(path, raw: bytes, wanted: Sequence[str]) -> tuple[np.ndarr
         return None
     header = next(csv.reader([raw[:head_end].decode("ascii")]), None)
     columns = _mapped_columns(path, header, wanted)
-    body = np.frombuffer(raw, dtype=np.uint8, offset=head_end + 1)
-    starts, ends, flagged = _flag_lines(body, len(header) - 1)
+    body = memoryview(raw)[head_end + 1 :]
+    starts, ends, flagged = _flag_lines(np.frombuffer(body, dtype=np.uint8))
     if len(flagged) == len(starts):
         return None  # no clean line: the row route alone reads the file
-    line_flagged = np.zeros(len(starts), dtype=bool)
-    line_flagged[flagged] = True
-    byte_flagged = np.repeat(line_flagged, np.diff(starts, append=len(body)))
-    # the flagged lines, each with its line break, for the csv rows; the clean
-    # ones as bytes, which io.BytesIO reads without a copy
-    flagged_text = body[byte_flagged].tobytes().decode("ascii")
-    clean = body[~byte_flagged].tobytes()
-    del byte_flagged
+    # the flagged lines, each with its line break, for the csv rows, and the
+    # runs of clean lines between them, joined from slices of the file
+    lo, hi = starts[flagged].tolist(), (ends[flagged] + 1).tolist()
+    flagged_text = b"".join([body[a:b] for a, b in zip(lo, hi)])
+    clean = b"".join([body[a:b] for a, b in zip([0, *hi], [*lo, len(body)])])
     try:
         arr = np.loadtxt(io.BytesIO(clean), delimiter=",", usecols=columns, comments=None, dtype=float, ndmin=2)
         del clean
-        picked = _pick_cells(csv.reader(io.StringIO(flagged_text)), columns)
+        picked = _pick_cells(csv.reader(io.StringIO(flagged_text.decode("ascii"))), columns)
         kept = np.array([cells is not None for cells in picked], dtype=bool)
         values = _floats([cells for cells in picked if cells is not None], len(wanted))
     except (csv.Error, ValueError):
@@ -346,31 +378,34 @@ def _read_plain_bytes(path, raw: bytes, wanted: Sequence[str]) -> tuple[np.ndarr
     return arr, len(kept) - len(values)
 
 
-def _flag_lines(b: np.ndarray, commas: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _flag_lines(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Start and end offsets of the lines of ``b`` and the sorted indices of the
-    lines that must take the row route: blank, with a comma count other than
-    ``commas``, with an empty cell or a byte <= 0x20 (a space or a control
-    byte), or longer than ``csv.field_size_limit()``."""
-    newline, comma = ord("\n"), ord(",")
-    # every comma, line break, space and control byte, and a line break after an
-    # unterminated last line
-    pos = np.flatnonzero((b <= ord(" ")) | (b == comma))
-    kind = b[pos]
-    if len(b) and b[-1] != newline:
-        pos, kind = np.append(pos, len(b)), np.append(kind, newline)
-    breaks = np.flatnonzero(kind == newline)
-    ends = pos[breaks]
-    starts = np.append(0, ends[:-1] + 1)[: len(ends)]
-    # the offsets between two line breaks are a line's commas, unless the line
-    # has a space or control byte, which flags it below
-    bad = (np.diff(breaks, prepend=-1) != commas + 1) | (ends - starts > csv.field_size_limit())
-    del breaks
-    # a byte that is neither a comma nor a line break, and an empty cell or a
-    # blank line: a delimiter right after another one (or at offset 0)
-    odd = (kind != comma) & (kind != newline)
-    odd[1:] |= np.diff(pos) == 1
-    odd[:1] |= pos[:1] == 0
-    bad[np.searchsorted(ends, pos[odd])] = True
+    lines that must take the row route: blank, with an empty cell or a byte
+    <= 0x20 (a space or a control byte), or longer than
+    ``csv.field_size_limit()``. A line's comma count is not read: a line of
+    another width than the header's is ``np.loadtxt``'s to read or reject."""
+    newline = b == ord("\n")
+    ends = np.flatnonzero(newline)
+    delimiter = b == ord(",")
+    delimiter |= newline
+    odd = b <= ord(" ")
+    odd ^= newline
+    # a delimiter right after another one (or at offset 0, or last in a file
+    # with no final line break) ends an empty cell or a blank line; the
+    # newline mask's buffer takes these flags, one byte array fewer
+    adjacent = newline
+    np.logical_and(delimiter[1:], delimiter[:-1], out=adjacent[1:])
+    adjacent[:1] = delimiter[:1]
+    odd |= adjacent
+    if len(b) and b[-1] != ord("\n"):
+        ends = np.append(ends, len(b))
+        odd[-1] |= delimiter[-1]
+    del adjacent, delimiter
+    starts = np.empty_like(ends)
+    starts[:1] = 0
+    np.add(ends[:-1], 1, out=starts[1:])
+    bad = ends - starts > csv.field_size_limit()
+    bad[np.searchsorted(ends, np.flatnonzero(odd))] = True
     return starts, ends, np.flatnonzero(bad)
 
 
@@ -427,6 +462,9 @@ class FittedGlm:
     report: FitReport
     role: str
     exposure_range: tuple[float, float] | None = None
+    # the covariance's smallest eigenvalue: below 0 but within psd_check's
+    # tolerance, a far-out design row can scale it into a negative variance
+    _min_eig: float = field(default=math.nan, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k = len(self.design.terms)
@@ -440,6 +478,7 @@ class FittedGlm:
         not_psd, eig_min = psd_check(self.covariance)
         if not_psd:
             raise ValueError(f"covariance is not positive semidefinite (min eig {eig_min:.3e})")
+        object.__setattr__(self, "_min_eig", float(eig_min))
 
     @property
     def stderr(self) -> np.ndarray:
@@ -456,31 +495,63 @@ def _loglik(eta: np.ndarray, counts: np.ndarray, sums: np.ndarray) -> float:
     return float(sums @ eta - counts @ softplus(eta))
 
 
-def _patterns(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, counts, sums): the distinct rows of X, the number of rows equal
-    to each and the sum of y over those rows; X itself, unit counts and y when
-    at least half the rows of X are distinct.
-
-    Rows are grouped by a fixed projection (``_row_keys``), and every row is
-    then checked against its group's row: equal bit for bit, or but for the
-    sign of a zero, which no value of the fit depends on. Two different rows
-    with one key fail the check, and the data are not reduced.
+def _key_groups(X: np.ndarray, total: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """(first, inverse): the index of one row of each distinct key of
+    ``_row_keys(X)``, in key order, and the key index of every row; None when
+    at least half of ``total`` rows would be distinct. The caller checks that
+    each row equals its key's row: two different rows with one key fail it.
     """
-    n = len(X)
     key = _row_keys(X)
+    # a sort first, which costs a tenth of an argsort, so that rows that do
+    # not reduce pay no argsort
     sorted_key = np.sort(key)
     new = np.concatenate(([True], sorted_key[1:] != sorted_key[:-1]))
-    groups = int(np.count_nonzero(new))
-    if 2 * groups >= n:
-        return X, np.ones(n), y
+    if 2 * np.count_nonzero(new) >= total:
+        return None
     order = np.argsort(key)
-    inverse = np.empty(n, dtype=np.intp)
+    inverse = np.empty(len(X), dtype=np.intp)
     inverse[order] = np.cumsum(new) - 1
-    rows = X[order[new]]
+    return order[new], inverse
+
+
+def _patterns(X: np.ndarray, y: np.ndarray, counts: np.ndarray | None = None):
+    """(rows, counts, sums): the distinct rows of X in key order, the summed
+    ``counts`` (1 for each row by default) of the rows equal to each and
+    their count-weighted sum of y; None when at least half of the rows the
+    counts stand for would be distinct, or two different rows share a key.
+    Rows are equal bit for bit, or but for the sign of a zero, which no
+    value of the fit depends on.
+    """
+    counts = np.ones(len(X)) if counts is None else counts
+    found = _key_groups(X, counts.sum())
+    if found is None:
+        return None
+    first, inverse = found
+    rows = X[first]
     if not np.array_equal(rows.take(inverse, axis=0), X):
-        return X, np.ones(n), y
-    counts = np.bincount(inverse, minlength=groups).astype(float)
-    return rows, counts, np.bincount(inverse, weights=y, minlength=groups)
+        return None
+    groups = len(first)
+    return rows, np.bincount(inverse, counts, groups), np.bincount(inverse, counts * y, groups)
+
+
+def _response(data: Dataset, role: str) -> np.ndarray:
+    return data.outcome if role == "outcome" else data.mediator
+
+
+def _fit_rows(data: Dataset, design: DesignSpec, role: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows, row counts n and response sums s the Newton loop runs on:
+    the distinct design rows, from the design evaluated on the dataset's
+    distinct rows where those reduce, else on every row; or the rows
+    themselves, with n = 1 and s = y, when at least half of them are
+    distinct or the check of ``_patterns`` fails."""
+    reduced = data._distinct_rows
+    if reduced is not None:
+        rows, counts = reduced
+        patterns = _patterns(design.matrix(rows), _response(rows, role), counts)
+        if patterns is not None:
+            return patterns
+    X, y = design.matrix(data), _response(data, role)
+    return _patterns(X, y) or (X, np.ones(data.n), y)
 
 
 # the row-key weights of _row_keys, pinned to the last bit
@@ -566,12 +637,10 @@ def fit_logistic(data: Dataset, design: DesignSpec, role: str = "outcome") -> Fi
     probabilities are then numerically 0/1.
     """
     _check_role(role, design)
-    y = data.outcome if role == "outcome" else data.mediator
+    y = _response(data, role)
     if y.min() == y.max():
         raise IngestionError(f"{role} response is constant; both levels are required to fit")
-    # the Newton loop runs on the distinct design rows with their row counts
-    # n and response sums s (or on the rows themselves, n = 1 and s = y)
-    X_raw, n, s = _patterns(design.matrix(data), y)
+    X_raw, n, s = _fit_rows(data, design, role)
     _check_rank(X_raw * np.sqrt(n)[:, None] if len(X_raw) < len(y) else X_raw, design.names, len(y))
 
     # X = X_raw @ T: every column centred on a constant column, if the design

@@ -42,7 +42,7 @@ def bounds_jacobian(bundle: PredictorBundle) -> np.ndarray:
     mediator-at-active-level row is zero in both NDE columns. It warns of no
     degenerate mediator effect: ``effect_bounds`` does.
     """
-    return _log_bounds(bundle)[1]
+    return _log_bounds(bundle)[1].copy()
 
 
 @dataclass(frozen=True)
@@ -74,17 +74,25 @@ class BoundEstimates:
 
 
 def bound_covariance(bundle: PredictorBundle) -> BoundEstimates:
-    """Log bound endpoints with their delta-method covariance J' S J; no degenerate-mediator warning."""
-    not_psd, eig_min = psd_check(bundle.cov)
-    if np.any(not_psd):
-        worst = np.min(np.where(not_psd, eig_min, np.inf))
-        raise ValueError(
-            f"bundle covariance is not positive semidefinite{failing_rows(not_psd)} "
-            f"(min eig {worst:.3e})"
-        )
+    """Log bound endpoints with their delta-method covariance J' S J; no degenerate-mediator warning.
+
+    A row whose S is not positive semidefinite is a ValueError naming it,
+    unless ``predictor_bundle`` built the bundle from two model covariances
+    with no negative eigenvalue, which makes every row PSD.
+    The endpoints and J are the bundle's one bound pass, which
+    ``effect_bounds`` shares.
+    """
+    if not bundle._psd_by_construction:
+        not_psd, eig_min = psd_check(bundle.cov)
+        if np.any(not_psd):
+            worst = np.min(np.where(not_psd, eig_min, np.inf))
+            raise ValueError(
+                f"bundle covariance is not positive semidefinite{failing_rows(not_psd)} "
+                f"(min eig {worst:.3e})"
+            )
     log_bounds, D = _log_bounds(bundle)
     cov = D.swapaxes(-1, -2) @ bundle.cov @ D
-    return BoundEstimates(log_bounds=log_bounds, cov=cov)
+    return BoundEstimates(log_bounds=log_bounds.copy(), cov=cov)
 
 
 def total_effect_variances(estimates: BoundEstimates) -> tuple[float | np.ndarray, float | np.ndarray]:

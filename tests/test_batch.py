@@ -5,12 +5,15 @@ bundle is a batch of one. These checks compare each batch result with a loop
 of single-bundle calls, within 1e-12.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from medbounds import bounds
 from medbounds.bounds import (
     BoundPair,
     effect_bounds,
@@ -214,3 +217,85 @@ class TestRowWiseChecks:
         contrast = Contrast(np.array([20.0, 50.0]), 10.0, {"bmi": bmi, "gender": 1.0})
         with pytest.raises(ValueError, match=r"got shapes active \(2,\), reference \(\), bmi"):
             predictor_bundle(*demo_models(0), contrast)
+
+
+class TestOneBoundPass:
+    """effect_bounds and bound_covariance on one bundle share one pass of
+    the bound algebra, kept on the bundle."""
+
+    @staticmethod
+    def batch():
+        return predictor_bundle(*demo_models(3), Contrast(np.linspace(20.0, 170.0, 7), 10.0, {"bmi": 28.5, "gender": 1.0}))
+
+    def test_one_pass_per_bundle(self, monkeypatch):
+        calls = []
+        real = bounds._log_factor_range
+        monkeypatch.setattr(bounds, "_log_factor_range", lambda delta, g: calls.append(1) or real(delta, g))
+        batch = self.batch()
+        uncertainty_intervals(effect_bounds(batch), bound_covariance(batch))
+        bounds_jacobian(batch)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("first", ["effect_bounds", "bound_covariance"])
+    def test_the_shared_pass_agrees_bit_for_bit(self, first):
+        # against each function on a bundle of its own, whose pass it runs itself
+        built = self.batch()
+        own = lambda: PredictorBundle(values=built.values, cov=built.cov)
+        shared = own()
+        if first == "bound_covariance":
+            est = bound_covariance(shared)
+            eb = effect_bounds(shared)
+        else:
+            eb = effect_bounds(shared)
+            est = bound_covariance(shared)
+        alone_eb, alone_est = effect_bounds(own()), bound_covariance(own())
+        for got, want in ((eb, alone_eb), (est, alone_est)):
+            for a, b in zip(dataclasses.astuple(got), dataclasses.astuple(want)):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        ui, alone = uncertainty_intervals(eb, est, 0.1), uncertainty_intervals(alone_eb, alone_est, 0.1)
+        assert [np.asarray(v).tobytes() for v in dataclasses.astuple(ui)] == [
+            np.asarray(v).tobytes() for v in dataclasses.astuple(alone)
+        ]
+
+    def test_the_pass_does_not_go_stale(self):
+        built = self.batch()
+        values, cov = built.values.copy(), built.cov.copy()
+        bundle = PredictorBundle(values=values, cov=cov)
+        eb = effect_bounds(bundle)
+        values += 1.0  # the caller's array, which the bundle copied
+        cov[:] = 0.0
+        est = bound_covariance(bundle)
+        fresh = bound_covariance(PredictorBundle(values=built.values, cov=built.cov))
+        assert est.log_bounds.tobytes() == fresh.log_bounds.tobytes() and est.cov.tobytes() == fresh.cov.tobytes()
+        uncertainty_intervals(eb, est)
+        for array in (bundle.values, bundle.cov):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0.0
+        # what the functions return is the caller's to change
+        est.log_bounds[0, 0] = eb.nde.lower[0] = bounds_jacobian(bundle)[0, 0, 0] = 0.0
+        assert bound_covariance(bundle).log_bounds.tobytes() == fresh.log_bounds.tobytes()
+
+    def test_nothing_skips_the_psd_check_of_a_hand_built_bundle(self):
+        built = self.batch()
+        cov = built.cov.copy()
+        cov[2, 0, 0] = -1.0
+        with pytest.raises(TypeError):
+            PredictorBundle(values=built.values, cov=cov, _psd_by_construction=True)
+        with pytest.raises(ValueError, match=r"not positive semidefinite in row 2 "):
+            bound_covariance(dataclasses.replace(built, cov=cov))
+        with pytest.raises(ValueError, match=r"not positive semidefinite in row 2 "):
+            bound_covariance(PredictorBundle(values=built.values, cov=cov))
+
+    def test_a_model_covariance_within_the_tolerance_keeps_the_row_check(self):
+        # a smallest eigenvalue of -5e-9 passes the model check, and a
+        # far-out design row along its eigenvector scales it into a negative
+        # bundle variance
+        outcome, mediator = demo_models(3)
+        row = np.array([1.0, 1000.0, 28.5, 1.0])
+        v = row / np.linalg.norm(row)
+        project = np.eye(4) - np.outer(v, v)
+        cov = project @ mediator.covariance @ project - 5e-9 * np.outer(v, v)
+        mediator = dataclasses.replace(mediator, covariance=0.5 * (cov + cov.T))
+        bundle = predictor_bundle(outcome, mediator, Contrast(1000.0, 10.0, {"bmi": 28.5, "gender": 1.0}))
+        with pytest.raises(ValueError, match=r"bundle covariance is not positive semidefinite \(min eig -5"):
+            bound_covariance(bundle)

@@ -340,6 +340,22 @@ class TestEffectsAndBounds:
         for r in rows:
             assert r["te"] == pytest.approx(r["nde"] + r["nie"], abs=1e-9)
 
+    def test_curve_checks_psd_on_the_model_covariances_only(self, workdir, monkeypatch, capsys):
+        # the bundle rows are A diag(S_y, S_m) A' of the two checked model
+        # covariances, so no per-row eigenvalue pass runs on them
+        from medbounds import glm, uncertainty
+
+        shapes = []
+        real = glm.psd_check
+        spy = lambda cov: shapes.append(np.shape(cov)) or real(cov)
+        monkeypatch.setattr(glm, "psd_check", spy)
+        monkeypatch.setattr(uncertainty, "psd_check", spy)
+        cfg, models = workdir / "cfg.json", workdir / "models.json"
+        argv = ["curve", "--config", str(cfg), "--models", str(models), *PROFILE_FLAGS, "--format", "csv"]
+        assert main(argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3
+        assert shapes == [(5, 5), (4, 4)]
+
     def test_bounds_row_invariants(self, workdir, capsys):
         cfg = workdir / "cfg.json"
         assert main(

@@ -432,7 +432,7 @@ class TestFitLogistic:
         np.testing.assert_allclose(3.0 * model.covariance, base.covariance, rtol=1e-12, atol=0.0)
 
     def test_rows_whose_keys_collide_are_not_merged(self):
-        from medbounds.glm import _patterns, _row_keys
+        from medbounds.glm import _fit_rows, _patterns, _row_keys
 
         # the key is a dot product with fixed weights w: a row one x above
         # another collides with it when its z is w_x / w_z below, to the
@@ -454,12 +454,13 @@ class TestFitLogistic:
         assert keys[0] == keys[1] and not np.array_equal(X[0], X[1])
         # without the colliding rows the data would be reduced ...
         assert len(_patterns(X[2:], y[2:])[0]) < (n - 2) // 2
-        # ... with them, every row is still one of the patterns, bit for bit
-        rows, counts, sums = _patterns(X, y)
+        # ... with them, they are not, and a fit runs on every row, bit for bit
+        assert _patterns(X, y) is None
+        data = Dataset(outcome=y, mediator=rng.integers(0, 2, n), exposure=x, covariates={"z": z})
+        rows, counts, sums = _fit_rows(data, parse_design(["1", "x", "z"]), "outcome")
         assert {r.tobytes() for r in X} <= {r.tobytes() for r in rows}
         assert counts.sum() == n and sums.sum() == y.sum()
 
-        data = Dataset(outcome=y, mediator=rng.integers(0, 2, n), exposure=x, covariates={"z": z})
         model = fit_logistic(data, parse_design(["1", "x", "z"]))
         assert np.allclose(model.coefficients, direct_fit(X, y), atol=1e-6)
 
@@ -492,6 +493,147 @@ class TestFitLogistic:
             fit_logistic(data, parse_design(["1", "x", "m", "bmi", "gender"]))
         assert exc.value.trajectory is not None
         assert len(exc.value.trajectory) >= 2
+
+
+class TestSharedReduction:
+    """Both fits on a dataset share one reduction of its rows to the distinct
+    ones; each design is then evaluated on those and reduced again. The
+    Newton loop must get what reducing the design on every row gives:
+    ``per_design_patterns``, the reduction each fit made on its own before,
+    kept verbatim as the reference."""
+
+    DESIGNS = {"outcome": ["1", "x", "m", "bmi", "gender"], "mediator": ["1", "x", "bmi", "gender"]}
+
+    @staticmethod
+    def per_design_patterns(X, y):
+        from medbounds import glm
+
+        n = len(X)
+        key = glm._row_keys(X)
+        sorted_key = np.sort(key)
+        new = np.concatenate(([True], sorted_key[1:] != sorted_key[:-1]))
+        groups = int(np.count_nonzero(new))
+        if 2 * groups >= n:
+            return X, np.ones(n), y
+        order = np.argsort(key)
+        inverse = np.empty(n, dtype=np.intp)
+        inverse[order] = np.cumsum(new) - 1
+        rows = X[order[new]]
+        if not np.array_equal(rows.take(inverse, axis=0), X):
+            return X, np.ones(n), y
+        counts = np.bincount(inverse, minlength=groups).astype(float)
+        return rows, counts, np.bincount(inverse, weights=y, minlength=groups)
+
+    def assert_fits_as_per_design(self, monkeypatch, data, designs):
+        """Each fit's rows, counts and sums, and the fit itself, equal the
+        per-design reduction's bit for bit; the count of Newton rows each."""
+        from medbounds import glm
+
+        shared = {}
+        for role, design in designs.items():
+            shared[role] = (glm._fit_rows(data, design, role), fit_logistic(data, design, role))
+        per_design = lambda data, design, role: self.per_design_patterns(
+            design.matrix(data), data.outcome if role == "outcome" else data.mediator
+        )
+        monkeypatch.setattr(glm, "_fit_rows", per_design)
+        patterns = {}
+        for role, design in designs.items():
+            (rows, counts, sums), model = shared[role]
+            ref_rows, ref_counts, ref_sums = per_design(data, design, role)
+            assert rows.tobytes() == ref_rows.tobytes() and rows.shape == ref_rows.shape
+            assert counts.tobytes() == ref_counts.tobytes() and sums.tobytes() == ref_sums.tobytes()
+            ref = fit_logistic(data, design, role)
+            assert model.coefficients.tobytes() == ref.coefficients.tobytes()
+            assert model.covariance.tobytes() == ref.covariance.tobytes()
+            assert model.report == ref.report
+            patterns[role] = len(rows)
+        return patterns
+
+    def parsed(self):
+        return {role: parse_design(exprs) for role, exprs in self.DESIGNS.items()}
+
+    def test_fits_match_the_per_design_reduction(self, monkeypatch):
+        data = sample_dataset(demo_cohort_scm(), 20_000, 3)
+        assert data._distinct_rows is not None
+        patterns = self.assert_fits_as_per_design(monkeypatch, data, self.parsed())
+        assert all(0 < k < len(data._distinct_rows[0].outcome) for k in patterns.values())
+
+    def test_shuffled_rows_give_the_same_fits(self):
+        data = sample_dataset(demo_cohort_scm(), 20_000, 3)
+        idx = np.random.default_rng(3).permutation(data.n)
+        shuffled = Dataset(
+            data.outcome[idx], data.mediator[idx], data.exposure[idx],
+            {k: v[idx] for k, v in data.covariates.items()},
+        )
+        for role, design in self.parsed().items():
+            a, b = fit_logistic(data, design, role), fit_logistic(shuffled, design, role)
+            assert a.coefficients.tobytes() == b.coefficients.tobytes()
+            assert a.covariance.tobytes() == b.covariance.tobytes()
+
+    def test_unread_covariate_that_does_not_reduce(self, monkeypatch):
+        # a covariate no design reads makes most dataset rows distinct, so each
+        # model reduces its own design on every row, as before
+        data = sample_dataset(demo_cohort_scm(), 4_000, 4)
+        noise = np.random.default_rng(4).normal(size=data.n)
+        data = Dataset(data.outcome, data.mediator, data.exposure, dict(data.covariates, noise=noise))
+        patterns = self.assert_fits_as_per_design(monkeypatch, data, self.parsed())
+        assert data._distinct_rows is None
+        assert all(k < data.n // 2 for k in patterns.values())
+
+    def test_a_term_may_tell_the_zeros_apart(self, monkeypatch):
+        # the dataset's rows are equal only bit for bit: merging 0.0 and -0.0
+        # would give every such row the sign of one of them
+        rng = np.random.default_rng(6)
+        n = 3_000
+        data = sample_dataset(demo_cohort_scm(), n, 6)
+        signed = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+        data = Dataset(data.outcome, data.mediator, data.exposure, dict(data.covariates, s=signed))
+        sign = Term("sign(s)", lambda p: np.copysign(1.0, p.covariates["s"]))
+        design = DesignSpec(terms=(*parse_design(["1", "x", "m", "gender"]).terms, sign), includes_mediator=True)
+        assert set(design.matrix(data)[:, -1]) == {-1.0, 1.0}
+        patterns = self.assert_fits_as_per_design(monkeypatch, data, {"outcome": design})
+        assert patterns["outcome"] < n // 2
+
+    @pytest.mark.parametrize("where", ["everywhere", "mediator-design-only"])
+    def test_a_key_collision_falls_back_as_before(self, monkeypatch, where):
+        from medbounds import glm
+
+        # a key that is one column of the rows merges rows that differ: the
+        # check finds them, and the fit runs on every row, as before; the
+        # reference reads the same patched keys
+        exact = glm._row_keys
+        coarse = lambda X: X[:, 1].copy()
+        keys = coarse if where == "everywhere" else lambda X: exact(X) if X.shape[1] == 5 else coarse(X)
+        monkeypatch.setattr(glm, "_row_keys", keys)
+        data = sample_dataset(demo_cohort_scm(), 5_000, 7)
+        patterns = self.assert_fits_as_per_design(monkeypatch, data, self.parsed())
+        assert (data._distinct_rows is None) == (where == "everywhere")
+        assert patterns["mediator"] == data.n
+        assert (patterns["outcome"] == data.n) == (where == "everywhere")
+
+    def test_both_fits_reduce_the_rows_once(self, monkeypatch):
+        from medbounds import glm
+
+        base = sample_dataset(demo_cohort_scm(), 3_270, 8)
+        idx = np.random.default_rng(8).integers(0, base.n, 247_500)
+        data = Dataset(
+            base.outcome[idx], base.mediator[idx], base.exposure[idx],
+            {k: v[idx] for k, v in base.covariates.items()},
+        )
+        sizes = []
+        real = glm._row_keys
+        monkeypatch.setattr(glm, "_row_keys", lambda X: sizes.append(len(X)) or real(X))
+        for role, design in self.parsed().items():
+            fit_logistic(data, design, role)
+        assert sizes.count(247_500) == 1 and max(sizes[1:]) < base.n
+
+    def test_no_large_cache_stays_when_the_rows_do_not_reduce(self):
+        data = continuous_cohort(2_000, 9)
+        for role, design in self.parsed().items():
+            assert fit_logistic(data, design, role).report.patterns == data.n
+        assert data._distinct_rows is None
+        kept = {k for k, v in vars(data).items() if isinstance(v, (np.ndarray, tuple, dict))}
+        assert kept == {"outcome", "mediator", "exposure", "covariates"}
 
 
 # ---------------------------------------------------------------- prediction

@@ -329,3 +329,60 @@ def test_file_with_no_clean_line_takes_the_row_route(tmp_path):
     path = plain_file(tmp_path, rows)
     assert glm._read_plain_bytes(path, path.read_bytes(), ["y", "m", "x"]) is None
     assert load_csv(path, outcome="y", mediator="m", exposure="x").exposure.tolist() == list(map(float, range(60)))
+
+
+# ragged line edits (row index -> line) of a 60-row file with header
+# "y,m,x,z", of which y, m and x are mapped; its last line end; whether the
+# file keeps the byte route; and the rows dropped. The scan does not count a
+# line's commas: np.loadtxt reads the mapped columns of a line of any width
+# that reaches them all, and fails on one that does not, which sends the
+# whole file to the row route.
+RAGGED = {
+    "more-fields": ({5: "1,0,5.25,1,2,3"}, "\n", True, 0),
+    "fewer-fields-reaching-every-mapped-column": ({6: "0,1,6.25"}, "\n", True, 0),
+    "fewer-fields-short-of-a-mapped-column": ({7: "0,1"}, "\n", False, 1),
+    "empty-unmapped-trailing-cell": ({8: "1,1,8.25,"}, "\n", True, 0),
+    "empty-unmapped-trailing-cell-no-final-break": ({59: "1,1,59.25,"}, "", True, 0),
+    "non-numeric-unmapped-cell": ({9: "1,0,9.25,oops"}, "\n", True, 0),
+    "all-of-them": (
+        {5: "1,0,5.25,1,2,3", 6: "0,1,6.25", 8: "1,1,8.25,", 9: "1,0,9.25,oops", 30: "0,0,,1"},
+        "\n", True, 1,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", RAGGED)
+def test_ragged_lines_read_alike_on_both_routes(tmp_path, case):
+    edits, ending, byte_route, dropped = RAGGED[case]
+    rows = [f"{i % 2},{(i // 2) % 2},{i}.25,{i % 3}" for i in range(60)]
+    for i, line in edits.items():
+        rows[i] = line
+    path = tmp_path / "d.csv"
+    path.write_text("y,m,x,z\n" + "\n".join(rows) + ending, newline="")
+    assert outcome_of(load_csv, path, ()) == outcome_of(reference_load_csv, path, ())
+    assert (glm._read_plain_bytes(path, path.read_bytes(), ["y", "m", "x"]) is not None) == byte_route
+    if byte_route:
+        by_bytes, by_rows = both_routes(path)
+        assert by_bytes == by_rows and by_rows[2] == dropped
+    else:
+        assert glm._read_rows(path, ["y", "m", "x"])[1] == dropped
+
+
+def test_bad_cell_in_a_ragged_line_names_its_line(tmp_path):
+    rows = [f"{i % 2},{(i // 2) % 2},{i}.25,{i % 3}" for i in range(60)]
+    rows[5], rows[10] = "1,0,5.25,1,2", "1,0,oops,1,2"
+    path = tmp_path / "d.csv"
+    path.write_text("y,m,x,z\n" + "\n".join(rows) + "\n")
+    assert glm._read_plain_bytes(path, path.read_bytes(), ["y", "m", "x"]) is None
+    expected = (IngestionError, f"{path}: line 12: could not convert string to float: 'oops'")
+    assert outcome_of(load_csv, path, ())[1] == expected
+    assert outcome_of(load_csv, path, ()) == outcome_of(reference_load_csv, path, ())
+
+
+def test_file_whose_every_line_has_an_extra_field_keeps_the_byte_route(tmp_path):
+    rows = [f"{i % 2},{(i // 2) % 2},{i}.25,7" for i in range(60)]
+    rows[20] = "1,,20.25,7"
+    path = plain_file(tmp_path, rows)
+    by_bytes, by_rows = both_routes(path)
+    assert by_bytes == by_rows and by_rows[2] == 1
+    assert outcome_of(load_csv, path, ()) == outcome_of(reference_load_csv, path, ())

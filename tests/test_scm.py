@@ -434,7 +434,7 @@ class TestPointwiseOracles:
         assert np.array_equal(got, np.stack(rows))
 
     def test_degenerate_mediation_probability_names_the_row(self):
-        values = random_bundle(np.random.default_rng(7), 4).values
+        values = random_bundle(np.random.default_rng(7), 4).values.copy()
         values[2, [0, 2]] = 800.0  # P(Y=1 | active, m) rounds to 1 at both mediator values
         with pytest.raises(DegenerateLawError, match=r"degenerate in row 2 \(p=1\.0\)"):
             mediation_formula_logit(PredictorBundle(values, np.zeros((4, 6, 6))), Pair.ACTIVE)
