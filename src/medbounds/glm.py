@@ -21,7 +21,9 @@ runs on the rows themselves, with unit counts, when at least half of them
 are distinct or the check fails.
 
 Both models share one reduction: a dataset's rows are reduced once to the
-distinct ones (equal bit for bit, the sign of a zero included), and each
+distinct ones (equal bit for bit, the sign of a zero included), starting
+from the rows of its file's distinct lines where ``load_csv`` parsed those
+alone, and each
 design is evaluated on those and reduced again, weighted by their counts,
 which gives the patterns, in the order, of reducing the design on every
 row. Where the dataset's rows do not reduce, each design is reduced on
@@ -189,6 +191,9 @@ class Dataset:
     mediator: np.ndarray
     exposure: np.ndarray
     covariates: dict[str, np.ndarray]
+    # (table, index) when ingest read the file's distinct lines: the rows of
+    # those lines, and each row's index into them
+    _lines: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         y = np.asarray(self.outcome, dtype=float)
@@ -223,8 +228,17 @@ class Dataset:
         the rows are distinct, or two different rows share a key. Rows are
         equal only bit for bit, so a term may tell 0.0 from -0.0 (with
         ``np.copysign``, say). Worked out once, on first use, for every fit
-        on this dataset."""
-        table = np.column_stack([self.outcome, self.mediator, self.exposure, *self.covariates.values()])
+        on this dataset.
+
+        A dataset ``load_csv`` read from the distinct lines of its file starts
+        from the rows of those lines: every row is one of them, so they have
+        the same distinct rows, and the counts come from each row's line.
+        """
+        if self._lines is None:
+            table = np.column_stack([self.outcome, self.mediator, self.exposure, *self.covariates.values()])
+            line = None
+        else:
+            table, line = self._lines
         found = _key_groups(table, self.n)
         if found is None:
             return None
@@ -232,19 +246,21 @@ class Dataset:
         bits = table.view(np.uint64)
         if not np.array_equal(bits[first].take(inverse, axis=0), bits):
             return None
-        counts = np.bincount(inverse, minlength=len(first)).astype(float)
+        counts = np.bincount(inverse if line is None else inverse[line], minlength=len(first)).astype(float)
         return _table_dataset(table[first], self.covariates), counts
 
 
-def _table_dataset(table: np.ndarray, covariates: Sequence[str]) -> Dataset:
+def _table_dataset(table: np.ndarray, covariates: Sequence[str], lines=None) -> Dataset:
     """The Dataset whose columns are those of an (outcome, mediator, exposure,
-    *covariates) table."""
-    return Dataset(
+    *covariates) table, with the (table, index) of its distinct lines, if known."""
+    data = Dataset(
         outcome=table[:, 0],
         mediator=table[:, 1],
         exposure=table[:, 2],
         covariates={c: table[:, 3 + j] for j, c in enumerate(covariates)},
     )
+    object.__setattr__(data, "_lines", lines)
+    return data
 
 
 def load_csv(
@@ -264,20 +280,29 @@ def load_csv(
 
     One semantics, two routes. A file of ASCII bytes with no quote, and with
     no carriage return outside a CRLF line end (read as a line break, as
-    ``csv.reader`` reads it), takes the byte route: one numpy scan flags
-    each line that is blank, has an empty cell, a space or control byte, or
-    more bytes than ``csv.field_size_limit()``; one ``np.loadtxt`` call
-    parses all other lines (its numbers are ``float``'s bit for bit), and
-    the flagged lines go through the ``csv.reader`` row logic and are merged
-    back in file order. The scan does not count commas: ``np.loadtxt``
-    reads only the mapped columns, so a line with more or fewer fields than
-    the header that reaches every mapped column is read as the row route
-    reads it, and one that does not makes ``np.loadtxt`` fail. Every other
-    file, and any file where ``np.loadtxt`` or a flagged line's cell fails,
-    takes the row route whole, so drops, warnings and errors (with their
-    line numbers) do not depend on the route. A file whose every line is
-    flagged (one written with ``", "`` separators, say) takes the row route
-    as soon as the scan ends.
+    ``csv.reader`` reads it), takes the byte route. Its data lines are
+    first reduced to the distinct ones, and each distinct line is parsed
+    once: one numpy scan flags each line that is blank, has an empty cell, a
+    space or control byte, or more bytes than ``csv.field_size_limit()``;
+    one ``np.loadtxt`` call parses all other lines (its numbers are
+    ``float``'s bit for bit), and the flagged lines go through the
+    ``csv.reader`` row logic. The rows then go back in file order, and a
+    dropped line counts once for each time it occurs. The lines are
+    reduced ``_DEDUPE_BLOCK`` at a time; as soon as at least half of the
+    lines read so far are distinct, the reduction stops and the file is
+    parsed whole in the same way. The scan does not count commas:
+    ``np.loadtxt`` reads only the mapped columns, so a line with more or
+    fewer fields than the header that reaches every mapped column is read
+    as the row route reads it; when it fails, the lines too short to reach
+    one are flagged too (the row logic drops them) and it runs once more.
+    Every other file, and any file where ``np.loadtxt`` or a flagged line's
+    cell fails, takes the row route whole, so drops, warnings and errors
+    (with their line numbers) do not depend on the route. A file whose
+    every line is flagged (one written with ``", "`` separators, say) takes
+    the row route as soon as the scan ends.
+
+    A dataset read from the distinct lines keeps them, so its
+    ``_distinct_rows`` starts from them rather than from every row.
     """
     wanted = [outcome, mediator, exposure, *covariates]
     with open(path, "rb") as fh:
@@ -288,12 +313,12 @@ def load_csv(
     if b'"' not in raw and b"\r" not in raw and raw.isascii():
         parsed = _read_plain_bytes(path, raw, wanted)
     del raw
-    arr, dropped = parsed if parsed is not None else _read_rows(path, wanted)
+    arr, dropped, lines = parsed if parsed is not None else (*_read_rows(path, wanted), None)
     if dropped:
         warnings.warn(f"{path}: dropped {dropped} rows with missing values")
     if not arr.size:
         raise IngestionError(f"{path}: no usable data rows")
-    data = _table_dataset(arr, covariates)
+    data = _table_dataset(arr, covariates, lines)
     for label, col in (("outcome", data.outcome), ("mediator", data.mediator)):
         if col.min() == col.max():
             raise IngestionError(f"{path}: {label} column is constant; both levels are required")
@@ -346,36 +371,100 @@ def _read_rows(path, wanted: Sequence[str]) -> tuple[np.ndarray, int]:
         raise
 
 
-def _read_plain_bytes(path, raw: bytes, wanted: Sequence[str]) -> tuple[np.ndarray, int] | None:
+# the data lines are reduced this many at a time, and as soon as at least
+# half of the lines read so far are distinct, the reduction stops and the
+# whole body is parsed as it is. A file whose lines do not repeat stops
+# after one block, which costs 0.4 ms (against about 95 ms to load 250,000
+# such rows); one whose lines repeat only at its start stops at the block
+# where the distinct lines reach half, so at most the reduction of every
+# line (about 23 ms for 250,000) is spent in vain, on a file whose distinct
+# lines reach half only at its end. 0.5-9% of the lines of a demo-cohort
+# file are distinct, far from the half.
+_DEDUPE_BLOCK = 4096
+
+
+def _read_plain_bytes(path, raw: bytes, wanted: Sequence[str]):
     """The byte route for ASCII bytes with no quote or carriage return: (kept
-    rows, rows dropped), or None when the whole file must take the row route."""
+    rows, rows dropped, the (table, index) of the distinct lines or None), or
+    None when the whole file must take the row route."""
     head_end = raw.find(b"\n")
     if head_end < 0:
         return None
     header = next(csv.reader([raw[:head_end].decode("ascii")]), None)
     columns = _mapped_columns(path, header, wanted)
-    body = memoryview(raw)[head_end + 1 :]
-    starts, ends, flagged = _flag_lines(np.frombuffer(body, dtype=np.uint8))
-    if len(flagged) == len(starts):
-        return None  # no clean line: the row route alone reads the file
-    # the flagged lines, each with its line break, for the csv rows, and the
-    # runs of clean lines between them, joined from slices of the file
-    lo, hi = starts[flagged].tolist(), (ends[flagged] + 1).tolist()
+    # each line's first occurrence, as a line number, from one pass that
+    # keeps the distinct lines, in that order, as the keys of ``index``
+    lines = io.BytesIO(raw)
+    lines.seek(head_end + 1)
+    index: dict[bytes, int] = {}
+    first_seen = map(index.setdefault, lines, itertools.count())
+    blocks: list[np.ndarray] = []
+    while not blocks or len(blocks[-1]) == _DEDUPE_BLOCK:
+        blocks.append(np.fromiter(itertools.islice(first_seen, _DEDUPE_BLOCK), dtype=np.intp))
+        if 2 * len(index) >= sum(map(len, blocks)):
+            index.clear()  # free the lines read before the whole body is parsed
+            parsed = _parse_lines(memoryview(raw)[head_end + 1 :], columns)
+            if parsed is None:
+                return None
+            arr, _, dropped = parsed
+            return arr, len(dropped), None
+    first = np.concatenate(blocks)
+    parsed = _parse_lines(b"".join(index), columns)
+    if parsed is None:
+        return None
+    table, skipped, dropped = parsed
+    # the distinct line of each line of the file, and the row of each line
+    # that gives one
+    number = np.empty(len(first), dtype=np.intp)
+    number[np.fromiter(index.values(), dtype=np.intp, count=len(index))] = np.arange(len(index))
+    line = number[first]
+    gives_row = np.ones(len(index), dtype=bool)
+    gives_row[skipped] = False
+    row = (np.cumsum(gives_row) - 1)[line[gives_row[line]]]
+    dropped_count = int(np.bincount(line, minlength=len(index))[dropped].sum())
+    return table.take(row, axis=0), dropped_count, (table, row)
+
+
+def _parse_lines(body, columns: Sequence[int]):
+    """(rows, skipped, dropped) of the lines of ``body``: the values of each
+    line that gives a row, in line order, and the sorted indices of the lines
+    that give none (blank or dropped) and of the dropped lines; or None when
+    the whole file must take the row route."""
+    b = np.frombuffer(body, dtype=np.uint8)
+    starts, ends, flagged = _flag_lines(b)
+    for attempt in (1, 2):
+        if len(flagged) == len(starts):
+            return None  # no clean line: the row route alone reads the file
+        # the runs of clean lines between the flagged ones, joined from slices
+        lo, hi = starts[flagged].tolist(), (ends[flagged] + 1).tolist()
+        clean = b"".join([body[a:b] for a, b in zip([0, *hi], [*lo, len(body)])])
+        try:
+            arr = np.loadtxt(io.BytesIO(clean), delimiter=",", usecols=columns, comments=None, dtype=float, ndmin=2)
+            break
+        except ValueError:
+            # a line too short to reach a mapped column fails np.loadtxt:
+            # flag those lines too (the row logic drops them) and run it once more
+            commas = np.flatnonzero(b == ord(","))
+            short = np.searchsorted(commas, ends) - np.searchsorted(commas, starts) < max(columns)
+            grown = np.union1d(flagged, np.flatnonzero(short))
+            if attempt == 2 or len(grown) == len(flagged):
+                return None
+            flagged = grown
+    del clean
+    # the flagged lines, each with its line break, for the csv rows
     flagged_text = b"".join([body[a:b] for a, b in zip(lo, hi)])
-    clean = b"".join([body[a:b] for a, b in zip([0, *hi], [*lo, len(body)])])
     try:
-        arr = np.loadtxt(io.BytesIO(clean), delimiter=",", usecols=columns, comments=None, dtype=float, ndmin=2)
-        del clean
         picked = _pick_cells(csv.reader(io.StringIO(flagged_text.decode("ascii"))), columns)
         kept = np.array([cells is not None for cells in picked], dtype=bool)
-        values = _floats([cells for cells in picked if cells is not None], len(wanted))
+        values = _floats([cells for cells in picked if cells is not None], len(columns))
     except (csv.Error, ValueError):
         return None
     # a kept flagged line goes after the clean lines before it
-    rows = flagged[starts[flagged] < ends[flagged]][kept]
+    nonblank = flagged[starts[flagged] < ends[flagged]]
+    rows = nonblank[kept]
     if len(values):
         arr = np.insert(arr, rows - np.searchsorted(flagged, rows), values, axis=0)
-    return arr, len(kept) - len(values)
+    return arr, np.setdiff1d(flagged, rows, assume_unique=True), nonblank[~kept]
 
 
 def _flag_lines(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

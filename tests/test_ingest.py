@@ -70,6 +70,31 @@ def outcome_of(loader, path, covariates):
     return result, error, [str(w.message) for w in caught]
 
 
+def load_quietly(path, covariates=()):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return load_csv(path, "y", "m", "x", covariates)
+
+
+def rebuilt(data):
+    """A Dataset of copies of the columns of ``data``, built as any caller builds one."""
+    return Dataset(
+        outcome=data.outcome.copy(),
+        mediator=data.mediator.copy(),
+        exposure=data.exposure.copy(),
+        covariates={c: v.copy() for c, v in data.covariates.items()},
+    )
+
+
+def distinct_rows_bits(data):
+    """The bytes of the columns and the counts of ``data._distinct_rows``, or None."""
+    reduced = data._distinct_rows
+    if reduced is None:
+        return None
+    rows, counts = reduced
+    return [c.tobytes() for c in (rows.outcome, rows.mediator, rows.exposure, *rows.covariates.values(), counts)]
+
+
 NAMES = ["y", "m", "x", "z", "w"]
 BINARY = st.sampled_from(["0", "1"])
 ODD = st.one_of(
@@ -171,6 +196,8 @@ def test_bad_cell_is_reported_before_a_later_reader_error(tmp_path):
 # line end is scanned as bytes: its plain lines go to one np.loadtxt call and its odd lines through
 # the csv rows, merged back in file order. The cases below keep such files.
 
+# cells that give one value in more than one way, or the two zeros
+REPEATED = ["20", "20.0", "2e1", "0", "-0", "0.0"]
 PLAIN_ODD = st.sampled_from(["", "", " ", "\t", " 1 ", "0 ", "\x0b1", "1_0", "#1", "oops", "nan", "1e5"])
 
 
@@ -178,10 +205,12 @@ PLAIN_ODD = st.sampled_from(["", "", " ", "\t", " 1 ", "0 ", "\x0b1", "1_0", "#1
 def plain_csv_texts(draw):
     """A header and at least 50 plain rows mixed with odd lines (blank, short,
     long, or one odd cell), with LF or CRLF line ends, with or without a
-    final line break."""
+    final line break. The lines of half the files are drawn from at most 20
+    lines, so they repeat (and are read from their distinct lines); the
+    other half have continuous cells, which seldom repeat."""
     header = draw(st.permutations(["y", "m", "x", *draw(st.lists(st.sampled_from(NAMES), max_size=2))]))
     width = len(header)
-    cell = st.one_of(BINARY, st.floats(-1e3, 1e3, allow_nan=False).map(repr))
+    cell = st.one_of(BINARY, st.floats(-1e3, 1e3, allow_nan=False).map(repr), st.sampled_from(REPEATED))
     lines = []
     for _ in range(draw(st.integers(50, 80))):
         cells = [draw(BINARY if name in ("y", "m") else cell) for name in header]
@@ -193,6 +222,9 @@ def plain_csv_texts(draw):
         elif kind == "long":
             cells += ["1"] * draw(st.integers(1, 2))
         lines.append("" if kind == "blank" else ",".join(cells))
+    if draw(st.booleans()):
+        pool = lines[: draw(st.integers(1, 20))]
+        lines = draw(st.lists(st.sampled_from(pool), min_size=len(lines), max_size=len(lines)))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     ending = draw(st.sampled_from([newline, ""]))
     text = ",".join(header) + newline + newline.join(lines) + ending
@@ -205,7 +237,11 @@ def test_plain_files_match_dictreader_loader(tmp_path_factory, case):
     text, covariates = case
     path = tmp_path_factory.mktemp("plain") / "d.csv"
     path.write_text(text, newline="")
-    assert outcome_of(load_csv, path, covariates) == outcome_of(reference_load_csv, path, covariates)
+    result = outcome_of(load_csv, path, covariates)
+    assert result == outcome_of(reference_load_csv, path, covariates)
+    if result[0] is not None:
+        data = load_quietly(path, covariates)
+        assert distinct_rows_bits(data) == distinct_rows_bits(rebuilt(data))
 
 
 def plain_file(tmp_path, rows, ending="\n"):
@@ -270,9 +306,6 @@ def test_hash_in_a_cell_is_an_error_not_a_comment(tmp_path):
 
 
 def test_crlf_file_loads_like_its_lf_twin_by_the_byte_route(tmp_path, monkeypatch):
-    rows = [f"{i % 2},{(i // 2) % 2},{i}.5" for i in range(60)]
-    rows[10], rows[20] = "1,,10", ""
-
     def load(rows, newline):
         path = tmp_path / ("crlf.csv" if newline == "\r\n" else "lf.csv")
         path.write_bytes(("y,m,x" + newline + newline.join(rows) + newline).encode("ascii"))
@@ -280,24 +313,43 @@ def test_crlf_file_loads_like_its_lf_twin_by_the_byte_route(tmp_path, monkeypatc
         unnamed = lambda text: text.replace(str(path), "<file>")
         return result, error and (error[0], unnamed(error[1])), [unnamed(w) for w in warned]
 
-    lf = load(rows, "\n")
-    assert lf[2] == ["<file>: dropped 1 rows with missing values"]
-    # the clean CRLF file never reaches the row route
-    with monkeypatch.context() as patched:
-        patched.setattr(glm, "_read_rows", None)
+    for repeats in (False, True):
+        rows = [f"{i % 2},{(i // 2) % 2},{x_cell(i, repeats)}.5" for i in range(60)]
+        rows[10], rows[20] = "1,,10", ""
+        lf = load(rows, "\n")
+        assert lf[2] == ["<file>: dropped 1 rows with missing values"]
+        # the clean CRLF file never reaches the row route
+        with monkeypatch.context() as patched:
+            patched.setattr(glm, "_read_rows", None)
+            assert load(rows, "\r\n") == lf
+            assert (load_quietly(tmp_path / "crlf.csv")._lines is not None) == repeats
+        rows[40] = "1,0,oops"
+        lf = load(rows, "\n")
+        assert lf[1] == (IngestionError, "<file>: line 42: could not convert string to float: 'oops'")
         assert load(rows, "\r\n") == lf
-    rows[40] = "1,0,oops"
-    lf = load(rows, "\n")
-    assert lf[1] == (IngestionError, "<file>: line 42: could not convert string to float: 'oops'")
-    assert load(rows, "\r\n") == lf
 
 
-def both_routes(path):
-    """(shape, value bytes, drop count) of the byte route and of the row route on one file."""
+def x_cell(i, repeats):
+    """The exposure of data row ``i``: distinct in every row, or repeating
+    every 5 rows (with y and m, every 20), so that the file is read from its
+    distinct lines."""
+    return i % 5 if repeats else i
+
+
+def on_both_paths(cases):
+    """(case, repeats) parameters: each case on rows that do not repeat,
+    under its own name, and on rows that do, under ``<name>-repeating``."""
+    return [pytest.param(c, r, id=f"{c}-repeating" if r else c) for r in (False, True) for c in cases]
+
+
+def both_routes(path, repeats=False):
+    """(shape, value bytes, drop count) of the byte route and of the row route
+    on one file, whose distinct lines the byte route reads when it repeats."""
     wanted = ["y", "m", "x"]
     by_bytes = glm._read_plain_bytes(path, path.read_bytes(), wanted)
     assert by_bytes is not None, "the file left the byte route"
-    return [(arr.shape, arr.tobytes(), dropped) for arr, dropped in (by_bytes, glm._read_rows(path, wanted))]
+    assert (by_bytes[2] is not None) == repeats
+    return [(arr.shape, arr.tobytes(), dropped) for arr, dropped in (by_bytes[:2], glm._read_rows(path, wanted))]
 
 
 # line edits (row index -> line) of a 60-row file, and its last line end: a
@@ -312,13 +364,13 @@ EDGES = {
 }
 
 
-@pytest.mark.parametrize("case", EDGES)
-def test_byte_route_edges_match_the_row_route(tmp_path, case):
+@pytest.mark.parametrize("case, repeats", on_both_paths(EDGES))
+def test_byte_route_edges_match_the_row_route(tmp_path, case, repeats):
     edits, ending = EDGES[case]
-    rows = [f"{i % 2},{(i // 2) % 2},{i}.25" for i in range(60)]
+    rows = [f"{i % 2},{(i // 2) % 2},{x_cell(i, repeats)}.25" for i in range(60)]
     for i, line in edits.items():
         rows[i] = line
-    by_bytes, by_rows = both_routes(plain_file(tmp_path, rows, ending))
+    by_bytes, by_rows = both_routes(plain_file(tmp_path, rows, ending), repeats)
     assert by_bytes == by_rows
     assert by_rows[2] == sum("," in (line[0], line[-1]) for line in edits.values())
 
@@ -332,51 +384,53 @@ def test_file_with_no_clean_line_takes_the_row_route(tmp_path):
 
 
 # ragged line edits (row index -> line) of a 60-row file with header
-# "y,m,x,z", of which y, m and x are mapped; its last line end; whether the
-# file keeps the byte route; and the rows dropped. The scan does not count a
-# line's commas: np.loadtxt reads the mapped columns of a line of any width
-# that reaches them all, and fails on one that does not, which sends the
-# whole file to the row route.
+# "y,m,x,z", of which y, m and x are mapped; its last line end; and the rows
+# dropped. The scan does not count a line's commas: np.loadtxt reads the
+# mapped columns of a line of any width that reaches them all, and when one
+# does not, the lines too short to reach them are flagged and dropped by the
+# row logic, so every such file keeps the byte route.
 RAGGED = {
-    "more-fields": ({5: "1,0,5.25,1,2,3"}, "\n", True, 0),
-    "fewer-fields-reaching-every-mapped-column": ({6: "0,1,6.25"}, "\n", True, 0),
-    "fewer-fields-short-of-a-mapped-column": ({7: "0,1"}, "\n", False, 1),
-    "empty-unmapped-trailing-cell": ({8: "1,1,8.25,"}, "\n", True, 0),
-    "empty-unmapped-trailing-cell-no-final-break": ({59: "1,1,59.25,"}, "", True, 0),
-    "non-numeric-unmapped-cell": ({9: "1,0,9.25,oops"}, "\n", True, 0),
+    "more-fields": ({5: "1,0,5.25,1,2,3"}, "\n", 0),
+    "fewer-fields-reaching-every-mapped-column": ({6: "0,1,6.25"}, "\n", 0),
+    "fewer-fields-short-of-a-mapped-column": ({7: "0,1"}, "\n", 1),
+    "empty-unmapped-trailing-cell": ({8: "1,1,8.25,"}, "\n", 0),
+    "empty-unmapped-trailing-cell-no-final-break": ({59: "1,1,59.25,"}, "", 0),
+    "non-numeric-unmapped-cell": ({9: "1,0,9.25,oops"}, "\n", 0),
     "all-of-them": (
-        {5: "1,0,5.25,1,2,3", 6: "0,1,6.25", 8: "1,1,8.25,", 9: "1,0,9.25,oops", 30: "0,0,,1"},
-        "\n", True, 1,
+        {5: "1,0,5.25,1,2,3", 6: "0,1,6.25", 7: "0,1", 8: "1,1,8.25,", 9: "1,0,9.25,oops", 30: "0,0,,1"},
+        "\n", 2,
     ),
 }
 
 
-@pytest.mark.parametrize("case", RAGGED)
-def test_ragged_lines_read_alike_on_both_routes(tmp_path, case):
-    edits, ending, byte_route, dropped = RAGGED[case]
-    rows = [f"{i % 2},{(i // 2) % 2},{i}.25,{i % 3}" for i in range(60)]
+def ragged_rows(repeats):
+    """The 60 data rows of a file with header "y,m,x,z"."""
+    return [f"{i % 2},{(i // 2) % 2},{x_cell(i, repeats)}.25,{x_cell(i, repeats) % 3}" for i in range(60)]
+
+
+@pytest.mark.parametrize("case, repeats", on_both_paths(RAGGED))
+def test_ragged_lines_read_alike_on_both_routes(tmp_path, case, repeats):
+    edits, ending, dropped = RAGGED[case]
+    rows = ragged_rows(repeats)
     for i, line in edits.items():
         rows[i] = line
     path = tmp_path / "d.csv"
     path.write_text("y,m,x,z\n" + "\n".join(rows) + ending, newline="")
     assert outcome_of(load_csv, path, ()) == outcome_of(reference_load_csv, path, ())
-    assert (glm._read_plain_bytes(path, path.read_bytes(), ["y", "m", "x"]) is not None) == byte_route
-    if byte_route:
-        by_bytes, by_rows = both_routes(path)
-        assert by_bytes == by_rows and by_rows[2] == dropped
-    else:
-        assert glm._read_rows(path, ["y", "m", "x"])[1] == dropped
+    by_bytes, by_rows = both_routes(path, repeats)
+    assert by_bytes == by_rows and by_rows[2] == dropped
 
 
 def test_bad_cell_in_a_ragged_line_names_its_line(tmp_path):
-    rows = [f"{i % 2},{(i // 2) % 2},{i}.25,{i % 3}" for i in range(60)]
-    rows[5], rows[10] = "1,0,5.25,1,2", "1,0,oops,1,2"
-    path = tmp_path / "d.csv"
-    path.write_text("y,m,x,z\n" + "\n".join(rows) + "\n")
-    assert glm._read_plain_bytes(path, path.read_bytes(), ["y", "m", "x"]) is None
-    expected = (IngestionError, f"{path}: line 12: could not convert string to float: 'oops'")
-    assert outcome_of(load_csv, path, ())[1] == expected
-    assert outcome_of(load_csv, path, ()) == outcome_of(reference_load_csv, path, ())
+    for repeats in (False, True):
+        rows = ragged_rows(repeats)
+        rows[5], rows[10] = "1,0,5.25,1,2", "1,0,oops,1,2"
+        path = tmp_path / "d.csv"
+        path.write_text("y,m,x,z\n" + "\n".join(rows) + "\n")
+        assert glm._read_plain_bytes(path, path.read_bytes(), ["y", "m", "x"]) is None
+        expected = (IngestionError, f"{path}: line 12: could not convert string to float: 'oops'")
+        assert outcome_of(load_csv, path, ())[1] == expected
+        assert outcome_of(load_csv, path, ()) == outcome_of(reference_load_csv, path, ())
 
 
 def test_file_whose_every_line_has_an_extra_field_keeps_the_byte_route(tmp_path):
@@ -386,3 +440,124 @@ def test_file_whose_every_line_has_an_extra_field_keeps_the_byte_route(tmp_path)
     by_bytes, by_rows = both_routes(path)
     assert by_bytes == by_rows and by_rows[2] == 1
     assert outcome_of(load_csv, path, ()) == outcome_of(reference_load_csv, path, ())
+
+
+# ------------------------------------------------ the distinct lines
+#
+# The byte route parses each distinct data line once and gathers the rows
+# back in file order; a file whose first lines do not repeat is parsed whole.
+
+
+def repeated_rows(n):
+    """``n`` rows of 28 distinct lines."""
+    return [f"{i % 2},{(i // 2) % 2},{i % 7}.5" for i in range(n)]
+
+
+def parsed_texts(monkeypatch):
+    """The sizes of the texts ``_parse_lines`` is given, recorded as they come."""
+    sizes, real = [], glm._parse_lines
+    monkeypatch.setattr(glm, "_parse_lines", lambda body, *args: sizes.append(len(body)) or real(body, *args))
+    return sizes
+
+
+def drop_warnings(path):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        data = load_csv(path, outcome="y", mediator="m", exposure="x")
+    return data, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("rows", [repeated_rows(60), [f"{i % 2},{(i // 2) % 2},{i}.25" for i in range(60)]])
+def test_short_line_keeps_the_byte_route(tmp_path, monkeypatch, rows):
+    # a line too short to reach a mapped column fails np.loadtxt; the short
+    # lines are flagged and dropped, and np.loadtxt runs once more
+    rows = list(rows)
+    rows[11] = rows[41] = "0,1"
+    path = plain_file(tmp_path, rows)
+    with monkeypatch.context() as patched:
+        patched.setattr(glm, "_read_rows", None)
+        data, warned = drop_warnings(path)
+    assert warned == [f"{path}: dropped 2 rows with missing values"]
+    assert outcome_of(load_csv, path, ()) == outcome_of(reference_load_csv, path, ())
+    arr, dropped = glm._read_rows(path, ["y", "m", "x"])
+    assert (np.column_stack([data.outcome, data.mediator, data.exposure]).tobytes(), 2) == (arr.tobytes(), dropped)
+
+
+def test_repeated_dropped_line_counts_each_time(tmp_path, monkeypatch):
+    rows = repeated_rows(60)
+    rows[3] = rows[30] = rows[59] = "0,1,"
+    path = plain_file(tmp_path, rows)
+    sizes = parsed_texts(monkeypatch)
+    data, warned = drop_warnings(path)
+    assert warned == [f"{path}: dropped 3 rows with missing values"]
+    assert data._lines is not None and sizes == [len("".join(sorted(set(r + "\n" for r in rows))))]
+    assert outcome_of(load_csv, path, ()) == outcome_of(reference_load_csv, path, ())
+
+
+# files whose lines repeat: one value written two ways (20 and 20.0 are two
+# lines and one row), the two zeros (two rows, which then do not reduce),
+# and more lines than one dedupe block, with odd lines past it
+def _many_lines():
+    rows = repeated_rows(3 * glm._DEDUPE_BLOCK + 5)
+    for i in range(7, len(rows), 997):
+        rows[i] = ["1,0,", "", "0,1", "1,0, 2.5 ", "1,1,\t20"][i % 5]
+    return rows
+
+
+REPEATING = {
+    "twenty-two-ways": [f"{i % 2},{(i // 2) % 2},{('20', '20.0', '3')[i % 3]}" for i in range(60)],
+    "signed-zeros": [f"{i % 2},{(i // 2) % 2},{('0', '-0', '3')[i % 3]}" for i in range(60)],
+    "more-than-one-block": _many_lines(),
+}
+
+
+@pytest.mark.parametrize("case", REPEATING)
+def test_loaded_distinct_rows_equal_those_of_the_rebuilt_dataset(tmp_path, case):
+    path = plain_file(tmp_path, REPEATING[case])
+    data = load_quietly(path)
+    assert data._lines is not None
+    assert outcome_of(load_csv, path, ()) == outcome_of(reference_load_csv, path, ())
+    assert distinct_rows_bits(data) == distinct_rows_bits(rebuilt(data))
+    if case == "twenty-two-ways":
+        # 12 distinct lines, of which 20 and 20.0 give one row
+        assert len(data._lines[0]) == 12 and len(data._distinct_rows[0].outcome) == 8
+    assert (data._distinct_rows is None) == (case == "signed-zeros")
+
+
+def test_counting_a_repeated_line_once_fails_the_checks(tmp_path, monkeypatch):
+    rows = list(REPEATING["twenty-two-ways"])
+    rows[3] = rows[30] = rows[59] = "0,1,"
+    path = plain_file(tmp_path, rows)
+    _, warned = drop_warnings(path)
+    assert warned == [f"{path}: dropped 3 rows with missing values"]
+    real = np.bincount
+    with monkeypatch.context() as patched:
+        # every count of lines (dropped or giving a row) is at most 1
+        patched.setattr(np, "bincount", lambda *args, **kwargs: np.minimum(real(*args, **kwargs), 1))
+        data, faulty = drop_warnings(path)
+        faulty_rows = distinct_rows_bits(data)
+    assert faulty != warned
+    assert faulty_rows != distinct_rows_bits(rebuilt(data))
+
+
+def test_file_whose_lines_repeat_only_at_its_start_is_parsed_whole(tmp_path, monkeypatch):
+    # the first block reduces to 2 lines, but with the second block half of
+    # the lines read are distinct, so the reduction stops there
+    monkeypatch.setattr(glm, "_DEDUPE_BLOCK", 32)
+    rows = ["1,0,2.5", "0,1,3.5"] * 16 + [f"{i % 2},{(i // 2) % 2},{i}.25" for i in range(60)]
+    path = plain_file(tmp_path, rows)
+    sizes = parsed_texts(monkeypatch)
+    assert load_quietly(path)._lines is None and sizes == [len(path.read_bytes()) - len("y,m,x\n")]
+    assert outcome_of(load_csv, path, ()) == outcome_of(reference_load_csv, path, ())
+
+
+def test_file_whose_lines_do_not_repeat_is_parsed_whole(tmp_path, monkeypatch):
+    rows = [f"{i % 2},{(i // 2) % 2},{i}.25" for i in range(60)]
+    rows[10] = "1,,10"
+    rows[20] = rows[10]
+    path = plain_file(tmp_path, rows)
+    sizes = parsed_texts(monkeypatch)
+    monkeypatch.setattr(glm, "_read_rows", None)
+    data, warned = drop_warnings(path)
+    assert warned == [f"{path}: dropped 2 rows with missing values"]
+    assert data._lines is None and sizes == [len(path.read_bytes()) - len("y,m,x\n")]
