@@ -4,16 +4,21 @@ Subcommands: fit, effects, bounds, curve, simulate, validate. A JSON config
 file carries the column mapping, the two model designs, contrasts and
 output options; command-line flags override config fields. Exit codes:
 0 success, 1 user error, 2 numerical failure, 3 validation failure.
+
+``run`` is the process entry, for the ``medbounds`` console script and
+``python -m medbounds.cli``; ``main(argv)`` is the in-process API.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import itertools
 import json
 import math
+import os
 import sys
 import warnings
 
@@ -201,6 +206,14 @@ def _default_profiles(data: Dataset) -> list[dict]:
 # --------------------------------------------------------------------------
 # Output helpers
 # --------------------------------------------------------------------------
+
+
+def _check_out_dir(out) -> None:
+    """Fail before any work when --out lies in no directory; the file itself is
+    written only after the work, so a failed run leaves an existing one intact."""
+    directory = os.path.dirname(out or "")
+    if directory and not os.path.isdir(directory):
+        raise UserError(f"--out {out}: {directory} is not a directory")
 
 
 def _emit(text: str, args) -> None:
@@ -524,6 +537,7 @@ def main(argv=None) -> int:
     default_format, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         args = parser.parse_args(argv)
+        _check_out_dir(args.out)
         return args.fn(args)
     except (UserError, IngestionError, MissingVariableError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -535,5 +549,22 @@ def main(argv=None) -> int:
         warnings.formatwarning = default_format
 
 
+def run() -> int:
+    """The process entry: ``main`` on ``sys.argv``, then ``gc.freeze()`` on every way
+    out (a return or ``SystemExit``, such as ``--help``).
+
+    A frozen heap is skipped by the collections of interpreter shutdown, which
+    would otherwise walk and free every tracked object and cycle of numpy and the
+    package; the OS reclaims the memory. Stdio is still flushed and ``atexit``
+    still runs; only finalizers of objects in reference cycles are skipped, and
+    every output file is written and closed inside a ``with`` block. ``main``
+    never freezes, as a freeze would pin every later object of the calling process.
+    """
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -710,6 +711,24 @@ def test_file_that_cannot_be_read_or_written_is_user_error(workdir, tmp_path, ca
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["fit", "effects", "bounds", "curve", "validate"])
+def test_out_in_a_missing_directory_fails_before_any_work(workdir, tmp_path, capsys, monkeypatch, command):
+    import medbounds.cli as cli
+    import medbounds.validate as validate
+
+    def no_work(*args, **kwargs):
+        pytest.fail("work ran before --out was checked")
+
+    monkeypatch.setattr(cli, "load_csv", no_work)
+    monkeypatch.setattr(validate, "run_validation", no_work)
+    out = tmp_path / "no" / "out.txt"
+    config = [] if command == "validate" else ["--config", str(workdir / "cfg.json")]
+    assert main([command, *config, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --out {out}: {out.parent} is not a directory\n"
+
+
 class TestValidate:
     @pytest.mark.parametrize(
         "flags, message",
@@ -837,3 +856,64 @@ class TestValidate:
     def test_unknown_command_is_user_error(self, capsys):
         assert main(["frobnicate"]) == 1
         assert "error" in capsys.readouterr().err
+
+
+class TestEntryPoints:
+    """``run``, the process entry, against ``main``, the in-process API."""
+
+    @pytest.mark.parametrize("case", ["fit-blank-cell", "curve-csv", "config-error"])
+    def test_module_run_matches_main(self, workdir, tmp_path, capsys, monkeypatch, case):
+        cfg = str(workdir / "cfg.json")
+        if case == "fit-blank-cell":
+            lines = (workdir / "cohort.csv").read_text().splitlines()
+            lines[1] = "," + lines[1].split(",", 1)[1]
+            data = tmp_path / "blank.csv"
+            data.write_text("\n".join(lines) + "\n")
+            argv = ["fit", "--config", cfg, "--data", str(data)]
+        elif case == "curve-csv":
+            argv = ["curve", "--config", cfg, "--models", str(workdir / "models.json"), "--format", "csv"]
+        else:
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps({**CONFIG, "alpha": 2}))
+            argv = ["bounds", "--config", str(bad)]
+        # block-buffered stdio, so that the last bytes reach the pipe only at exit
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.run([sys.executable, "-m", "medbounds.cli", *argv], capture_output=True, text=True, env=env)
+
+        # in-process, each warning goes to stderr as in a process that records none
+        def to_stderr(message, category, filename, lineno, file=None, line=None):
+            sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+        monkeypatch.setattr(warnings, "showwarning", to_stderr)
+        code = main(argv)
+        assert (proc.stdout, proc.stderr, proc.returncode) == (*capsys.readouterr(), code)
+        if case == "config-error":
+            assert proc.returncode == 1 and proc.stdout == ""
+            assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        else:
+            assert proc.returncode == 0 and proc.stdout
+        assert ("dropped 1 rows" in proc.stderr) == (case == "fit-blank-cell")
+
+    def test_main_does_not_freeze(self, workdir, capsys):
+        import gc
+
+        frozen = gc.get_freeze_count()
+        assert main(["effects", "--models", str(workdir / "models.json"), "--x", "30", *PROFILE_FLAGS]) == 0
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert gc.get_freeze_count() == frozen
+
+    @pytest.mark.parametrize("args, code", [("--help", 0), ("simulate --n 5", 0), ("simulate --n 0", 1)])
+    def test_run_freezes_the_heap_on_every_way_out(self, args, code):
+        script = (
+            "import gc, sys\n"
+            "from medbounds.cli import run\n"
+            "try:\n"
+            "    sys.exit(run())\n"
+            "finally:\n"
+            "    print('frozen', gc.get_freeze_count(), file=sys.stderr)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script, *args.split()], capture_output=True, text=True)
+        assert proc.returncode == code
+        word, count = proc.stderr.splitlines()[-1].split()
+        assert word == "frozen" and int(count) > 0
