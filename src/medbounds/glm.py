@@ -17,17 +17,13 @@ optimum. The likelihood, its score and its information depend on the data
 only through the row count and the response sum of each distinct design row
 (a pattern), so the fit runs on the patterns and is exact: every row is
 checked against its pattern bit for bit (but for the sign of a zero). It
-runs on the rows themselves, with unit counts, when at least half of them
-are distinct or the check fails.
+runs on every row, with unit counts, when at least half of the rows are
+distinct or the check fails.
 
-Both models share one reduction: a dataset's rows are reduced once to the
-distinct ones (equal bit for bit, the sign of a zero included), starting
-from the rows of its file's distinct lines where ``load_csv`` parsed those
-alone, and each
-design is evaluated on those and reduced again, weighted by their counts,
+Both models share one reduction of the dataset's rows (``Dataset._reduced``),
+and each design is evaluated once, on those rows weighted by their counts,
 which gives the patterns, in the order, of reducing the design on every
-row. Where the dataset's rows do not reduce, each design is reduced on
-every row.
+row; where the dataset's rows do not reduce, on every row.
 """
 
 from __future__ import annotations
@@ -37,6 +33,7 @@ import io
 import itertools
 import math
 import operator
+import types
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -185,60 +182,49 @@ def parse_design(exprs: Sequence[str]) -> DesignSpec:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Rows of (binary outcome, binary mediator, exposure, named covariates)."""
+    """Rows of (binary outcome, binary mediator, exposure, named covariates)
+    in read-only float arrays (a column given in any other form is copied)."""
 
     outcome: np.ndarray
     mediator: np.ndarray
     exposure: np.ndarray
-    covariates: dict[str, np.ndarray]
-    # (table, index) when ingest read the file's distinct lines: the rows of
-    # those lines, and each row's index into them
-    _lines: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False, compare=False)
+    covariates: Mapping[str, np.ndarray]
 
     def __post_init__(self):
-        y = np.asarray(self.outcome, dtype=float)
-        m = np.asarray(self.mediator, dtype=float)
-        x = np.asarray(self.exposure, dtype=float)
-        object.__setattr__(self, "outcome", y)
-        object.__setattr__(self, "mediator", m)
-        object.__setattr__(self, "exposure", x)
-        object.__setattr__(
-            self, "covariates", {k: np.asarray(v, dtype=float) for k, v in self.covariates.items()}
-        )
-        n = len(y)
+        for name in ("outcome", "mediator", "exposure"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
+        covariates = types.MappingProxyType({k: _read_only(v) for k, v in self.covariates.items()})
+        object.__setattr__(self, "covariates", covariates)
+        n = self.n
         if n == 0:
             raise IngestionError("dataset is empty")
-        for label, col in [("mediator", m), ("exposure", x)] + list(self.covariates.items()):
+        for label, col in [("mediator", self.mediator), ("exposure", self.exposure), *covariates.items()]:
             if len(col) != n:
                 raise IngestionError(f"column '{label}' has length {len(col)}, expected {n}")
             if not np.isfinite(col).all():
                 raise IngestionError("dataset contains non-finite values")
-        for label, col in [("outcome", y), ("mediator", m)]:
+        for label, col in [("outcome", self.outcome), ("mediator", self.mediator)]:
             if not np.all(np.isin(col, (0.0, 1.0))):
                 raise IngestionError(f"{label} column must be strictly 0/1")
+
+    def __reduce__(self):
+        # a mappingproxy does not pickle: pickle and deepcopy rebuild the dataset from its columns
+        return Dataset, (self.outcome, self.mediator, self.exposure, dict(self.covariates))
 
     @property
     def n(self) -> int:
         return len(self.outcome)
 
     @cached_property
-    def _distinct_rows(self) -> tuple["Dataset", np.ndarray] | None:
-        """The distinct (outcome, mediator, exposure, covariates) rows, as a
-        Dataset, and the number of rows equal to each; None when at least half
-        the rows are distinct, or two different rows share a key. Rows are
-        equal only bit for bit, so a term may tell 0.0 from -0.0 (with
-        ``np.copysign``, say). Worked out once, on first use, for every fit
-        on this dataset.
-
-        A dataset ``load_csv`` read from the distinct lines of its file starts
-        from the rows of those lines: every row is one of them, so they have
-        the same distinct rows, and the counts come from each row's line.
+    def _reduced(self) -> tuple["Dataset", np.ndarray, np.ndarray] | None:
+        """(rows, counts, index): fewer than half as many rows as the dataset,
+        as a Dataset, the number of its rows equal to each, bit for bit (a
+        term may tell 0.0 from -0.0), and each row's index into them; None
+        when at least half the rows are distinct or two different rows share
+        a key. Worked out once, on first use, unless ``load_csv`` set it from
+        its file's distinct lines, which may give equal rows (``20``, ``20.0``).
         """
-        if self._lines is None:
-            table = np.column_stack([self.outcome, self.mediator, self.exposure, *self.covariates.values()])
-            line = None
-        else:
-            table, line = self._lines
+        table = np.column_stack([self.outcome, self.mediator, self.exposure, *self.covariates.values()])
         found = _key_groups(table, self.n)
         if found is None:
             return None
@@ -246,21 +232,31 @@ class Dataset:
         bits = table.view(np.uint64)
         if not np.array_equal(bits[first].take(inverse, axis=0), bits):
             return None
-        counts = np.bincount(inverse if line is None else inverse[line], minlength=len(first)).astype(float)
-        return _table_dataset(table[first], self.covariates), counts
+        return _table_dataset(table[first], self.covariates), np.bincount(inverse).astype(float), inverse
 
 
-def _table_dataset(table: np.ndarray, covariates: Sequence[str], lines=None) -> Dataset:
+def _read_only(col) -> np.ndarray:
+    """``col`` as a read-only float array that no other array writes to:
+    itself if it is one (with a read-only owner if it is a view), else a copy."""
+    owner = col if getattr(col, "base", None) is None else col.base
+    kept = type(col) is np.ndarray and type(owner) is np.ndarray and col.dtype == float
+    if kept and not (col.flags.writeable or owner.flags.writeable):
+        return col
+    col = np.array(col, dtype=float)
+    col.flags.writeable = False
+    return col
+
+
+def _table_dataset(table: np.ndarray, covariates: Sequence[str]) -> Dataset:
     """The Dataset whose columns are those of an (outcome, mediator, exposure,
-    *covariates) table, with the (table, index) of its distinct lines, if known."""
-    data = Dataset(
+    *covariates) table built here, made read-only so that they are not copied."""
+    table.flags.writeable = False
+    return Dataset(
         outcome=table[:, 0],
         mediator=table[:, 1],
         exposure=table[:, 2],
         covariates={c: table[:, 3 + j] for j, c in enumerate(covariates)},
     )
-    object.__setattr__(data, "_lines", lines)
-    return data
 
 
 def load_csv(
@@ -301,8 +297,8 @@ def load_csv(
     every line is flagged (one written with ``", "`` separators, say) takes
     the row route as soon as the scan ends.
 
-    A dataset read from the distinct lines keeps them, so its
-    ``_distinct_rows`` starts from them rather than from every row.
+    A dataset read from the distinct lines keeps their rows as its reduction
+    where they are fewer than half the rows: its fits evaluate designs on them.
     """
     wanted = [outcome, mediator, exposure, *covariates]
     with open(path, "rb") as fh:
@@ -318,7 +314,10 @@ def load_csv(
         warnings.warn(f"{path}: dropped {dropped} rows with missing values")
     if not arr.size:
         raise IngestionError(f"{path}: no usable data rows")
-    data = _table_dataset(arr, covariates, lines)
+    data = _table_dataset(arr, covariates)
+    if lines is not None and 2 * len(lines[0]) < len(arr):  # the value ``Dataset._reduced`` caches
+        table, row = lines
+        data.__dict__["_reduced"] = _table_dataset(table, covariates), np.bincount(row).astype(float), row
     for label, col in (("outcome", data.outcome), ("mediator", data.mediator)):
         if col.min() == col.max():
             raise IngestionError(f"{path}: {label} column is constant; both levels are required")
@@ -348,6 +347,7 @@ def _pick_cells(rows, columns: Sequence[int]) -> list:
 def _floats(kept: list, k: int) -> np.ndarray:
     """(len(kept), k) array of the kept cells, each converted by ``float``."""
     flat = np.fromiter(map(float, itertools.chain.from_iterable(kept)), dtype=float, count=len(kept) * k)
+    flat.flags.writeable = False  # so that a Dataset takes the columns of its view without a copy
     return flat.reshape(-1, k)
 
 
@@ -603,15 +603,13 @@ def _key_groups(X: np.ndarray, total: float) -> tuple[np.ndarray, np.ndarray] | 
     return order[new], inverse
 
 
-def _patterns(X: np.ndarray, y: np.ndarray, counts: np.ndarray | None = None):
+def _patterns(X: np.ndarray, y: np.ndarray, counts: np.ndarray):
     """(rows, counts, sums): the distinct rows of X in key order, the summed
-    ``counts`` (1 for each row by default) of the rows equal to each and
-    their count-weighted sum of y; None when at least half of the rows the
-    counts stand for would be distinct, or two different rows share a key.
-    Rows are equal bit for bit, or but for the sign of a zero, which no
-    value of the fit depends on.
+    ``counts`` of the rows equal to each and their count-weighted sum of y;
+    None when at least half of the rows the counts stand for would be
+    distinct, or two different rows share a key. Rows are equal bit for bit,
+    or but for the sign of a zero, which no value of the fit depends on.
     """
-    counts = np.ones(len(X)) if counts is None else counts
     found = _key_groups(X, counts.sum())
     if found is None:
         return None
@@ -629,18 +627,16 @@ def _response(data: Dataset, role: str) -> np.ndarray:
 
 def _fit_rows(data: Dataset, design: DesignSpec, role: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The rows, row counts n and response sums s the Newton loop runs on:
-    the distinct design rows, from the design evaluated on the dataset's
-    distinct rows where those reduce, else on every row; or the rows
-    themselves, with n = 1 and s = y, when at least half of them are
-    distinct or the check of ``_patterns`` fails."""
-    reduced = data._distinct_rows
-    if reduced is not None:
-        rows, counts = reduced
-        patterns = _patterns(design.matrix(rows), _response(rows, role), counts)
-        if patterns is not None:
-            return patterns
-    X, y = design.matrix(data), _response(data, role)
-    return _patterns(X, y) or (X, np.ones(data.n), y)
+    the distinct rows of the design, evaluated once, on the rows of
+    ``data._reduced`` with their counts (on every row, with count 1, where
+    that is None); or every row, with n = 1 and s = y, when at least half of
+    them are distinct or the check of ``_patterns`` fails."""
+    if data._reduced is None:
+        X, y, counts = design.matrix(data), _response(data, role), np.ones(data.n)
+        return _patterns(X, y, counts) or (X, counts, counts * y)
+    rows, counts, index = data._reduced
+    X, y = design.matrix(rows), _response(rows, role)
+    return _patterns(X, y, counts) or (X.take(index, axis=0), np.ones(len(index)), y.take(index))
 
 
 # the row-key weights of _row_keys, pinned to the last bit
@@ -669,8 +665,8 @@ def _row_keys(X: np.ndarray) -> np.ndarray:
 def _check_rank(X: np.ndarray, names: Sequence[str], rows: int | None = None) -> None:
     # the pivoted QR of X has the |diagonal| and the pivots of the pivoted QR
     # of X's own (small) R factor, since the Q factor preserves column norms.
-    # X may be the sqrt(count)-weighted distinct rows of a design of ``rows``
-    # rows: their R factor is the design's, and so is the tolerance.
+    # X may be the sqrt(count)-weighted rows a design of ``rows`` rows was
+    # reduced to: their R factor is the design's, and so is the tolerance.
     diag, piv = _pivoted_qr(np.linalg.qr(X, mode="r"))
     size = max(len(X) if rows is None else rows, X.shape[1])
     tol = diag.max() * size * np.finfo(float).eps if diag.max() > 0 else 0.0

@@ -287,8 +287,11 @@ def sample_dataset(scm: StructuralModel, n: int, seed: int) -> Dataset:
     ix = (rng.random(n)[:, None] < cdf).argmax(axis=1)
     m = (rng.random(n) < scm.m_probs[ix, ic, iu2]).astype(float)
     y = (rng.random(n) < scm.y_probs[ix, m.astype(int), ic, iu1, iu2]).astype(float)
+    x = scm.x_grid[ix]
     covs = {name: scm.c_values[ic, j] for j, name in enumerate(scm.covariate_names)}
-    return Dataset(outcome=y, mediator=m, exposure=scm.x_grid[ix], covariates=covs)
+    for col in (y, m, x, *covs.values()):
+        col.flags.writeable = False  # so the Dataset takes them without a copy
+    return Dataset(outcome=y, mediator=m, exposure=x, covariates=covs)
 
 
 # --------------------------------------------------------------------------

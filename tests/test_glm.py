@@ -1,3 +1,7 @@
+import pickle
+from collections.abc import Mapping
+from copy import deepcopy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -453,9 +457,9 @@ class TestFitLogistic:
         keys = _row_keys(X)
         assert keys[0] == keys[1] and not np.array_equal(X[0], X[1])
         # without the colliding rows the data would be reduced ...
-        assert len(_patterns(X[2:], y[2:])[0]) < (n - 2) // 2
+        assert len(_patterns(X[2:], y[2:], np.ones(n - 2))[0]) < (n - 2) // 2
         # ... with them, they are not, and a fit runs on every row, bit for bit
-        assert _patterns(X, y) is None
+        assert _patterns(X, y, np.ones(n)) is None
         data = Dataset(outcome=y, mediator=rng.integers(0, 2, n), exposure=x, covariates={"z": z})
         rows, counts, sums = _fit_rows(data, parse_design(["1", "x", "z"]), "outcome")
         assert {r.tobytes() for r in X} <= {r.tobytes() for r in rows}
@@ -480,7 +484,7 @@ class TestFitLogistic:
         n = 400
         X = np.column_stack([np.ones(n), rng.integers(0, 4, n).astype(float), np.zeros(n)])
         X[::2, 2] = -0.0
-        rows, counts, _ = _patterns(X, rng.integers(0, 2, n).astype(float))
+        rows, counts, _ = _patterns(X, rng.integers(0, 2, n).astype(float), np.ones(n))
         assert len(rows) == 4 and counts.sum() == n
 
     def test_nonconvergence_reports_trajectory(self, monkeypatch):
@@ -496,8 +500,10 @@ class TestFitLogistic:
 
 
 class TestSharedReduction:
-    """Both fits on a dataset share one reduction of its rows to the distinct
-    ones; each design is then evaluated on those and reduced again. The
+    """Both fits on a dataset share one reduction of its rows: rows, the
+    count of each and each row's index into them, the rows of a loaded
+    file's distinct lines or worked out on first use. Each design is
+    evaluated once, on those rows weighted by their counts, and reduced. The
     Newton loop must get what reducing the design on every row gives:
     ``per_design_patterns``, the reduction each fit made on its own before,
     kept verbatim as the reference."""
@@ -552,11 +558,57 @@ class TestSharedReduction:
     def parsed(self):
         return {role: parse_design(exprs) for role, exprs in self.DESIGNS.items()}
 
-    def test_fits_match_the_per_design_reduction(self, monkeypatch):
+    @staticmethod
+    def loaded(tmp_path, data):
+        """The rows of ``data`` written to a CSV, each value in its shortest
+        round-trip form, and read back: a dataset that holds the rows of the
+        file's distinct lines as its reduction."""
+        path = tmp_path / "rows.csv"
+        table = np.column_stack([data.outcome, data.mediator, data.exposure, *data.covariates.values()])
+        path.write_text("y,m,x,bmi,gender\n" + "".join(",".join(map(repr, row)) + "\n" for row in table.tolist()))
+        copy = load_csv(path, "y", "m", "x", list(data.covariates))
+        columns = [copy.outcome, copy.mediator, copy.exposure, *copy.covariates.values()]
+        assert "_reduced" in vars(copy) and np.column_stack(columns).tobytes() == table.tobytes()
+        return copy
+
+    @pytest.mark.parametrize("kind", ["in-memory", "loaded"])
+    def test_fits_match_the_per_design_reduction(self, monkeypatch, tmp_path, kind):
         data = sample_dataset(demo_cohort_scm(), 20_000, 3)
-        assert data._distinct_rows is not None
+        if kind == "loaded":
+            data = self.loaded(tmp_path, data)
+        assert data._reduced is not None
         patterns = self.assert_fits_as_per_design(monkeypatch, data, self.parsed())
-        assert all(0 < k < len(data._distinct_rows[0].outcome) for k in patterns.values())
+        assert all(0 < k < len(data._reduced[1]) for k in patterns.values())
+
+    def test_a_loaded_dataset_is_reduced_once(self, monkeypatch, tmp_path):
+        from medbounds import glm
+
+        # the rows of the file's distinct lines are its reduction: the keys
+        # are taken of each design evaluated on them, and never of the rows
+        data = self.loaded(tmp_path, sample_dataset(demo_cohort_scm(), 20_000, 3))
+        rows, *_ = data._reduced
+        table = np.column_stack([rows.outcome, rows.mediator, rows.exposure, *rows.covariates.values()])
+        seen, real = [], glm._row_keys
+        monkeypatch.setattr(glm, "_row_keys", lambda X: seen.append(X) or real(X))
+        for role, design in self.parsed().items():
+            fit_logistic(data, design, role)
+        assert [X.shape for X in seen] == [(len(table), 5), (len(table), 4)]
+        assert not any(np.array_equal(X, table) for X in seen)
+
+    @pytest.mark.parametrize("keys", ["exact", "mediator-design-collides"])
+    def test_each_fit_evaluates_its_design_once(self, monkeypatch, keys):
+        from medbounds import glm
+
+        if keys != "exact":
+            exact = glm._row_keys
+            monkeypatch.setattr(glm, "_row_keys", lambda X: exact(X) if X.shape[1] == 5 else X[:, 1].copy())
+        data = sample_dataset(demo_cohort_scm(), 5_000, 7)
+        designs = self.parsed()
+        calls, real = [], DesignSpec.matrix
+        monkeypatch.setattr(DesignSpec, "matrix", lambda design, rows: calls.append(design) or real(design, rows))
+        for role, design in designs.items():
+            fit_logistic(data, design, role)
+        assert len(calls) == 2 and calls[0] is designs["outcome"] and calls[1] is designs["mediator"]
 
     def test_shuffled_rows_give_the_same_fits(self):
         data = sample_dataset(demo_cohort_scm(), 20_000, 3)
@@ -577,7 +629,7 @@ class TestSharedReduction:
         noise = np.random.default_rng(4).normal(size=data.n)
         data = Dataset(data.outcome, data.mediator, data.exposure, dict(data.covariates, noise=noise))
         patterns = self.assert_fits_as_per_design(monkeypatch, data, self.parsed())
-        assert data._distinct_rows is None
+        assert data._reduced is None
         assert all(k < data.n // 2 for k in patterns.values())
 
     def test_a_term_may_tell_the_zeros_apart(self, monkeypatch):
@@ -607,7 +659,7 @@ class TestSharedReduction:
         monkeypatch.setattr(glm, "_row_keys", keys)
         data = sample_dataset(demo_cohort_scm(), 5_000, 7)
         patterns = self.assert_fits_as_per_design(monkeypatch, data, self.parsed())
-        assert (data._distinct_rows is None) == (where == "everywhere")
+        assert (data._reduced is None) == (where == "everywhere")
         assert patterns["mediator"] == data.n
         assert (patterns["outcome"] == data.n) == (where == "everywhere")
 
@@ -631,8 +683,8 @@ class TestSharedReduction:
         data = continuous_cohort(2_000, 9)
         for role, design in self.parsed().items():
             assert fit_logistic(data, design, role).report.patterns == data.n
-        assert data._distinct_rows is None
-        kept = {k for k, v in vars(data).items() if isinstance(v, (np.ndarray, tuple, dict))}
+        assert data._reduced is None
+        kept = {k for k, v in vars(data).items() if isinstance(v, (np.ndarray, tuple, Mapping))}
         assert kept == {"outcome", "mediator", "exposure", "covariates"}
 
 
@@ -769,6 +821,70 @@ class TestIngestion:
         data = Dataset(outcome=[1, 1, 1], mediator=[0, 1, 0], exposure=[1, 2, 3], covariates={})
         with pytest.raises(IngestionError, match="both levels"):
             fit_logistic(data, parse_design(["1", "x"]))
+
+    def test_a_fit_reads_the_rows_the_dataset_was_built_with(self, tmp_path):
+        # a caller's writeable array is copied, so changing it after a fit
+        # reaches neither the next fit, whose reduction was worked out on the
+        # first, nor the exposure range
+        design = parse_design(["1", "x", "bmi", "gender"])
+        base = sample_dataset(demo_cohort_scm(), 3_000, 11)
+        x, covariates = base.exposure.copy(), {k: v.copy() for k, v in base.covariates.items()}
+        data = Dataset(base.outcome, base.mediator, x, covariates)
+        before = fit_logistic(data, design, "mediator")
+        x /= 1000.0
+        covariates["bmi"] += 1.0
+        after = fit_logistic(data, design, "mediator")
+        assert after.coefficients.tobytes() == before.coefficients.tobytes()
+        assert after.exposure_range == before.exposure_range == (10.0, 170.0)
+        # so is a read-only view of a writeable array
+        x = base.exposure.copy()
+        view = x[:]
+        view.flags.writeable = False
+        data = Dataset(base.outcome, base.mediator, view, base.covariates)
+        before = fit_logistic(data, design, "mediator")
+        x /= 1000.0
+        after = fit_logistic(data, design, "mediator")
+        assert after.coefficients.tobytes() == before.coefficients.tobytes()
+        assert after.exposure_range == before.exposure_range == (10.0, 170.0)
+        # nor can a loaded dataset's columns or covariate mapping be changed
+        path = tmp_path / "d.csv"
+        path.write_text("y,m,x,bmi\n" + "0,1,10,20\n1,0,20,30\n0,0,30,25\n1,1,40,28\n" * 5)
+        loaded = load_csv(path, outcome="y", mediator="m", exposure="x", covariates=["bmi"])
+        for col in (loaded.outcome, loaded.mediator, loaded.exposure, loaded.covariates["bmi"]):
+            with pytest.raises(ValueError, match="read-only"):
+                col /= 1000.0
+        with pytest.raises(TypeError):
+            loaded.covariates["bmi"] = np.zeros(loaded.n)
+
+    def test_a_dataset_pickles_and_copies(self):
+        data = sample_dataset(demo_cohort_scm(), 500, 12)
+        design = parse_design(["1", "x", "bmi", "gender"])
+        columns = lambda d: [d.outcome, d.mediator, d.exposure, *d.covariates.values()]
+        for copy in (pickle.loads(pickle.dumps(data)), deepcopy(data)):
+            assert list(copy.covariates) == list(data.covariates)
+            assert [c.tobytes() for c in columns(copy)] == [c.tobytes() for c in columns(data)]
+            assert not any(c.flags.writeable for c in columns(copy))
+            fitted = fit_logistic(copy, design, "mediator").coefficients
+            assert fitted.tobytes() == fit_logistic(data, design, "mediator").coefficients.tobytes()
+
+    def test_read_only_columns_are_taken_as_they_are(self):
+        # the package hands its datasets read-only arrays, which no copy repeats
+        data = sample_dataset(demo_cohort_scm(), 500, 12)
+        columns = [data.outcome, data.mediator, data.exposure, *data.covariates.values()]
+        assert not any(col.flags.writeable for col in columns)
+        again = Dataset(data.outcome, data.mediator, data.exposure, data.covariates)
+        kept = [again.outcome, again.mediator, again.exposure, *again.covariates.values()]
+        assert all(a is b for a, b in zip(kept, columns))
+
+    @pytest.mark.parametrize("route", ["bytes", "rows"])
+    def test_loaded_columns_are_views_of_one_table(self, tmp_path, route):
+        # neither route copies the columns of the table it parsed
+        path = tmp_path / "d.csv"
+        header = "y,m,x,bmi\n" if route == "bytes" else '"y",m,x,bmi\n'
+        path.write_text(header + "0,1,10,20\n1,0,20,30\n0,0,30,25\n1,1,40,28\n" * 5)
+        data = load_csv(path, outcome="y", mediator="m", exposure="x", covariates=["bmi"])
+        columns = [data.outcome, data.mediator, data.exposure, data.covariates["bmi"]]
+        assert all(col.base is not None and col.base is columns[0].base for col in columns)
 
 
 # ---------------------------------------------------------------- model files

@@ -77,7 +77,8 @@ def load_quietly(path, covariates=()):
 
 
 def rebuilt(data):
-    """A Dataset of copies of the columns of ``data``, built as any caller builds one."""
+    """A Dataset of copies of the columns of ``data``, built as any caller
+    builds one: its reduction is worked out on first use."""
     return Dataset(
         outcome=data.outcome.copy(),
         mediator=data.mediator.copy(),
@@ -86,13 +87,70 @@ def rebuilt(data):
     )
 
 
-def distinct_rows_bits(data):
-    """The bytes of the columns and the counts of ``data._distinct_rows``, or None."""
-    reduced = data._distinct_rows
-    if reduced is None:
-        return None
-    rows, counts = reduced
-    return [c.tobytes() for c in (rows.outcome, rows.mediator, rows.exposure, *rows.covariates.values(), counts)]
+def stored_reduction(data):
+    """The (rows, counts, index) ``load_csv`` stored as ``data._reduced``
+    when it read the file's distinct lines and their rows are fewer than half
+    the rows, else None; read before any fit."""
+    return vars(data).get("_reduced")
+
+
+def columns(data):
+    """The (outcome, mediator, exposure, *covariates) rows of ``data``."""
+    return np.column_stack([data.outcome, data.mediator, data.exposure, *data.covariates.values()])
+
+
+def stands_for_the_rows(data):
+    """Whether ``data._reduced`` is None, or rows, each counted as often as
+    ``index`` holds it and at least once, whose ``rows[index]`` is the rows
+    of ``data`` bit for bit."""
+    if data._reduced is None:
+        return True
+    rows, counts, index = data._reduced
+    return (
+        columns(rows)[index].tobytes() == columns(data).tobytes()
+        and counts.tobytes() == np.bincount(index, minlength=rows.n).astype(float).tobytes()
+        and bool((counts >= 1).all())
+    )
+
+
+DESIGNS = {"outcome": ["1", "x", "m"], "mediator": ["1", "x"]}
+
+
+def fit_rows(data):
+    """The (rows, counts, sums) each fit on ``data`` runs on."""
+    return [glm._fit_rows(data, glm.parse_design(exprs), role) for role, exprs in DESIGNS.items()]
+
+
+def fits(data):
+    """The coefficient and covariance bytes, and the report, of each fit on ``data``."""
+    models = [glm.fit_logistic(data, glm.parse_design(exprs), role) for role, exprs in DESIGNS.items()]
+    return [(m.coefficients.tobytes(), m.covariance.tobytes(), m.report) for m in models]
+
+
+def fit_outcomes(data):
+    """``fits(data)``, or the type and text of the error a fit raises, and the warnings the fits give."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = fits(data)
+        except Exception as exc:  # the rebuilt dataset decides which errors are right
+            result = (type(exc), str(exc))
+    return result, [str(w.message) for w in caught]
+
+
+def assert_fits_as_rebuilt(data, zeros_may_differ):
+    """Each fit on ``data`` runs on the rows, counts and sums of the same fit
+    on ``rebuilt(data)``, and gives its result: the rows may differ in the
+    sign of a zero, which no value of a fit reads, where ``zeros_may_differ``."""
+    again = rebuilt(data)
+    for (rows, counts, sums), (ref_rows, ref_counts, ref_sums) in zip(fit_rows(data), fit_rows(again)):
+        assert rows.shape == ref_rows.shape
+        if zeros_may_differ:
+            assert np.array_equal(rows, ref_rows)
+        else:
+            assert rows.tobytes() == ref_rows.tobytes()
+        assert counts.tobytes() == ref_counts.tobytes() and sums.tobytes() == ref_sums.tobytes()
+    assert fit_outcomes(data) == fit_outcomes(again)
 
 
 NAMES = ["y", "m", "x", "z", "w"]
@@ -241,7 +299,8 @@ def test_plain_files_match_dictreader_loader(tmp_path_factory, case):
     assert result == outcome_of(reference_load_csv, path, covariates)
     if result[0] is not None:
         data = load_quietly(path, covariates)
-        assert distinct_rows_bits(data) == distinct_rows_bits(rebuilt(data))
+        assert stands_for_the_rows(data) and stands_for_the_rows(rebuilt(data))
+        assert_fits_as_rebuilt(data, zeros_may_differ=True)
 
 
 def plain_file(tmp_path, rows, ending="\n"):
@@ -322,7 +381,7 @@ def test_crlf_file_loads_like_its_lf_twin_by_the_byte_route(tmp_path, monkeypatc
         with monkeypatch.context() as patched:
             patched.setattr(glm, "_read_rows", None)
             assert load(rows, "\r\n") == lf
-            assert (load_quietly(tmp_path / "crlf.csv")._lines is not None) == repeats
+            assert (stored_reduction(load_quietly(tmp_path / "crlf.csv")) is not None) == repeats
         rows[40] = "1,0,oops"
         lf = load(rows, "\n")
         assert lf[1] == (IngestionError, "<file>: line 42: could not convert string to float: 'oops'")
@@ -490,13 +549,15 @@ def test_repeated_dropped_line_counts_each_time(tmp_path, monkeypatch):
     sizes = parsed_texts(monkeypatch)
     data, warned = drop_warnings(path)
     assert warned == [f"{path}: dropped 3 rows with missing values"]
-    assert data._lines is not None and sizes == [len("".join(sorted(set(r + "\n" for r in rows))))]
+    assert stored_reduction(data) is not None and sizes == [len("".join(sorted(set(r + "\n" for r in rows))))]
     assert outcome_of(load_csv, path, ()) == outcome_of(reference_load_csv, path, ())
 
 
 # files whose lines repeat: one value written two ways (20 and 20.0 are two
 # lines and one row), the two zeros (two rows, which then do not reduce),
-# and more lines than one dedupe block, with odd lines past it
+# more lines than one dedupe block, with odd lines past it, and rows each
+# followed by a blank line (40 distinct lines, under half the lines but not
+# under half the 60 rows, which do not reduce)
 def _many_lines():
     rows = repeated_rows(3 * glm._DEDUPE_BLOCK + 5)
     for i in range(7, len(rows), 997):
@@ -508,20 +569,34 @@ REPEATING = {
     "twenty-two-ways": [f"{i % 2},{(i // 2) % 2},{('20', '20.0', '3')[i % 3]}" for i in range(60)],
     "signed-zeros": [f"{i % 2},{(i // 2) % 2},{('0', '-0', '3')[i % 3]}" for i in range(60)],
     "more-than-one-block": _many_lines(),
+    "double-spaced": [line for i in range(60) for line in (f"{i % 2},{(i // 2) % 2},{i % 40}", "")],
 }
 
 
 @pytest.mark.parametrize("case", REPEATING)
-def test_loaded_distinct_rows_equal_those_of_the_rebuilt_dataset(tmp_path, case):
-    path = plain_file(tmp_path, REPEATING[case])
+def test_loaded_reduction_fits_as_the_rebuilt_dataset(tmp_path, monkeypatch, case):
+    rows = REPEATING[case]
+    path = plain_file(tmp_path, rows)
+    sizes = parsed_texts(monkeypatch)
     data = load_quietly(path)
-    assert data._lines is not None
+    # the file is read from its distinct lines, whose rows are the reduction
+    # where they are fewer than half the rows
+    assert sizes == [len("".join(set(r + "\n" for r in rows)))]
+    stored = stored_reduction(data)
+    assert (stored is None) == (case == "double-spaced")
     assert outcome_of(load_csv, path, ()) == outcome_of(reference_load_csv, path, ())
-    assert distinct_rows_bits(data) == distinct_rows_bits(rebuilt(data))
+    again = rebuilt(data)
+    assert stands_for_the_rows(data) and stands_for_the_rows(again)
+    assert_fits_as_rebuilt(data, zeros_may_differ=case == "signed-zeros")
+    assert fits(data) == fits(again)
     if case == "twenty-two-ways":
         # 12 distinct lines, of which 20 and 20.0 give one row
-        assert len(data._lines[0]) == 12 and len(data._distinct_rows[0].outcome) == 8
-    assert (data._distinct_rows is None) == (case == "signed-zeros")
+        assert len(stored[1]) == 12 and len(again._reduced[1]) == 8
+    if case == "double-spaced":
+        # every fit runs on every row, as the rebuilt dataset's do
+        assert [report.patterns for *_, report in fits(data)] == [60, 60]
+    # the rows of the two zeros share a key but differ bit for bit
+    assert (again._reduced is None) == (case in ("signed-zeros", "double-spaced"))
 
 
 def test_counting_a_repeated_line_once_fails_the_checks(tmp_path, monkeypatch):
@@ -535,9 +610,9 @@ def test_counting_a_repeated_line_once_fails_the_checks(tmp_path, monkeypatch):
         # every count of lines (dropped or giving a row) is at most 1
         patched.setattr(np, "bincount", lambda *args, **kwargs: np.minimum(real(*args, **kwargs), 1))
         data, faulty = drop_warnings(path)
-        faulty_rows = distinct_rows_bits(data)
+        faulty_counts = [counts.tobytes() for _, counts, _ in fit_rows(data)]
     assert faulty != warned
-    assert faulty_rows != distinct_rows_bits(rebuilt(data))
+    assert faulty_counts != [counts.tobytes() for _, counts, _ in fit_rows(rebuilt(data))]
 
 
 def test_file_whose_lines_repeat_only_at_its_start_is_parsed_whole(tmp_path, monkeypatch):
@@ -547,7 +622,7 @@ def test_file_whose_lines_repeat_only_at_its_start_is_parsed_whole(tmp_path, mon
     rows = ["1,0,2.5", "0,1,3.5"] * 16 + [f"{i % 2},{(i // 2) % 2},{i}.25" for i in range(60)]
     path = plain_file(tmp_path, rows)
     sizes = parsed_texts(monkeypatch)
-    assert load_quietly(path)._lines is None and sizes == [len(path.read_bytes()) - len("y,m,x\n")]
+    assert stored_reduction(load_quietly(path)) is None and sizes == [len(path.read_bytes()) - len("y,m,x\n")]
     assert outcome_of(load_csv, path, ()) == outcome_of(reference_load_csv, path, ())
 
 
@@ -560,4 +635,4 @@ def test_file_whose_lines_do_not_repeat_is_parsed_whole(tmp_path, monkeypatch):
     monkeypatch.setattr(glm, "_read_rows", None)
     data, warned = drop_warnings(path)
     assert warned == [f"{path}: dropped 2 rows with missing values"]
-    assert data._lines is None and sizes == [len(path.read_bytes()) - len("y,m,x\n")]
+    assert stored_reduction(data) is None and sizes == [len(path.read_bytes()) - len("y,m,x\n")]
