@@ -284,18 +284,23 @@ def ratio_core(shift, b1, side, out=None, spare=None) -> np.ndarray:
     e^-delta, so R e^min(delta, 0) lies in [c, 1] with c = e^-|delta|: it is
     c + (1 - c) kappa (``pair_ratio``). Only positive terms are summed, one of
     n and m is 1, and e^(s+b1) is never formed, so no shift overflows. The
-    result goes to ``out`` and ``spare`` is overwritten, both buffers of the
-    result's shape, or fresh ones if not given.
+    other one is e^-|t|, so one ``exp`` gives both: kappa = e^-|t| / (1 +
+    e^-|t|) where t > 0, else 1 / (1 + e^-|t|). The result goes to ``out``
+    and ``spare`` is overwritten, both buffers of the result's shape, or
+    fresh ones if not given.
     """
     if out is None:
         out = np.empty(np.broadcast_shapes(np.shape(shift), np.shape(b1)))
     t = np.add(shift, b1, out=out)
     t *= side
-    m = np.minimum(t, 0.0, out=np.empty_like(t) if spare is None else spare)
-    np.exp(m, out=m)
-    n = np.exp(np.minimum(np.negative(t, out=t), 0.0, out=t), out=t)
-    m += n
-    n /= m
+    positive = t > 0.0
+    e = np.abs(t, out=np.empty_like(t) if spare is None else spare)
+    np.exp(np.negative(e, out=e), out=e)  # e^-|t|
+    n = t  # e^-|t| where t > 0, else 1
+    n.fill(1.0)
+    np.copyto(n, e, where=positive)
+    e += 1.0
+    n /= e
     return n
 
 

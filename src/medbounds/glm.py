@@ -28,6 +28,7 @@ row; where the dataset's rows do not reduce, on every row.
 
 from __future__ import annotations
 
+import collections
 import csv
 import io
 import itertools
@@ -204,7 +205,8 @@ class Dataset:
             if not np.isfinite(col).all():
                 raise IngestionError("dataset contains non-finite values")
         for label, col in [("outcome", self.outcome), ("mediator", self.mediator)]:
-            if not np.all(np.isin(col, (0.0, 1.0))):
+            # not np.isin, which copies a strided column
+            if not ((col == 0.0) | (col == 1.0)).all():
                 raise IngestionError(f"{label} column must be strictly 0/1")
 
     def __reduce__(self):
@@ -299,16 +301,14 @@ def load_csv(
 
     A dataset read from the distinct lines keeps their rows as its reduction
     where they are fewer than half the rows: its fits evaluate designs on them.
+
+    One copy of the data at a time: the byte route holds one file-sized
+    buffer at a time, and frees the file's bytes and its per-line index
+    before it gathers the row table (``_read_plain_bytes``); the row route
+    reads, picks and converts ``_ROW_BLOCK`` rows at a time (``_read_rows``).
     """
     wanted = [outcome, mediator, exposure, *covariates]
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    parsed = None
-    if b"\r" in raw and raw.count(b"\r") == raw.count(b"\r\n"):
-        raw = raw.replace(b"\r\n", b"\n")
-    if b'"' not in raw and b"\r" not in raw and raw.isascii():
-        parsed = _read_plain_bytes(path, raw, wanted)
-    del raw
+    parsed = _read_plain_bytes(path, wanted)
     arr, dropped, lines = parsed if parsed is not None else (*_read_rows(path, wanted), None)
     if dropped:
         warnings.warn(f"{path}: dropped {dropped} rows with missing values")
@@ -344,31 +344,52 @@ def _pick_cells(rows, columns: Sequence[int]) -> list:
     return [cells if cells is not None and all(map(str.strip, cells)) else None for cells in picked]
 
 
-def _floats(kept: list, k: int) -> np.ndarray:
-    """(len(kept), k) array of the kept cells, each converted by ``float``."""
-    flat = np.fromiter(map(float, itertools.chain.from_iterable(kept)), dtype=float, count=len(kept) * k)
+def _floats(kept, k: int) -> np.ndarray:
+    """(rows, k) array of the kept cells, an iterable of k-tuples, each
+    converted by ``float`` into one growing array."""
+    flat = np.fromiter(map(float, itertools.chain.from_iterable(kept)), dtype=float)
     flat.flags.writeable = False  # so that a Dataset takes the columns of its view without a copy
     return flat.reshape(-1, k)
 
 
 def _read_rows(path, wanted: Sequence[str]) -> tuple[np.ndarray, int]:
-    """The row route for a whole file: (kept rows, rows dropped)."""
+    """The row route for a whole file: (kept rows, rows dropped).
+
+    One copy of the data at a time: the rows are read, picked and converted
+    ``_ROW_BLOCK`` at a time into one growing array, so no more than a block
+    of them is ever held as ``str`` cells. The first error in file order is
+    raised, from a second pass (``_raise_parse_error``).
+    """
+    dropped = 0
+
+    def kept_cells(reader, columns):
+        nonlocal dropped
+        while True:
+            start = reader.line_num
+            picked = _pick_cells(itertools.islice(reader, _ROW_BLOCK), columns)
+            if reader.line_num == start:
+                return
+            kept = [cells for cells in picked if cells is not None]
+            dropped += len(picked) - len(kept)
+            yield from kept
+
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         columns = _mapped_columns(path, next(reader, None), wanted)
         try:
-            picked = _pick_cells(reader, columns)
-        except csv.Error:
+            rows = _floats(kept_cells(reader, columns), len(wanted))
+        except (csv.Error, ValueError):
             _raise_parse_error(path, columns)
             raise
-    kept = [cells for cells in picked if cells is not None]
-    dropped = len(picked) - len(kept)
-    del picked
-    try:
-        return _floats(kept, len(wanted)), dropped
-    except ValueError:
-        _raise_parse_error(path, columns)
-        raise
+    return rows, dropped
+
+
+# the row route reads this many rows at a time. In one in-process sweep on
+# 250,000 demo-cohort rows (a quoted header cell sends them there), blocks
+# of 1,024 read as fast as all rows at once (393 against 402 ms) with a
+# traced peak of 11.8 MB against 57.7; blocks of 4,096 and 8,192 took 424
+# and 445 ms, as the rows of a block outgrow the CPU caches.
+_ROW_BLOCK = 1024
 
 
 # the data lines are reduced this many at a time, and as soon as at least
@@ -383,45 +404,65 @@ def _read_rows(path, wanted: Sequence[str]) -> tuple[np.ndarray, int]:
 _DEDUPE_BLOCK = 4096
 
 
-def _read_plain_bytes(path, raw: bytes, wanted: Sequence[str]):
-    """The byte route for ASCII bytes with no quote or carriage return: (kept
-    rows, rows dropped, the (table, index) of the distinct lines or None), or
-    None when the whole file must take the row route."""
+def _read_plain_bytes(path, wanted: Sequence[str]):
+    """The byte route: (kept rows, rows dropped, the (table, index) of the
+    distinct lines or None), or None when the whole file must take the row
+    route: one with a non-ASCII byte, a quote, a carriage return outside a
+    CRLF line end or no line break, or one ``_parse_lines`` rejects. The
+    file's bytes are held by this call alone, so that they can go before
+    the rows are gathered. CRLF line ends are read as LF: in the joined
+    distinct lines, or in one copy of a file that is parsed whole.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    crlf = b"\r" in raw
+    if b'"' in raw or not raw.isascii() or crlf and raw.count(b"\r") != raw.count(b"\r\n"):
+        return None
     head_end = raw.find(b"\n")
     if head_end < 0:
         return None
-    header = next(csv.reader([raw[:head_end].decode("ascii")]), None)
+    header = next(csv.reader([raw[:head_end].rstrip(b"\r").decode("ascii")]), None)
     columns = _mapped_columns(path, header, wanted)
-    # each line's first occurrence, as a line number, from one pass that
-    # keeps the distinct lines, in that order, as the keys of ``index``
+    # each line's distinct-line number, from one pass that keeps the distinct
+    # lines, in that order, as the keys of ``distinct``
     lines = io.BytesIO(raw)
     lines.seek(head_end + 1)
-    index: dict[bytes, int] = {}
-    first_seen = map(index.setdefault, lines, itertools.count())
+    distinct = collections.defaultdict(itertools.count().__next__)
+    numbers = map(distinct.__getitem__, lines)
     blocks: list[np.ndarray] = []
-    while not blocks or len(blocks[-1]) == _DEDUPE_BLOCK:
-        blocks.append(np.fromiter(itertools.islice(first_seen, _DEDUPE_BLOCK), dtype=np.intp))
-        if 2 * len(index) >= sum(map(len, blocks)):
-            index.clear()  # free the lines read before the whole body is parsed
-            parsed = _parse_lines(memoryview(raw)[head_end + 1 :], columns)
-            if parsed is None:
-                return None
-            arr, _, dropped = parsed
-            return arr, len(dropped), None
-    first = np.concatenate(blocks)
-    parsed = _parse_lines(b"".join(index), columns)
+    reduces = True
+    while reduces and (not blocks or len(blocks[-1]) == _DEDUPE_BLOCK):
+        blocks.append(np.fromiter(itertools.islice(numbers, _DEDUPE_BLOCK), dtype=np.intp))
+        reduces = 2 * len(distinct) < sum(map(len, blocks))
+    del lines, numbers
+    if not reduces:
+        del distinct, blocks
+        if crlf:
+            raw = raw.replace(b"\r\n", b"\n")
+            head_end = raw.find(b"\n")
+        parsed = _parse_lines(memoryview(raw)[head_end + 1 :], columns)
+        if parsed is None:
+            return None
+        arr, _, dropped = parsed
+        return arr, len(dropped), None
+    # one copy of the data at a time: the file's bytes go before the distinct
+    # lines are parsed, and the per-line arrays but ``row`` before the gather
+    del raw
+    line = np.concatenate(blocks)
+    del blocks
+    text = b"".join(distinct)
+    del distinct
+    parsed = _parse_lines(text.replace(b"\r\n", b"\n") if crlf else text, columns)
     if parsed is None:
         return None
     table, skipped, dropped = parsed
-    # the distinct line of each line of the file, and the row of each line
-    # that gives one
-    number = np.empty(len(first), dtype=np.intp)
-    number[np.fromiter(index.values(), dtype=np.intp, count=len(index))] = np.arange(len(index))
-    line = number[first]
-    gives_row = np.ones(len(index), dtype=bool)
+    # the row of each line that gives one
+    gives_row = np.ones(len(table) + len(skipped), dtype=bool)
     gives_row[skipped] = False
-    row = (np.cumsum(gives_row) - 1)[line[gives_row[line]]]
-    dropped_count = int(np.bincount(line, minlength=len(index))[dropped].sum())
+    dropped_count = int(np.bincount(line)[dropped].sum())
+    line = line[gives_row[line]]
+    row = (np.cumsum(gives_row) - 1)[line]
+    del line
     return table.take(row, axis=0), dropped_count, (table, row)
 
 

@@ -397,15 +397,15 @@ class TestSensitivityCurve:
         sensitivity_curve(derived_bundle, grid)
         assert 0 < len(passes) <= 10
 
-    def test_four_exp_and_three_log1p_passes_over_the_shifts(self, derived_bundle, monkeypatch):
-        # the probability-scale chain: e^min(t, 0) and e^-max(t, 0) of each
-        # outcome level's ratio core, shared by CROSS and ACTIVE (2 x 2
-        # passes), then one log1p per pair (3 passes); a pass is one grid's
-        # worth of elements, counted over every call and every block
+    def test_two_exp_and_three_log1p_passes_over_the_shifts(self, derived_bundle, monkeypatch):
+        # the probability-scale chain: e^-|t| of each outcome level's ratio
+        # core, shared by CROSS and ACTIVE (2 passes), then one log1p per
+        # pair (3 passes); a pass is one grid's worth of elements, counted
+        # over every call and every block
         grid = np.linspace(-30.0, 30.0, 2 * effects.BLOCK + 1)
         elements = counted_elements(monkeypatch, "exp", "log1p")
         sensitivity_curve(derived_bundle, grid)
-        assert {name: n // grid.size for name, n in elements.items()} == {"exp": 4, "log1p": 3}
+        assert {name: n // grid.size for name, n in elements.items()} == {"exp": 2, "log1p": 3}
 
     @pytest.mark.parametrize(
         "offset", [(0, 1), (0, 2), (1, -1), (1, 0), (1, 1), (2, 1)], ids=lambda o: f"{o[0]}B{o[1]:+d}"

@@ -24,6 +24,14 @@ theta_component = st.floats(-6.0, 6.0, allow_nan=False)
 theta_vectors = st.lists(theta_component, min_size=6, max_size=6).map(np.array)
 
 
+def two_exp_ratio_core(shift, b1, side):
+    """The ratio core as two ``exp`` passes, each of n = e^-max(t, 0) and
+    m = e^min(t, 0), with t = side (s + b1): kappa = n / (n + m)."""
+    t = (shift + b1) * side
+    n, m = np.exp(np.minimum(-t, 0.0)), np.exp(np.minimum(t, 0.0))
+    return n / (m + n)
+
+
 def bundle_of(values) -> PredictorBundle:
     return PredictorBundle(values=np.asarray(values, dtype=float), cov=np.zeros((6, 6)))
 
@@ -399,6 +407,33 @@ class TestProbabilityScaleChain:
         for values, shifts in extreme:
             with pytest.raises(AssertionError):
                 assert_within(chain_gaps(values, shifts), atol=1e-9, rtol=1e-9)
+
+    # shifts where e^-|t| is 1, overflows, underflows or is subnormal
+    RATIO_EDGES = [0.0, -0.0, np.inf, -np.inf, 709.0, -709.0, 709.79, -709.79, 745.2, -745.2, 1e-300, -1e-300]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        shifts=st.lists(st.one_of(st.floats(-1e6, 1e6), st.sampled_from(RATIO_EDGES)), min_size=1, max_size=30),
+        b1=st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, -3.2, 5.5, 700.0, -709.0, 709.0])),
+        sides=st.lists(st.sampled_from([1.0, -1.0]), min_size=1, max_size=30),
+        per_row=st.booleans(),
+    )
+    def test_ratio_core_is_the_two_exp_form_bit_for_bit(self, shifts, b1, sides, per_row):
+        shift = np.array(shifts)
+        side = np.resize(sides, len(shifts)) if per_row else sides[0]
+        expected = two_exp_ratio_core(shift, b1, side).tobytes()
+        assert effects.ratio_core(shift, b1, side).tobytes() == expected
+        out, spare = np.empty(len(shift)), np.empty(len(shift))
+        assert effects.ratio_core(shift, b1, side, out=out, spare=spare) is out and out.tobytes() == expected
+        # a single shift is an array of one
+        single = effects.ratio_core(shifts[0], b1, np.resize(side, 1)[0])
+        assert single.shape == () and single.tobytes() == two_exp_ratio_core(shift[:1], b1, sides[0])[0].tobytes()
+
+    def test_ratio_core_is_the_two_exp_form_on_a_dense_grid(self):
+        shift = np.linspace(-800.0, 800.0, 200_001)
+        for b1 in (0.0, -3.2, 5.5, 700.0):
+            for side in (1.0, -1.0, np.resize([1.0, -1.0, -1.0], len(shift))):
+                assert effects.ratio_core(shift, b1, side).tobytes() == two_exp_ratio_core(shift, b1, side).tobytes()
 
     def test_outcome_levels_follow_the_pair_components(self):
         # the chain forms one ratio core per outcome level and reads it for

@@ -7,6 +7,8 @@ same error text (including the file line of a bad cell).
 
 import csv
 import io
+import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -388,6 +390,26 @@ def test_crlf_file_loads_like_its_lf_twin_by_the_byte_route(tmp_path, monkeypatc
         assert load(rows, "\r\n") == lf
 
 
+def test_mixed_line_ends_load_like_their_lf_twin_by_the_byte_route(tmp_path, monkeypatch):
+    # a line and its CRLF twin are two distinct lines that give equal rows
+    for repeats in (False, True):
+        n = 200 if repeats else 60
+        rows = [f"{i % 2},{(i // 2) % 2},{x_cell(i, repeats)}.5" for i in range(n)]
+        rows[10], rows[20] = "1,,10", ""
+        lf = plain_file(tmp_path, rows)
+        expected = outcome_of(load_csv, lf, ())
+        mixed = tmp_path / "mixed.csv"
+        ends = ["\n", "\r\n"] * (n // 2)
+        mixed.write_bytes(("y,m,x\r\n" + "".join(map(str.__add__, rows, ends))).encode("ascii"))
+        with monkeypatch.context() as patched:
+            patched.setattr(glm, "_read_rows", None)
+            result, error, warned = outcome_of(load_csv, mixed, ())
+            assert (stored_reduction(load_quietly(mixed)) is not None) == repeats
+        assert (result, error) == expected[:2] and warned == [w.replace(str(lf), str(mixed)) for w in expected[2]]
+        assert outcome_of(load_csv, mixed, ()) == outcome_of(reference_load_csv, mixed, ())
+        assert_fits_as_rebuilt(load_quietly(mixed), zeros_may_differ=False)
+
+
 def x_cell(i, repeats):
     """The exposure of data row ``i``: distinct in every row, or repeating
     every 5 rows (with y and m, every 20), so that the file is read from its
@@ -405,7 +427,7 @@ def both_routes(path, repeats=False):
     """(shape, value bytes, drop count) of the byte route and of the row route
     on one file, whose distinct lines the byte route reads when it repeats."""
     wanted = ["y", "m", "x"]
-    by_bytes = glm._read_plain_bytes(path, path.read_bytes(), wanted)
+    by_bytes = glm._read_plain_bytes(path, wanted)
     assert by_bytes is not None, "the file left the byte route"
     assert (by_bytes[2] is not None) == repeats
     return [(arr.shape, arr.tobytes(), dropped) for arr, dropped in (by_bytes[:2], glm._read_rows(path, wanted))]
@@ -438,7 +460,7 @@ def test_file_with_no_clean_line_takes_the_row_route(tmp_path):
     # ", " separators flag every data line, so no line is left for np.loadtxt
     rows = [f"{i % 2}, {(i // 2) % 2}, {i}" for i in range(60)]
     path = plain_file(tmp_path, rows)
-    assert glm._read_plain_bytes(path, path.read_bytes(), ["y", "m", "x"]) is None
+    assert glm._read_plain_bytes(path, ["y", "m", "x"]) is None
     assert load_csv(path, outcome="y", mediator="m", exposure="x").exposure.tolist() == list(map(float, range(60)))
 
 
@@ -486,7 +508,7 @@ def test_bad_cell_in_a_ragged_line_names_its_line(tmp_path):
         rows[5], rows[10] = "1,0,5.25,1,2", "1,0,oops,1,2"
         path = tmp_path / "d.csv"
         path.write_text("y,m,x,z\n" + "\n".join(rows) + "\n")
-        assert glm._read_plain_bytes(path, path.read_bytes(), ["y", "m", "x"]) is None
+        assert glm._read_plain_bytes(path, ["y", "m", "x"]) is None
         expected = (IngestionError, f"{path}: line 12: could not convert string to float: 'oops'")
         assert outcome_of(load_csv, path, ())[1] == expected
         assert outcome_of(load_csv, path, ()) == outcome_of(reference_load_csv, path, ())
@@ -636,3 +658,76 @@ def test_file_whose_lines_do_not_repeat_is_parsed_whole(tmp_path, monkeypatch):
     data, warned = drop_warnings(path)
     assert warned == [f"{path}: dropped 2 rows with missing values"]
     assert stored_reduction(data) is None and sizes == [len(path.read_bytes()) - len("y,m,x\n")]
+
+
+# ------------------------------------------------ one copy of the data at a time
+#
+# The byte route holds one file-sized buffer at a time: the file's bytes and
+# each line's distinct-line number while it scans (F + 8 bytes a line), the
+# joined numbers once the bytes are gone (16 bytes a line while they are
+# joined), then the row table and each row's distinct row while it gathers
+# (8k + 8 bytes a row for k columns). The row route holds the row table and
+# one block of rows as cells.
+
+ONE_COPY_LINES = 100_000
+
+
+def traced_peak(load, path):
+    """The traced peak of ``load(path)``, in bytes, and what it returned."""
+    tracemalloc.start()
+    try:
+        result = load(path)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def one_copy_bound(path, data):
+    """1.25 x max(file bytes + 16 B a line, table bytes + 8 B a line) of a
+    file of ``ONE_COPY_LINES`` data lines loaded as ``data``. The byte route
+    reads 1.09 x the max; holding the file's bytes through the gather reads
+    1.59 x, and holding the per-line index arrays through it as well 2.5 x."""
+    table = data.n * 8 * (3 + len(data.covariates))
+    return 1.25 * max(path.stat().st_size + 16 * ONE_COPY_LINES, table + 8 * ONE_COPY_LINES)
+
+
+def repeated_wide_file(tmp_path):
+    """``ONE_COPY_LINES`` lines of 28 distinct rows, one in 1,000 dropped,
+    each line 16 bytes with its unmapped ``z`` cell, so that the file's bytes
+    and the row table of y, m and x each take about half the bound."""
+    rows = [f"{i % 2},{(i // 2) % 2},{i % 7}.5,1234567" for i in range(ONE_COPY_LINES)]
+    rows[::1000] = ["1,0,,1234567"] * len(rows[::1000])
+    path = tmp_path / "d.csv"
+    path.write_text("y,m,x,z\n" + "\n".join(rows) + "\n")
+    return path
+
+
+def test_byte_route_holds_one_copy_of_the_data(tmp_path):
+    path = repeated_wide_file(tmp_path)
+    peak, data = traced_peak(load_quietly, path)
+    assert data.n == ONE_COPY_LINES - 100 and stored_reduction(data) is not None
+    assert peak <= one_copy_bound(path, data)
+
+
+def test_file_bytes_held_through_the_gather_fail_the_one_copy_bound(tmp_path, monkeypatch):
+    # every buffer the byte route reads as a stream is kept until the load
+    # returns: the file's bytes then stay alive while the rows are gathered
+    held, stream = [], io.BytesIO
+    monkeypatch.setattr(glm, "io", types.SimpleNamespace(BytesIO=lambda b: held.append(b) or stream(b), StringIO=io.StringIO))
+    path = repeated_wide_file(tmp_path)
+    peak, data = traced_peak(load_quietly, path)
+    assert any(len(b) == path.stat().st_size for b in held) and stored_reduction(data) is not None
+    assert peak > one_copy_bound(path, data)
+
+
+def test_row_route_holds_the_table_and_one_block_of_rows(tmp_path):
+    # a quoted header cell sends the whole file to the row route; the bound
+    # is twice the table (the growing array's spare room) and 1 KiB a row of
+    # one block. The rows read at once, as cells, read 15.2 MB against 5.8.
+    rows = [f"{i % 2},{(i // 2) % 2},{i}.5" for i in range(ONE_COPY_LINES)]
+    rows[::1000] = ["1,0,"] * len(rows[::1000])
+    path = tmp_path / "d.csv"
+    path.write_text('"y",m,x\n' + "\n".join(rows) + "\n")
+    peak, data = traced_peak(load_quietly, path)
+    assert data.n == ONE_COPY_LINES - 100 and data.exposure[-1] == ONE_COPY_LINES - 0.5
+    assert peak <= 2 * data.n * 8 * 3 + glm._ROW_BLOCK * 1024
