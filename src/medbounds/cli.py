@@ -295,7 +295,7 @@ def _models_from_file(path):
         with open(path) as fh:
             payload = json.load(fh)
         return model_from_dict(payload["outcome"]), model_from_dict(payload["mediator"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise UserError(f"bad models file {path}: {exc}") from None
 
 

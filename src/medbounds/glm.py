@@ -11,14 +11,15 @@ Terms evaluate row-wise on a point whose fields are arrays, and a single
 point is a batch of one. Parsed terms read a name by one rule: ``x`` is the
 exposure, ``m`` the mediator, any other name a covariate.
 
-Fitting is plain damped Newton on the Bernoulli log-likelihood (IRLS), with
-the coefficient covariance taken as the inverse observed information at the
-optimum. The likelihood, its score and its information depend on the data
-only through the row count and the response sum of each distinct design row
-(a pattern), so the fit runs on the patterns and is exact: every row is
-checked against its pattern bit for bit (but for the sign of a zero). It
-runs on every row, with unit counts, when at least half of the rows are
-distinct or the check fails.
+Fitting is plain damped Newton (IRLS) on the Bernoulli log-likelihood in the
+orthonormal basis of the design's columns (``_basis``), so that it depends
+only on the space they span; the coefficient covariance is the inverse
+observed information at the optimum. The likelihood, its score and its
+information depend on the data only through the row count and the response
+sum of each distinct design row (a pattern), so the fit runs on the patterns
+and is exact: every row is checked against its pattern bit for bit (but for
+the sign of a zero). It runs on every row, with unit counts, when at least
+half of the rows are distinct or the check fails.
 
 Both models share one reduction of the dataset's rows (``Dataset._reduced``),
 and each design is evaluated once, on those rows weighted by their counts,
@@ -703,24 +704,29 @@ def _row_keys(X: np.ndarray) -> np.ndarray:
     return np.einsum("ij,j->i", X, weights)
 
 
-def _check_rank(X: np.ndarray, names: Sequence[str], rows: int | None = None) -> None:
-    # the pivoted QR of X has the |diagonal| and the pivots of the pivoted QR
-    # of X's own (small) R factor, since the Q factor preserves column norms.
-    # X may be the sqrt(count)-weighted rows a design of ``rows`` rows was
-    # reduced to: their R factor is the design's, and so is the tolerance.
-    diag, piv = _pivoted_qr(np.linalg.qr(X, mode="r"))
-    size = max(len(X) if rows is None else rows, X.shape[1])
-    tol = diag.max() * size * np.finfo(float).eps if diag.max() > 0 else 0.0
-    # with more terms than rows, the terms pivoted past the last row are surplus
+def _basis(X: np.ndarray, counts: np.ndarray, names: Sequence[str]) -> np.ndarray:
+    """The map T from the design to an orthonormal basis of its columns'
+    span: the rows X, each standing for its count of data rows, give
+    ``sqrt(counts)[:, None] * X @ T`` orthogonal columns of norm
+    ``sqrt(counts.sum())``. A design that loses rank raises
+    ``SingularDesignError`` naming the terms past the rank."""
+    # the weighted rows, the design on every data row and their own small R
+    # factor share the R and pivots of a pivoted QR: Q keeps column norms
+    rows = counts.sum()
+    diag, piv, r = _pivoted_qr(np.linalg.qr(X * np.sqrt(counts)[:, None], mode="r"))
+    tol = diag.max() * max(rows, X.shape[1]) * np.finfo(float).eps
+    # with more terms than rows, the terms pivoted past the last row are
+    # surplus; in a zero design, where tol is 0, every term is deficient
     deficient = [names[p] for j, p in enumerate(piv) if j >= len(diag) or diag[j] <= tol]
-    if diag.max() == 0.0:
-        deficient = list(names)
     if deficient:
         raise SingularDesignError(deficient)
+    # T = P inv(R) for the permutation P with X P = X[:, piv]
+    return np.linalg.inv(r)[np.argsort(piv)] * math.sqrt(rows)
 
 
-def _pivoted_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """|diag R| and column order of the column-pivoted Householder QR of ``a``.
+def _pivoted_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """|diag R|, column order and R of the column-pivoted Householder QR of
+    ``a``: ``a[:, piv] = Q R`` with R upper triangular, of ``min(m, k)`` rows.
 
     At each step the remaining column of largest residual norm (the first,
     on a tie) is moved next, as in LAPACK's ``geqp3``; its norm is |R_jj|.
@@ -740,7 +746,7 @@ def _pivoted_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         v[0] += math.copysign(diag[j], v[0])
         v /= np.linalg.norm(v)
         a[j:, j:] -= 2.0 * np.outer(v, v @ a[j:, j:])
-    return diag, piv
+    return diag, piv, np.triu(a[: len(diag)])
 
 
 def _check_role(role: str, design: DesignSpec) -> None:
@@ -755,38 +761,25 @@ def fit_logistic(data: Dataset, design: DesignSpec, role: str = "outcome") -> Fi
 
     ``role`` selects the response: "outcome" fits y on a design that may
     reference the mediator, "mediator" fits m and rejects designs that do.
-    Convergence is declared when the score max-norm (on internally centred and
-    rescaled columns) drops below ``GRAD_TOL`` within ``MAX_ITER`` steps;
-    step-halving keeps the log-likelihood non-decreasing, and a coefficient
-    of those columns (which a change of a column's units or origin leaves
-    alone) wandering past +-15 raises a separation error since fitted
-    probabilities are then numerically 0/1.
+    Newton runs in the orthonormal basis ``_basis`` maps the design to, with
+    step-halving, until the score max-norm in that basis
+    (``FitReport.grad_norm``) is below ``GRAD_TOL``, within ``MAX_ITER``
+    steps. A step that takes the linear predictor past
+    +-``SEPARATION_THRESHOLD`` on a fitted row raises ``SeparationError``
+    (CLI exit 2): fitted probabilities are then numerically 0 or 1, in any
+    basis. Raw powers of a column far from its origin can lose float64 rank
+    (``SingularDesignError``); centring the column first avoids it.
     """
     _check_role(role, design)
     y = _response(data, role)
     if y.min() == y.max():
         raise IngestionError(f"{role} response is constant; both levels are required to fit")
     X_raw, n, s = _fit_rows(data, design, role)
-    _check_rank(X_raw * np.sqrt(n)[:, None] if len(X_raw) < len(y) else X_raw, design.names, len(y))
-
-    # X = X_raw @ T: every column centred on a constant column, if the design
-    # has one, then rescaled to unit max-abs, so that the score tolerance and
-    # the separation threshold depend on no column's units or origin. The
-    # reductions go column by column: over axis 0 of a tall array numpy is
-    # several times slower. X is the transpose of a C-ordered (k, rows) array
-    # Xt, so the information's weights scale along Xt's contiguous rows.
-    constant = [j for j, col in enumerate(X_raw.T) if col[0] != 0.0 and (col == col[0]).all()]
-    shift = np.array([n @ col for col in X_raw.T]) / len(y) if constant else np.zeros(X_raw.shape[1])
-    shift[constant] = 0.0
-    Xt = np.subtract(X_raw.T, shift[:, None], order="C")
-    scale = np.array([np.abs(row).max() for row in Xt])
-    scale[scale == 0.0] = 1.0
-    Xt /= scale[:, None]
+    T = _basis(X_raw, n, design.names)
+    # X = X_raw @ T, the transpose of a C-ordered (k, rows) array Xt, so
+    # that the information's weights scale along Xt's contiguous rows
+    Xt = T.T @ X_raw.T
     X = Xt.T
-    T = np.diag(1.0 / scale)
-    if constant:
-        c = constant[0]
-        T[c] -= shift / (scale * X_raw[0, c])
 
     beta = np.zeros(X.shape[1])
     eta = X @ beta
@@ -818,11 +811,11 @@ def fit_logistic(data: Dataset, design: DesignSpec, role: str = "outcome") -> Fi
             raise ConvergenceError(f"step-halving stalled at iteration {it}", trace)
         beta, eta, ll = cand, eta_new, ll_new
         trace.append(ll)
-        if np.abs(beta).max() > SEPARATION_THRESHOLD:
+        if np.abs(eta).max() > SEPARATION_THRESHOLD:
             raise SeparationError(
-                "coefficient magnitude exceeded the divergence threshold "
-                f"({SEPARATION_THRESHOLD}) while the likelihood kept improving; "
-                "the data are (quasi-)separated"
+                f"the linear predictor passed +-{SEPARATION_THRESHOLD:g} on a fitted row while "
+                "the likelihood kept improving: fitted probabilities are numerically 0 or 1, "
+                "so the data are (quasi-)separated"
             )
     else:
         raise ConvergenceError(
@@ -872,6 +865,8 @@ def model_from_dict(d: dict) -> FittedGlm:
     design = parse_design(d["design"])
     _check_role(d["role"], design)
     fit = d.get("fit", {})
+    if not isinstance(fit, dict):
+        raise ValueError(f"fit must be an object, got {fit!r}")
     report = FitReport(
         iterations=int(fit.get("iterations", 0)),
         grad_norm=float(fit.get("grad_norm", 0.0)),
@@ -879,11 +874,14 @@ def model_from_dict(d: dict) -> FittedGlm:
         patterns=int(fit.get("patterns", 0)),
     )
     rng = d.get("exposure_range")
+    numbers = isinstance(rng, list) and len(rng) == 2 and all(type(v) in (int, float) and math.isfinite(v) for v in rng)
+    if rng is not None and not (numbers and rng[0] <= rng[1]):
+        raise ValueError(f"exposure_range must be null or two finite numbers lo <= hi, got {rng!r}")
     return FittedGlm(
         design=design,
         coefficients=np.asarray(d["coefficients"], dtype=float),
         covariance=np.asarray(d["covariance"], dtype=float),
         report=report,
         role=d["role"],
-        exposure_range=tuple(rng) if rng else None,
+        exposure_range=None if rng is None else (float(rng[0]), float(rng[1])),
     )

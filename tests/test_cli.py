@@ -173,22 +173,37 @@ def test_mediator_design_naming_m_is_user_error(workdir, tmp_path, capsys, sourc
     assert captured.out == ""
 
 
+# a defect of a model, and the start of its error message; a "key=value"
+# defect sets that key of the outcome model to the JSON value
+MODELS_FILE_DEFECTS = {
+    "negative-variance": "covariance is not positive semidefinite",
+    "nan-coefficient": "coefficients or covariance are not finite",
+    **{f"fit={v}": "fit must be an object" for v in ("[]", "null", "5")},
+    'fit={"iterations": 1e999}': "cannot convert float infinity to integer",
+    **{
+        f"exposure_range={v}": "exposure_range must be null or two finite numbers lo <= hi"
+        for v in ('["a", "b"]', '{"lo": 1}', '"ab"', "[1]", "[5, 1]", "[1, 2, 3]", "[]", "[1, 1e999]", "[false, true]")
+    },
+}
+
+
 @pytest.mark.parametrize("command", ["effects", "bounds", "curve"])
-@pytest.mark.parametrize("defect", ["negative-variance", "nan-coefficient"])
+@pytest.mark.parametrize("defect", list(MODELS_FILE_DEFECTS))
 def test_models_file_covariance_not_psd_or_not_finite_is_user_error(workdir, tmp_path, capsys, command, defect):
     models = json.loads((workdir / "models.json").read_text())
     if defect == "negative-variance":
         models["outcome"]["covariance"][1][1] = -1.0
-        message = "covariance is not positive semidefinite"
-    else:
+    elif defect == "nan-coefficient":
         models["mediator"]["coefficients"][0] = float("nan")
-        message = "coefficients or covariance are not finite"
+    else:
+        key, value = defect.split("=", 1)
+        models["outcome"][key] = json.loads(value)
     path = tmp_path / "models.json"
     path.write_text(json.dumps(models))
     assert main([command, "--models", str(path), "--x", "50", *PROFILE_FLAGS]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: bad models file {path}: {message}")
+    assert captured.err.startswith(f"error: bad models file {path}: {MODELS_FILE_DEFECTS[defect]}")
     assert captured.err.count("\n") == 1
 
 

@@ -197,6 +197,24 @@ class TestFitLogistic:
         with pytest.raises(SeparationError):
             fit_logistic(data, parse_design(["1", "x", "m"]))
 
+    @pytest.mark.parametrize("share", [0.003, 0.01, 0.1])
+    @pytest.mark.parametrize("scale, shift", [(1.0, 0.0), (1e3, 1e3)])
+    def test_quasi_separation_by_a_rare_covariate_is_detected(self, cohort, share, scale, shift):
+        # a covariate set on a share of the rows, with y = 1 on each of
+        # them: its coefficient has no finite optimum, however it is scaled.
+        # In the orthonormal basis such a column's coefficient is the linear
+        # predictor on those rows divided by about 1/sqrt(share), so a rule
+        # on those coefficients lets the fit converge at a slope of about 30
+        rng = np.random.default_rng(21)
+        z = np.zeros(cohort.n)
+        z[rng.choice(cohort.n, size=int(share * cohort.n), replace=False)] = 1.0
+        data = Dataset(
+            np.where(z == 1.0, 1.0, cohort.outcome), cohort.mediator, cohort.exposure,
+            dict(cohort.covariates, z=scale * z + shift),
+        )
+        with pytest.raises(SeparationError, match="numerically 0 or 1"):
+            fit_logistic(data, parse_design(["1", "x", "m", "bmi", "gender", "z"]))
+
     @pytest.mark.parametrize("column", ["x", "bmi"])
     def test_fit_does_not_depend_on_column_units(self, column):
         # exposure in thousands of pack-years used to trip the separation
@@ -235,20 +253,42 @@ class TestFitLogistic:
         assert len(exc.value.terms) == 1
         assert exc.value.terms[0] in {"1", "x", "z", "w"}
 
-    def test_fit_does_not_depend_on_column_origin(self, cohort):
-        # bmi with an offset of 273.15 used to trip the separation check:
-        # without centring, the intercept absorbed the offset
+    @pytest.mark.parametrize(
+        "exprs, column, changed, base",
+        [
+            # bmi with an offset of 273.15 used to trip the separation check:
+            # without centring, the intercept absorbed the offset
+            (["1", "x", "bmi", "gender"], "bmi", (1.0, 273.15), (1.0, 0.0)),
+            # powers and products of a column far from its origin used to
+            # raise a false SeparationError: centred and rescaled one by one,
+            # they stayed nearly collinear and their coefficients passed 15
+            # while the fitted probabilities stayed moderate
+            (["1", "x", "x^2", "x^3", "m", "bmi", "gender"], "x", (1.0, 0.0), (1.0, -90.0)),
+            (["1", "x", "x^2", "x^3", "m", "bmi", "gender"], "x", (0.01, 0.0), (1.0, -90.0)),
+            (["1", "x", "m", "x*m", "bmi", "gender"], "x", (1.0, 1000.0), (1.0, 0.0)),
+            (["1", "x", "m", "x*m", "bmi", "gender"], "x", (0.1, 1000.0), (1.0, 0.0)),
+            (["1", "x", "m", "x*m", "bmi", "gender"], "x", (1e-3, 5.0), (1.0, 0.0)),
+            (["1", "x", "m", "x*m", "bmi", "gender"], "x", (1e-3, -7.0), (1.0, 0.0)),
+        ],
+    )
+    def test_fit_does_not_depend_on_column_origin(self, cohort, exprs, column, changed, base):
+        # the fitted probabilities with the column mapped to a*v + b for
+        # (a, b) = changed equal those with (a, b) = base
         data = cohort
-        design = parse_design(["1", "x", "bmi", "gender"])
-        base = fit_logistic(data, design, role="mediator")
-        shifted = Dataset(
-            data.outcome, data.mediator, data.exposure,
-            dict(data.covariates, bmi=data.covariates["bmi"] + 273.15),
-        )
-        model = fit_logistic(shifted, design, role="mediator")
-        p_base = 1.0 / (1.0 + np.exp(-design.matrix(data) @ base.coefficients))
-        p = 1.0 / (1.0 + np.exp(-design.matrix(shifted) @ model.coefficients))
-        np.testing.assert_allclose(p, p_base, rtol=0.0, atol=1e-10)
+        design = parse_design(exprs)
+        role = "outcome" if design.includes_mediator else "mediator"
+
+        def probabilities(a, b):
+            covariates, exposure = dict(data.covariates), data.exposure
+            if column == "x":
+                exposure = a * exposure + b
+            else:
+                covariates[column] = a * covariates[column] + b
+            mapped = Dataset(data.outcome, data.mediator, exposure, covariates)
+            model = fit_logistic(mapped, design, role=role)
+            return 1.0 / (1.0 + np.exp(-design.matrix(mapped) @ model.coefficients))
+
+        np.testing.assert_allclose(probabilities(*changed), probabilities(*base), rtol=0.0, atol=1e-10)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -313,10 +353,12 @@ class TestFitLogistic:
 
     def test_rank_check_matches_scipy_pivoted_qr(self):
         # same decision and same named terms as the pivoted QR of the whole
-        # design, on designs with planted collinearity and mixed column scales
+        # design, on designs with planted collinearity and mixed column scales;
+        # a full-rank design's map T gives sqrt(counts) X T orthogonal columns
+        # of norm sqrt(rows), with unit counts and with counts of 1-3
         from scipy.linalg import qr
 
-        from medbounds.glm import _check_rank
+        from medbounds.glm import _basis
 
         def reference(X, names):
             _, r_mat, piv = qr(X, mode="economic", pivoting=True)
@@ -325,7 +367,12 @@ class TestFitLogistic:
             deficient = [names[piv[j]] for j in range(len(diag)) if diag[j] <= tol]
             return list(names) if diag.max() == 0.0 else deficient
 
+        def assert_orthonormal(X, counts, names):
+            Z = np.sqrt(counts)[:, None] * X @ _basis(X, counts, names)
+            np.testing.assert_allclose(Z.T @ Z / counts.sum(), np.eye(X.shape[1]), rtol=0.0, atol=1e-10)
+
         rng = np.random.default_rng(8)
+        count_rng = np.random.default_rng(9)
         decisions = []
         for _ in range(500):
             n, k = int(rng.integers(10, 300)), int(rng.integers(2, 8))
@@ -340,7 +387,7 @@ class TestFitLogistic:
             names = [f"t{i}" for i in range(k)]
             expected = reference(X, names)
             try:
-                _check_rank(X, names)
+                _basis(X, np.ones(n), names)
                 got = []
             except SingularDesignError as exc:
                 got = exc.terms
@@ -348,6 +395,9 @@ class TestFitLogistic:
             # order in which the deficient terms are found is not compared
             assert sorted(got) == sorted(expected)
             decisions.append(bool(expected))
+            if not expected:
+                assert_orthonormal(X, np.ones(n), names)
+                assert_orthonormal(X, count_rng.integers(1, 4, n).astype(float), names)
         assert 100 < sum(decisions) < 400
 
     def test_role_validation(self):
