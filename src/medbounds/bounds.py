@@ -214,7 +214,7 @@ def effect_bounds(bundle: PredictorBundle) -> EffectBounds:
 def sensitivity_curve(bundle: PredictorBundle, shifts) -> SensitivityCurve:
     """Trace shared-shift effects and the sensitivity probability on a grid.
 
-    One pass of ``effects.effect_chain`` over blocks of the grid: 4 ``exp``
+    One pass of ``effects.effect_chain`` over blocks of the grid: 2 ``exp``
     and 3 ``log1p`` passes over the shifts, and the four fields are views of
     its one output array.
     """

@@ -326,9 +326,7 @@ def cmd_fit(args) -> int:
             "outcome": model_to_dict(outcome, cfg["outcome_design"]),
             "mediator": model_to_dict(mediator, cfg["mediator_design"]),
         }
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        _emit(json.dumps(payload, indent=1, sort_keys=True) + "\n", args)
 
     est = np.concatenate([mediator.coefficients, outcome.coefficients])
     se = np.concatenate([mediator.stderr, outcome.stderr])
@@ -438,17 +436,8 @@ def cmd_simulate(args) -> int:
     if n < 1:
         raise UserError("--n must be at least 1")
     data = sample_dataset(scm, n, args.seed)
-    cols = ["y", "m", "x", *data.covariates]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(cols)
-    cov_arrays = list(data.covariates.values())
-    for i in range(data.n):
-        writer.writerow(
-            [int(data.outcome[i]), int(data.mediator[i]), f"{data.exposure[i]:g}"]
-            + [f"{arr[i]:g}" for arr in cov_arrays]
-        )
-    _emit(buf.getvalue(), args)
+    columns = {"y": data.outcome, "m": data.mediator, "x": data.exposure, **data.covariates}
+    _emit(_render({name: ["%g" % v for v in col.tolist()] for name, col in columns.items()}, "csv"), args)
     return EXIT_OK
 
 

@@ -25,13 +25,14 @@ them, is stated by ``MAX_EXPONENT``: |mediator effect| <= 709 at every
 pair, while any finite mediator predictor and shift give finite numbers.
 
 Independent routes check each part: the log-scale softplus chain, kept as
-the test reference in ``tests/test_effects.py``, the ratios (through the
-shifted posterior logits), factors, effects and sensitivity probability;
-the mediation formula (``scm.mediation_formula_logit``) the point effects,
-as differences of its pair logits (NDE = CROSS - REFERENCE, NIE = ACTIVE -
-CROSS, TE = ACTIVE - REFERENCE); exact enumeration (acceptance criterion 3)
-the point effects; and the log-scale bound algebra in ``bounds``, which
-shares only ``nde_nie`` with this chain, contains every shifted effect.
+the test reference in ``tests/conftest.py``, the effects and the
+sensitivity probability; a 60-digit ``decimal`` evaluation of the posterior
+the sensitivity probability; the mediation formula
+(``scm.mediation_formula_logit``) the point effects, as differences of its
+pair logits (NDE = CROSS - REFERENCE, NIE = ACTIVE - CROSS, TE = ACTIVE -
+REFERENCE); exact enumeration (acceptance criterion 3) the point effects;
+and the log-scale bound algebra in ``bounds``, which shares only
+``nde_nie`` with this chain, contains every shifted effect.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ __all__ = [
     "EffectTriple",
     "Pair",
     "predictor_bundle",
-    "shifted_posterior_logit",
     "shifted_effects",
     "point_effects",
 ]
@@ -260,7 +260,7 @@ def predictor_bundle(
     return bundle
 
 
-def _check_domain(delta, axis=()) -> None:
+def _check_domain(delta, axis) -> None:
     """Raise ValueError naming the rows in which (over ``axis`` as well) a
     mediator effect is past the chain's domain |delta| <= 709, where
     e^|delta| is finite."""
@@ -306,10 +306,10 @@ def ratio_core(shift, b1, side, out=None, spare=None) -> np.ndarray:
 
 def ratio_scales(delta, g) -> tuple:
     """(a, c) of pairs with mediator effect ``delta`` and mediator predictor
-    ``g`` (0 leaves out its scale), so that a pair's ratio is
-    rho = a kappa + c = R e^(min(delta, 0) + min(g, 0)): a = (1 - e^-|delta|) e^min(g, 0)
-    and c = e^-|delta| e^min(g, 0). The scale e^min(g, 0) lets ``log_factor``
-    and ``stay_probability`` add e^-max(g, 0) where e^-g would overflow."""
+    ``g``, so that a pair's ratio is rho = a kappa + c = R e^(min(delta, 0) +
+    min(g, 0)): a = (1 - e^-|delta|) e^min(g, 0) and c = e^-|delta|
+    e^min(g, 0). The scale e^min(g, 0) lets ``log_factor`` and
+    ``stay_probability`` add e^-max(g, 0) where e^-g would overflow."""
     scale = np.exp(np.minimum(g, 0.0))
     return -np.expm1(-np.abs(delta)) * scale, np.exp(-np.abs(delta)) * scale
 
@@ -328,8 +328,7 @@ def stay_weight(delta, g):
 
 def pair_ratio(kappa, scales, out) -> np.ndarray:
     """A pair's ratio rho = a kappa + c from its outcome level's ``kappa``
-    (``ratio_core``) and its ``scales`` (a, c) (``ratio_scales``), into
-    ``out``, which may be ``kappa`` itself."""
+    (``ratio_core``) and its ``scales`` (a, c) (``ratio_scales``), into ``out``."""
     a, c = scales
     rho = np.multiply(kappa, a, out=out)
     rho += c
@@ -439,31 +438,6 @@ def effect_chain(bundle: PredictorBundle, shift) -> np.ndarray:
         nde_nie(base, factors, factors, out=(nde, nie))
         np.add(nde, nie, out=te)
     return out.reshape(out.shape[:1] + shape)
-
-
-def shifted_posterior_logit(
-    bundle: PredictorBundle, shift: float | np.ndarray, y: int, pair: Pair = Pair.CROSS
-) -> float | np.ndarray:
-    """Logit of the mediator being 1 given the outcome took value ``y``, when
-    the outcome logit carries a shift.
-
-    This is the retrospective (Bayes-flipped) mediator probability inside the
-    chosen pair's counterfactual world; the two single-world pairs reuse the
-    same algebra with matched exposure levels. As the shift runs to -inf/+inf
-    it saturates at the mediator predictor and at the mediator predictor
-    minus the mediator effect, respectively. An array of shifts broadcasts
-    against the bundle's rows. A mediator effect of the pair past the
-    chain's domain (``MAX_EXPONENT``) raises ValueError.
-    """
-    if y not in (0, 1):
-        raise ValueError("y must be 0 or 1")
-    (b0, b1), g = bundle.outcome_parts(pair), bundle.mediator_part(pair)
-    delta = b1 - b0
-    _check_domain(delta)
-    # g + log R, with log R = log rho - min(delta, 0) for the ratio without g's scale
-    kappa = ratio_core(shift, b1, np.copysign(1.0, delta))
-    rho = pair_ratio(kappa, ratio_scales(delta, 0.0), out=kappa)
-    return scalar_or_array(y * delta + g + np.log(rho) - np.minimum(delta, 0.0))
 
 
 def shifted_effects(bundle: PredictorBundle, shift: float | np.ndarray) -> EffectTriple:

@@ -867,12 +867,15 @@ def model_from_dict(d: dict) -> FittedGlm:
     fit = d.get("fit", {})
     if not isinstance(fit, dict):
         raise ValueError(f"fit must be an object, got {fit!r}")
-    report = FitReport(
-        iterations=int(fit.get("iterations", 0)),
-        grad_norm=float(fit.get("grad_norm", 0.0)),
-        loglik=float(fit.get("loglik", 0.0)),
-        patterns=int(fit.get("patterns", 0)),
-    )
+    counts = {key: fit.get(key, 0) for key in ("iterations", "patterns")}
+    for key, v in counts.items():
+        if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+            raise ValueError(f"fit {key} must be a non-negative integer, got {v!r}")
+    reals = {key: fit.get(key, 0.0) for key in ("grad_norm", "loglik")}
+    for key, v in reals.items():
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ValueError(f"fit {key} must be a number, got {v!r}")
+    report = FitReport(**counts, **{key: float(v) for key, v in reals.items()})
     rng = d.get("exposure_range")
     numbers = isinstance(rng, list) and len(rng) == 2 and all(type(v) in (int, float) and math.isfinite(v) for v in rng)
     if rng is not None and not (numbers and rng[0] <= rng[1]):

@@ -81,6 +81,8 @@ class StructuralModel:
             raise ValueError("all supports must be nonempty")
         if self.c_values.shape != (nc, len(self.covariate_names)):
             raise ValueError("covariate value table does not match names/support")
+        if len({*self.covariate_names, "y", "m", "x"}) != len(self.covariate_names) + 3:
+            raise ValueError("covariate names must be distinct and other than y, m and x")
         for label, probs in (("covariate", self.c_probs), ("u1", self.u1_probs), ("u2", self.u2_probs)):
             if abs(probs.sum() - 1.0) > _PROB_TOL or probs.min() < 0:
                 raise ValueError(f"{label} support probabilities must be nonnegative and sum to 1")

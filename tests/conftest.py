@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from medbounds import Contrast, PredictorBundle
+from medbounds import Contrast, Pair, PredictorBundle
 from medbounds.scm import random_bundle
 
 # Bundle evaluated from the demo-cohort coefficient tables at the
@@ -23,6 +23,31 @@ def derived_bundle() -> PredictorBundle:
 @pytest.fixture
 def derived_contrast() -> Contrast:
     return Contrast(active=50.0, reference=10.0, profile=MALE_PROFILE)
+
+
+def log_scale_chain(values, shifts) -> dict:
+    """The softplus-difference effect chain on the log scale, by ``np.logaddexp``,
+    reading the bundle by its own fixed positions: the test reference of the
+    probability-scale chain. Each pair's y=0 posterior logit at every shift,
+    its log adjustment factor, and the effects and sensitivity probability
+    traced along the shifts."""
+    b_x0, b_xs0, b_x1, b_xs1, g_x, g_xs = (float(v) for v in values)
+    s = np.asarray(shifts, dtype=float)
+    pairs = {Pair.CROSS: (b_x0, b_x1, g_xs), Pair.ACTIVE: (b_x0, b_x1, g_x), Pair.REFERENCE: (b_xs0, b_xs1, g_xs)}
+    logit0 = {p: np.logaddexp(0.0, s + b0) - np.logaddexp(0.0, s + b1) + g for p, (b0, b1, g) in pairs.items()}
+    factor = {
+        p: np.logaddexp(0.0, logit0[p] + b1 - b0) - np.logaddexp(0.0, logit0[p]) for p, (b0, b1, _) in pairs.items()
+    }
+    nde = b_x0 - b_xs0 + factor[Pair.CROSS] - factor[Pair.REFERENCE]
+    nie = factor[Pair.ACTIVE] - factor[Pair.CROSS]
+    return {
+        "logit0": logit0,
+        "factor": factor,
+        "nde": nde,
+        "nie": nie,
+        "te": nde + nie,
+        "probabilities": np.exp(-np.logaddexp(0.0, logit0[Pair.CROSS])),
+    }
 
 
 def random_bundles(seed: int, count: int):

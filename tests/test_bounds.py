@@ -22,14 +22,13 @@ from medbounds.effects import (
     point_effects,
     predictor_bundle,
     shifted_effects,
-    shifted_posterior_logit,
 )
 from medbounds.errors import DegenerateMediatorError, DegenerateMediatorWarning
 from medbounds.glm import model_from_dict
 from medbounds.scm import sweep_bounds
 from medbounds.uncertainty import bound_covariance, bounds_jacobian
 
-from conftest import counted_elements, random_bundles
+from conftest import counted_elements, log_scale_chain, random_bundles
 
 theta_component = st.floats(-6.0, 6.0, allow_nan=False)
 theta_vectors = st.lists(theta_component, min_size=6, max_size=6).map(np.array)
@@ -108,44 +107,6 @@ class TestMediatorEffect:
         assert log_width(sign * smaller) <= log_width(sign * delta) + 1e-12
 
 
-class TestShiftedPosteriorLogit:
-    @settings(max_examples=120, deadline=None)
-    @given(theta_vectors)
-    def test_zero_shift_is_exact_reduction(self, values):
-        bundle = bundle_of(values)
-        for pair in Pair:
-            b0, b1 = bundle.outcome_parts(pair)
-            # the Bayes flip at shift 0: g + y delta + log[(1 + e^b0) / (1 + e^b1)]
-            flip = bundle.mediator_part(pair) + np.logaddexp(0.0, b0) - np.logaddexp(0.0, b1)
-            for y in (0, 1):
-                assert shifted_posterior_logit(bundle, 0.0, y, pair) == pytest.approx(
-                    flip + y * (b1 - b0), abs=1e-12
-                )
-
-    def test_limits(self, derived_bundle):
-        g_ref = derived_bundle.mediator_part(Pair.CROSS)
-        delta = 1.250
-        assert shifted_posterior_logit(derived_bundle, -50.0, 0, Pair.CROSS) == pytest.approx(
-            g_ref, abs=1e-9
-        )
-        assert shifted_posterior_logit(derived_bundle, 50.0, 0, Pair.CROSS) == pytest.approx(
-            g_ref - delta, abs=1e-9
-        )
-
-    @settings(max_examples=100, deadline=None)
-    @given(theta_vectors, st.floats(-10, 10), st.floats(0.01, 5.0))
-    def test_monotone_in_shift(self, values, shift, step):
-        bundle = bundle_of(values)
-        delta = values[2] - values[0]
-        assume(abs(delta) > 1e-6)
-        lo = shifted_posterior_logit(bundle, shift, 0, Pair.CROSS)
-        hi = shifted_posterior_logit(bundle, shift + step, 0, Pair.CROSS)
-        if delta > 0:
-            assert hi < lo
-        else:
-            assert hi > lo
-
-
 class TestShiftedEffects:
     @settings(max_examples=150, deadline=None)
     @given(theta_vectors)
@@ -177,14 +138,15 @@ class TestShiftedEffects:
     @settings(max_examples=120, deadline=None)
     @given(theta_vectors, shifts)
     def test_straight_line_identity(self, values, shift):
-        # factor == e^d + (1 - e^d) p, evaluated in the cancellation-free
-        # arrangement e^d (1-p) + p with 1-p as a logistic in its own right
-        bundle = bundle_of(values)
+        # the cross factor of the log-scale reference is the straight line
+        # e^d + (1 - e^d) p in the sensitivity probability p, evaluated in
+        # the cancellation-free arrangement e^d (1-p) + p with 1-p as a
+        # logistic of the reference's y=0 posterior logit in its own right
         delta = values[2] - values[0]
-        g1 = shifted_posterior_logit(bundle, shift, 1, Pair.CROSS)
-        g0 = shifted_posterior_logit(bundle, shift, 0, Pair.CROSS)
-        lhs = np.exp(np.logaddexp(0, g1) - np.logaddexp(0, g0))
-        p = sensitivity_probability(bundle, shift)
+        ref = log_scale_chain(values, shift)
+        g0 = ref["logit0"][Pair.CROSS]
+        lhs = np.exp(ref["factor"][Pair.CROSS])
+        p = sensitivity_probability(bundle_of(values), shift)
         one_minus_p = 1.0 / (1.0 + np.exp(-g0))
         rhs = np.exp(delta) * one_minus_p + p
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
@@ -267,11 +229,10 @@ class TestFactorRange:
     @settings(max_examples=120, deadline=None)
     @given(theta_vectors, shifts)
     def test_factor_trace_inside_range(self, values, shift):
-        bundle = bundle_of(values)
-        fr = factor_range(bundle, Pair.CROSS)
-        g1 = shifted_posterior_logit(bundle, shift, 1, Pair.CROSS)
-        g0 = shifted_posterior_logit(bundle, shift, 0, Pair.CROSS)
-        value = np.exp(np.logaddexp(0, g1) - np.logaddexp(0, g0))
+        # the cross factor of the log-scale reference, which shares no code
+        # with the bound algebra
+        fr = factor_range(bundle_of(values), Pair.CROSS)
+        value = np.exp(log_scale_chain(values, shift)["factor"][Pair.CROSS])
         assert fr.lower - 1e-9 <= value <= fr.upper + 1e-9
 
     @settings(max_examples=120, deadline=None)
@@ -355,29 +316,6 @@ class TestSensitivityCurve:
             assert curve.nde[i] == pytest.approx(eff.nde, abs=1e-12)
             assert curve.nie[i] == pytest.approx(eff.nie, abs=1e-12)
             assert curve.te[i] == pytest.approx(eff.te, abs=1e-12)
-
-    def test_matches_posterior_logit_definition(self):
-        # each pair's factor is softplus of its y=1 over its y=0 shifted
-        # posterior logit; the curve shares those terms across pairs
-        grid = np.linspace(-25.0, 25.0, 201)
-        for bundle in random_bundles(seed=17, count=20):
-            factor = {}
-            for pair in Pair:
-                g1 = shifted_posterior_logit(bundle, grid, 1, pair)
-                g0 = shifted_posterior_logit(bundle, grid, 0, pair)
-                factor[pair] = np.logaddexp(0.0, g1) - np.logaddexp(0.0, g0)
-            base = bundle.outcome_parts(Pair.ACTIVE)[0] - bundle.outcome_parts(Pair.REFERENCE)[0]
-            curve = sensitivity_curve(bundle, grid)
-            np.testing.assert_allclose(
-                curve.nde, base + factor[Pair.CROSS] - factor[Pair.REFERENCE], rtol=0, atol=1e-12
-            )
-            np.testing.assert_allclose(
-                curve.nie, factor[Pair.ACTIVE] - factor[Pair.CROSS], rtol=0, atol=1e-12
-            )
-            p0 = shifted_posterior_logit(bundle, grid, 0, Pair.CROSS)
-            np.testing.assert_allclose(
-                curve.probabilities, 1.0 / (1.0 + np.exp(p0)), rtol=0, atol=1e-12
-            )
 
     def test_at_most_ten_softplus_passes_over_the_shifts(self, derived_bundle, monkeypatch):
         # softplus(s + b0) - softplus(s + b1) once per outcome level (2 x 2

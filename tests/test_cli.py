@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import os
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from medbounds.cli import main
-from medbounds.scm import crossworld_demo_scm
+from medbounds.scm import crossworld_demo_scm, demo_cohort_scm, sample_dataset
 
 CONFIG = {
     "columns": {
@@ -41,10 +42,25 @@ def workdir(tmp_path_factory):
 
 
 def read_rows(path):
-    import csv
-
     with open(path) as fh:
         return list(csv.DictReader(fh))
+
+
+def row_loop_csv(data) -> str:
+    """A simulated dataset's CSV by the ``csv.writer`` row loop that
+    ``simulate`` ran before it rendered its columns as one table: the
+    reference of its output, kept as it was."""
+    cols = ["y", "m", "x", *data.covariates]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(cols)
+    cov_arrays = list(data.covariates.values())
+    for i in range(data.n):
+        writer.writerow(
+            [int(data.outcome[i]), int(data.mediator[i]), f"{data.exposure[i]:g}"]
+            + [f"{arr[i]:g}" for arr in cov_arrays]
+        )
+    return buf.getvalue()
 
 
 class TestSimulate:
@@ -70,6 +86,17 @@ class TestSimulate:
             ["simulate", "--scm", str(scm_path), "--n", "50", "--seed", "2", "--out", str(out)]
         ) == 0
         assert len(read_rows(out)) == 50
+
+    @pytest.mark.parametrize("scm, n", [(demo_cohort_scm, 3270), (crossworld_demo_scm, 500)], ids=["demo", "crossworld"])
+    def test_csv_matches_the_row_loop(self, tmp_path, capsys, scm, n):
+        # to stdout and to --out, byte for byte
+        scm().save(tmp_path / "scm.json")
+        argv = ["simulate", "--scm", str(tmp_path / "scm.json"), "--n", str(n), "--seed", "7"]
+        expected = row_loop_csv(sample_dataset(scm(), n, 7)).encode()
+        assert main(argv) == 0
+        assert capsys.readouterr().out.encode() == expected
+        assert main([*argv, "--out", str(tmp_path / "d.csv")]) == 0
+        assert (tmp_path / "d.csv").read_bytes() == expected
 
     def test_bad_n(self, capsys):
         assert main(["simulate", "--n", "0"]) == 1
@@ -179,7 +206,19 @@ MODELS_FILE_DEFECTS = {
     "negative-variance": "covariance is not positive semidefinite",
     "nan-coefficient": "coefficients or covariance are not finite",
     **{f"fit={v}": "fit must be an object" for v in ("[]", "null", "5")},
-    'fit={"iterations": 1e999}': "cannot convert float infinity to integer",
+    'fit={"iterations": 1e999}': "fit iterations must be a non-negative integer, got inf",
+    **{
+        f"fit={{{v}}}": f"fit {message}"
+        for v, message in (
+            ('"iterations": 2.5', "iterations must be a non-negative integer, got 2.5"),
+            ('"iterations": true', "iterations must be a non-negative integer, got True"),
+            ('"patterns": -3', "patterns must be a non-negative integer, got -3"),
+            ('"patterns": "7"', "patterns must be a non-negative integer, got '7'"),
+            ('"grad_norm": "nan"', "grad_norm must be a number, got 'nan'"),
+            ('"loglik": false', "loglik must be a number, got False"),
+            ('"loglik": null', "loglik must be a number, got None"),
+        )
+    },
     **{
         f"exposure_range={v}": "exposure_range must be null or two finite numbers lo <= hi"
         for v in ('["a", "b"]', '{"lo": 1}', '"ab"', "[1]", "[5, 1]", "[1, 2, 3]", "[]", "[1, 1e999]", "[false, true]")
@@ -692,7 +731,7 @@ class TestEffectsAndBounds:
 
 
 # commands that cannot read or write a file; {w} is the module's workdir, {t}
-# a test's tmp_path, which holds two structural model files of the wrong form
+# a test's tmp_path, which holds three structural model files of the wrong form
 FILE_ERRORS = {
     "fit-data-missing": "fit --config {w}/cfg.json --data {t}/no.csv",
     "bounds-config-missing": "bounds --config {t}/no.json",
@@ -700,6 +739,7 @@ FILE_ERRORS = {
     "simulate-scm-missing": "simulate --scm {t}/no.json",
     "simulate-scm-no-covariates": "simulate --scm {t}/no_covariates.json",
     "simulate-scm-short-table": "simulate --scm {t}/short_table.json",
+    "simulate-scm-covariate-named-x": "simulate --scm {t}/covariate_x.json",
     "effects-out-dir-missing": "effects --models {w}/models.json --x 30 --profile bmi=28.5 --profile gender=1"
     " --out {t}/no/e.csv",
     "fit-out-dir-missing": "fit --config {w}/cfg.json --out {t}/no/models.json",
@@ -718,6 +758,9 @@ def test_file_that_cannot_be_read_or_written_is_user_error(workdir, tmp_path, ca
     short_table = crossworld_demo_scm().to_dict()
     short_table["x_probs"] = short_table["x_probs"][:-1]
     (tmp_path / "short_table.json").write_text(json.dumps(short_table))
+    covariate_x = crossworld_demo_scm().to_dict()
+    covariate_x["covariates"]["names"] = ["x"]
+    (tmp_path / "covariate_x.json").write_text(json.dumps(covariate_x))
     report = types.SimpleNamespace(to_text=lambda: "report\n", passed=True)
     monkeypatch.setattr(validate, "run_validation", lambda **kwargs: report)
     assert main([arg.format(w=workdir, t=tmp_path) for arg in FILE_ERRORS[case].split()]) == 1
