@@ -231,51 +231,160 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[:-2]
 
 
-def _float_width(col) -> int:
-    """Width of the widest "%.6f" cell of a float column, found from a few cells.
+# a byte no UTF-8 text contains: cells are padded with it, and one pass drops it
+_PAD = 0xFF
+# the last byte of a cell that Python formats, where its text is spliced in
+_MARK = 0xFE
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+# float cells per block of rows, so that the temporaries of the digit passes stay in cache
+_BLOCK = 16384
 
-    A cell grows with |value|, and a set sign bit (-0.0 too) adds a '-', so
-    the widest cell is the largest magnitude of either sign or a non-finite one.
+
+def _near_tie(scaled: np.ndarray, rounded: np.ndarray) -> np.ndarray:
+    """Where p = |x| 1e6 lies within an ulp of a .5 tie, so that rint(p) may
+    round the other way than x itself: the distance to the tie is
+    0.5 - |p - rint(p)|, and p 2^-52 is at least the ulp of p."""
+    return np.abs(scaled - rounded) >= 0.5 - scaled * 2.0**-52
+
+
+def _float_cells(values: np.ndarray, pad: int):
+    """The "%.6f" cells of a (rows, k) float array as a (rows, k, width) byte
+    array, each right-aligned after ``pad`` bytes, and the mask of the cells
+    that Python formats instead, which hold only ``pad``.
+
+    A cell is the digits of N = rint(|x| 1e6), a point before the last six and
+    a '-' when the sign bit is set, written in one whole-array pass per digit of
+    the largest N. Python formats the cells this cannot round as "%.6f" does:
+    non-finite values, N of 2^52 or more, and those ``_near_tie``.
     """
-    a = np.asarray(col, dtype=float)
-    finite = np.isfinite(a)
-    negative = finite & np.signbit(a)
-    sides = [a[m][np.abs(a[m]).argmax()] for m in (negative, finite & ~negative) if m.any()]
-    # a non-finite cell is "nan", "inf" or "-inf" (a NaN prints no sign)
-    odd = a[~finite]
-    return max(len("%.6f" % v) for v in [*sides, *odd[:1], *odd[odd == -math.inf][:1]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = np.abs(values) * 1e6
+        python = ~(scaled < 2.0**52)
+    scaled[python] = 0.0
+    n = np.rint(scaled)
+    python |= _near_tie(scaled, n)
+    n = n.astype(np.int64)
+    n[python] = 0
+    count = max(7, len(str(n.max())))
+    width = count + 2
+    cells = np.full((*n.shape, width), pad, dtype=np.uint8)
+    cells[..., width - 7] = ord(".")
+    units = n // 1_000_000
+    q = (n - units * 1_000_000).astype(np.int32)
+    for j in range(count):
+        if j == 6:
+            q = units
+        r = q // 10
+        byte = (q - r * 10).astype(np.uint8) + np.uint8(ord("0"))
+        if j > 6:  # a digit left of the units is written only where N reaches it
+            byte = np.where(q > 0, byte, np.uint8(pad))
+        cells[..., width - 1 - j - (j >= 6)] = byte
+        q = r
+    negative = np.flatnonzero(np.signbit(values) & ~python)
+    digits = np.maximum(7, np.searchsorted(_POW10, n.ravel()[negative], side="right"))
+    cells.reshape(-1, width)[negative, width - 2 - digits] = ord("-")
+    cells[python] = pad
+    return cells, python
 
 
 def _render(table: dict, fmt: str) -> str:
     """Format a column table (header -> float array or list of cells, of one
     length): float columns to 6 decimals in text and CSV, full precision in JSON.
 
-    Each column becomes one list, for json.dumps or for the row template that
-    text and CSV fill with a single %-format over all cells, so no per-cell
-    string is built in Python.
+    Text and CSV rows are one byte matrix in which each column is a slab of
+    fixed width between separators. Float cells come from ``_float_cells``,
+    a block of rows at a time; each distinct string cell is encoded once and
+    gathered by row. ``_PAD`` bytes fill the short cells of a CSV column, the
+    non-ASCII cells of a text column and the cells Python formats, and one
+    ``bytes.translate`` drops them.
     """
     floats = [isinstance(col[0], float) for col in table.values()]
-    cols = [
-        np.asarray(col, dtype=float).tolist() if f else list(map(str, col))
-        for col, f in zip(table.values(), floats)
-    ]
-    n = len(cols[0])
     if fmt == "json":
+        cols = [
+            np.asarray(col, dtype=float).tolist() if f else list(map(str, col))
+            for col, f in zip(table.values(), floats)
+        ]
         rows = [dict(zip(table, row)) for row in zip(*cols)]
         return json.dumps(rows, indent=1, sort_keys=True) + "\n"
-    if fmt == "csv":
-        quoted = {text: _csv_field(text) for col, f in zip(cols, floats) if not f for text in set(col)}
-        cols = [col if f else [quoted[text] for text in col] for col, f in zip(cols, floats)]
-        header = ",".join(map(_csv_field, table))
-        row = ",".join("%.6f" if f else "%s" for f in floats)
+    is_csv = fmt == "csv"
+    pad = _PAD if is_csv else ord(" ")
+    names, n = list(table), len(next(iter(table.values())))
+    # each column's blocks of cells (first row, bytes), its width in the row
+    # and its width in characters
+    slabs = [None] * len(names)
+    at = [i for i, f in enumerate(floats) if f]
+    texts = []
+    if at:
+        cols = [np.asarray(table[names[i]], dtype=float) for i in at]
+        step = max(1, _BLOCK // len(at))
+        blocks, python, widest = [], [], np.zeros(len(at), dtype=int)
+        for first in range(0, n, step):
+            values = np.column_stack([col[first : first + step] for col in cols])
+            cells, odd = _float_cells(values, pad)
+            texts += ["%.6f" % v for v in values[odd].tolist()]
+            if not is_csv:
+                # each column's widest cell: its bytes from the first position any row
+                # uses, where the pad (a space) sorts below every byte of a cell
+                used = cells.max(axis=0) > pad
+                widest = np.maximum(widest, np.where(used.any(axis=1), cells.shape[2] - used.argmax(axis=1), 0))
+            blocks.append((first, cells))
+            python.append(odd)
+        python = np.concatenate(python)
+        if is_csv:  # a CSV cell that Python formats is spliced in, and needs no room in the slab
+            widest = [max(cells.shape[2] for _, cells in blocks)] * len(at)
+        else:
+            text_cols = np.nonzero(python)[1].tolist()
+            widest = [max(len(names[i]), w) for i, w in zip(at, widest.tolist())]
+            for c, text in zip(text_cols, texts):
+                widest[c] = max(widest[c], len(text))
+            texts = [text.rjust(widest[c]) for c, text in zip(text_cols, texts)]
+        for c, i in enumerate(at):
+            slabs[i] = ([(first, cells[:, c]) for first, cells in blocks], widest[c], widest[c])
+    padded = is_csv or bool(texts)
+    for i, col in enumerate(table.values()):
+        if floats[i]:
+            continue
+        text = list(map(str, col))
+        distinct = dict.fromkeys(text)
+        wide = max(len(names[i]), *map(len, distinct))
+        shown = map(_csv_field, distinct) if is_csv else (t.rjust(wide) for t in distinct)
+        encoded = [t.encode("utf-8", "surrogatepass") for t in shown]
+        width = max(map(len, encoded))
+        padded = padded or any(len(e) < width for e in encoded)
+        block = np.frombuffer(b"".join(e.rjust(width, b"\xff") for e in encoded), dtype=np.uint8)
+        codes = np.fromiter(map({t: k for k, t in enumerate(distinct)}.__getitem__, text), np.intp, n)
+        slabs[i] = ([(0, block.reshape(-1, width)[codes])], width, wide)
+
+    sep = "," if is_csv else "  "
+    if is_csv:
+        header = ",".join(map(_csv_field, names))
     else:
-        widths = [
-            max(len(name), _float_width(col) if f else max(map(len, cells)))
-            for name, col, cells, f in zip(table, table.values(), cols, floats)
-        ]
-        header = "  ".join(name.rjust(w) for name, w in zip(table, widths))
-        row = "  ".join(f"%{w}.6f" if f else f"%{w}s" for w, f in zip(widths, floats))
-    return header + "\n" + ((row + "\n") * n) % tuple(itertools.chain.from_iterable(zip(*cols)))
+        header = sep.join(name.rjust(wide) for name, (_, _, wide) in zip(names, slabs))
+    header = (header + "\n").encode("utf-8", "surrogatepass")
+    # the end of each column's slab in a row
+    ends = (np.cumsum([width + len(sep) for _, width, _ in slabs]) - len(sep)).tolist()
+    buf = np.full(len(header) + n * (ends[-1] + 1), pad, dtype=np.uint8)
+    buf[: len(header)] = np.frombuffer(header, dtype=np.uint8)
+    out = buf[len(header) :].reshape(n, ends[-1] + 1)
+    for (blocks, width, _), end in zip(slabs, ends):
+        for first, block in blocks:
+            k = min(width, block.shape[1])
+            out[first : first + len(block), end - k : end] = block[:, block.shape[1] - k :]
+    for end in ends[:-1]:
+        out[:, end : end + len(sep)] = np.frombuffer(sep.encode(), dtype=np.uint8)
+    out[:, -1] = ord("\n")
+    if texts:  # each cell that Python formats becomes _PAD bytes and one _MARK
+        for c in np.unique(np.nonzero(python)[1]).tolist():
+            rows, end = np.flatnonzero(python[:, c]), ends[at[c]]
+            out[rows, end - slabs[at[c]][1] : end] = _PAD
+            out[rows, end - 1] = _MARK
+    del slabs, out  # the blocks and the matrix go before the copies below
+    if padded:
+        buf = buf.tobytes().translate(None, bytes([_PAD]))
+    if texts:
+        parts = buf.split(bytes([_MARK]))
+        buf = b"".join(itertools.chain.from_iterable(zip(parts, (t.encode() for t in texts)))) + parts[-1]
+    return str(buf, "utf-8", "surrogatepass")
 
 
 def _fmt(cfg: dict, args) -> str:

@@ -38,6 +38,7 @@ and the log-scale bound algebra in ``bounds``, which shares only
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -78,15 +79,30 @@ def scalar_or_array(x) -> float | np.ndarray:
     return float(a) if a.ndim == 0 else a
 
 
+@functools.lru_cache(maxsize=None)
+def _mirrored(k: int) -> np.ndarray:
+    """Flat indices of the strict upper triangle of a k x k matrix (row 0) and
+    of the entries that mirror it (row 1)."""
+    i, j = np.triu_indices(k, 1)
+    pairs = np.array([i * k + j, j * k + i])
+    pairs.flags.writeable = False  # one array serves every caller
+    return pairs
+
+
 def symmetrized(s: np.ndarray, what: str) -> np.ndarray:
     """``(s + s') / 2`` over the last two axes; a ValueError names ``what`` and
-    the rows whose asymmetry exceeds 1e-10 of their largest entry (at least 1)."""
-    st = np.swapaxes(s, -1, -2)
-    scale = np.maximum(1.0, np.abs(s).max(axis=(-2, -1)))
-    asymmetric = np.abs(s - st).max(axis=(-2, -1)) > 1e-10 * scale
-    if np.any(asymmetric):
+    the rows whose asymmetry exceeds 1e-10 of their largest entry (at least 1).
+
+    The asymmetry is read from the strict upper triangle and its mirror, and
+    the scale from the row's k*k entries as one axis."""
+    k = s.shape[-1]
+    flat = s.reshape(*s.shape[:-2], k * k)
+    pairs = flat[..., _mirrored(k)]
+    scale = np.maximum(1.0, np.abs(flat).max(axis=-1))
+    asymmetric = np.abs(pairs[..., 0, :] - pairs[..., 1, :]).max(axis=-1) > 1e-10 * scale
+    if asymmetric.any():
         raise ValueError(f"{what} is not symmetric{failing_rows(asymmetric)}")
-    return 0.5 * (s + st)
+    return 0.5 * (s + np.swapaxes(s, -1, -2))
 
 
 def failing_rows(bad) -> str:

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import struct
 import subprocess
 import sys
 import warnings
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from medbounds.cli import main
 from medbounds.scm import crossworld_demo_scm, demo_cohort_scm, sample_dataset
@@ -316,6 +319,38 @@ def test_table_render_is_linear_in_rows(monkeypatch):
     assert count(2000) <= 2 * count(1000) + 50
 
 
+def per_cell_render(table, fmt):
+    """A table rendered cell by cell: "%.6f" of each float and str of each other
+    cell, written by csv.writer or right-aligned in columns two spaces apart."""
+    rows = ([("%.6f" % v) if isinstance(v, float) else str(v) for v in row] for row in zip(*table.values()))
+    cells = [list(table), *rows]
+    if fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(cells)
+        return buf.getvalue()
+    widths = [max(len(row[j]) for row in cells) for j in range(len(cells[0]))]
+    return "".join("  ".join(cell.rjust(w) for cell, w in zip(row, widths)) + "\n" for row in cells)
+
+
+def assert_renders_per_cell(table):
+    import medbounds.cli as cli
+
+    assert cli._render(table, "table") == per_cell_render(table, "table")
+    try:
+        expected = per_cell_render(table, "csv")
+    except csv.Error:  # csv.writer before Python 3.11 writes no NUL, and neither does the CLI
+        with pytest.raises(csv.Error):
+            cli._render(table, "csv")
+    else:
+        assert cli._render(table, "csv") == expected
+
+
+# "%.6f" rounds these .5 ties by the exact binary value, which rint(|x| 1e6) does not see
+TIES = [34.8525525, 2.0000005, 5e-07, -0.9999995, 999999.9999995]
+# |x| 1e6 = 2^52, the first magnitude Python formats
+LIMIT = 2.0**52 / 1e6
+
+
 @pytest.mark.parametrize(
     "values",
     [
@@ -324,23 +359,79 @@ def test_table_render_is_linear_in_rows(monkeypatch):
         [-9.9999996, 1.0],
         [float("nan"), float("-inf")],
         [-1e-9, 3.25, float("inf")],
+        TIES,
+        [5e-324, -5e-324, LIMIT, -LIMIT, np.nextafter(LIMIT, 0.0), -np.nextafter(LIMIT, 0.0)],
+        [0.5, -2.25, 1e300, 0.125, -0.0],
+        [-1e20, 1.0, -3.5],
+        [float("nan"), float("inf"), float("-inf"), 0.0],
     ],
 )
 def test_render_matches_per_cell_formatting(values):
-    import csv
+    for labels in (["bmi=28.5,gender=1"], ['a,"b" %s é', "plain"], ["nul\x00here", "é"]):
+        assert_renders_per_cell({
+            "x": values,
+            "y": np.array(values[::-1]),
+            "profile": [labels[i % len(labels)] for i in range(len(values))],
+        })
+
+
+def bits_to_float(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+ANY_FLOAT = st.one_of(
+    st.floats(),  # NaN, infinities and subnormals included
+    st.integers(0, 2**64 - 1).map(bits_to_float),  # every bit pattern: NaN payloads, a signed NaN
+    st.integers(-(2**52), 2**52).map(lambda k: (k + 0.5) / 1e6),  # next to a .5 tie of "%.6f"
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(ANY_FLOAT, ANY_FLOAT), min_size=1, max_size=12))
+def test_render_of_any_floats_matches_per_cell_formatting(pairs):
+    a, b = zip(*pairs)
+    assert_renders_per_cell({"a": list(a), "profile": ["gender=1"] * len(a), "b": np.array(b)})
+
+
+def test_render_needs_the_tie_guard(monkeypatch):
+    # fault injection: without the guard, rint(34.8525525e6) rounds the tie to
+    # even, where "%.6f" of the float just above the tie rounds up
+    import medbounds.cli as cli
+
+    table = {"x": [34.8525525]}
+    assert cli._render(table, "csv") == "x\n34.852553\n"
+    monkeypatch.setattr(cli, "_near_tie", lambda scaled, rounded: np.zeros(scaled.shape, dtype=bool))
+    assert cli._render(table, "csv") == "x\n34.852552\n"
+    with pytest.raises(AssertionError):
+        assert_renders_per_cell(table)
+
+
+def test_a_huge_cell_does_not_widen_the_others():
+    # Python formats 1e300 alone; the digit matrix keeps the width of the short
+    # cells, and CSV splices the long text in without a slab that holds it
+    import tracemalloc
 
     import medbounds.cli as cli
 
-    label = 'a,"b" %s é'
-    table = {"x": values, "profile": [label] * len(values)}
-    cells = [["x", "profile"], *([f"{v:.6f}", label] for v in values)]
-    widths = [max(len(row[j]) for row in cells) for j in range(2)]
-    assert cli._render(table, "table") == "".join(
-        "  ".join(cell.rjust(w) for cell, w in zip(row, widths)) + "\n" for row in cells
-    )
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(cells)
-    assert cli._render(table, "csv") == buf.getvalue()
+    short = cli._float_cells(np.array([[0.5], [-2.25]]), cli._PAD)[0]
+    cells, python = cli._float_cells(np.array([[0.5], [-2.25], [1e300]]), cli._PAD)
+    assert cells.shape[2] == short.shape[2] == 9
+    assert python.ravel().tolist() == [False, False, True]
+
+    def peak(values):
+        tracemalloc.start()
+        try:
+            text = cli._render({"x": values, "profile": ["gender=1"] * len(values)}, "csv")
+            return tracemalloc.get_traced_memory()[1], len(text)
+        finally:
+            tracemalloc.stop()
+
+    values = np.full(20_000, 0.5)
+    plain = peak(values)
+    values[10_000] = 1e300
+    huge = peak(values)
+    assert huge[1] == plain[1] + len("%.6f" % 1e300) - len("0.500000")
+    assert huge[0] < 1.2 * plain[0]
 
 
 def test_readme_library_sketch_runs(tmp_path, monkeypatch):

@@ -245,6 +245,25 @@ def decimal_posterior(b0, b1, g, shift) -> tuple:
         return l0, 1 / (1 + l0.exp())
 
 
+def ratio_error(values, shift) -> float:
+    """The largest relative error of the three pairs' ratios rho = R e^(min(delta, 0)
+    + min(g, 0)) at ``shift``, by ``ratio_core``, ``ratio_scales`` and ``pair_ratio``,
+    against ln rho = l0 - max(g, 0) + min(delta, 0) from ``decimal_posterior``. A
+    ratio below 2^-1030 is held to an error of 2^-1030 times the bound instead:
+    the chain lets a term round to a multiple of 2^-1074 or underflow to 0."""
+    b_x0, b_xs0, b_x1, b_xs1, g_x, g_xs = values
+    errors = []
+    for b0, b1, g in ((b_x0, b_x1, g_xs), (b_x0, b_x1, g_x), (b_xs0, b_xs1, g_xs)):
+        delta = b1 - b0
+        kappa = effects.ratio_core(shift, b1, math.copysign(1.0, delta))
+        rho = effects.pair_ratio(kappa, effects.ratio_scales(delta, g), out=np.empty_like(kappa))
+        l0 = decimal_posterior(b0, b1, g, shift)[0]
+        with decimal.localcontext(decimal.Context(prec=60)):
+            want = (l0 - decimal.Decimal(max(g, 0.0)) + decimal.Decimal(min(delta, 0.0))).exp()
+            errors.append(float(abs(decimal.Decimal(float(rho)) - want) / max(want, decimal.Decimal(2.0**-1030))))
+    return max(errors)
+
+
 class TestProbabilityScaleChain:
     """The probability-scale chain against the log-scale reference."""
 
@@ -311,6 +330,10 @@ class TestProbabilityScaleChain:
     )
     def test_extreme_bundles_are_finite_and_match_the_reference(self, values, shifts):
         assert_within(chain_gaps(values, shifts), atol=1e-9, rtol=1e-9)
+        # at shifts of 1e5 and more the pairs' factors move together, so an
+        # error in their ratios cancels in the effects: check each ratio
+        far = shifts[np.abs(shifts) >= 1e5]
+        assert max((ratio_error(values, s) for s in far), default=0.0) <= 1e-12
 
     @pytest.mark.parametrize(
         "changes, message",
