@@ -73,12 +73,15 @@ def load_config(path) -> dict:
 
 def _columns(cfg: dict) -> dict:
     cols = cfg.get("columns")
-    if not cols:
+    if not cols or not isinstance(cols, dict):
         raise UserError("config needs a 'columns' mapping (outcome/mediator/exposure)")
     for key in ("outcome", "mediator", "exposure"):
         if key not in cols:
             raise UserError(f"columns mapping lacks '{key}'")
-    cols.setdefault("covariates", [])
+    covariates = cols.setdefault("covariates", [])
+    names = [cols["outcome"], cols["mediator"], cols["exposure"]]
+    if not (isinstance(covariates, list) and all(isinstance(name, str) for name in names + covariates)):
+        raise UserError(f"columns must give each role a column name, and covariates a list of them: {cols!r}")
     return cols
 
 
@@ -637,7 +640,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         _check_out_dir(args.out)
         return args.fn(args)
-    except (UserError, IngestionError, MissingVariableError, OSError) as exc:
+    except (UserError, IngestionError, MissingVariableError, OSError, csv.Error) as exc:
+        # csv.Error: a data file csv.reader rejects, or a NUL that csv.writer cannot write (Python < 3.11)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER
     except (MedboundsError, ValueError, np.linalg.LinAlgError) as exc:

@@ -17,14 +17,11 @@ only on the space they span; the coefficient covariance is the inverse
 observed information at the optimum. The likelihood, its score and its
 information depend on the data only through the row count and the response
 sum of each distinct design row (a pattern), so the fit runs on the patterns
-and is exact: every row is checked against its pattern bit for bit (but for
-the sign of a zero). It runs on every row, with unit counts, when at least
-half of the rows are distinct or the check fails.
-
-Both models share one reduction of the dataset's rows (``Dataset._reduced``),
-and each design is evaluated once, on those rows weighted by their counts,
-which gives the patterns, in the order, of reducing the design on every
-row; where the dataset's rows do not reduce, on every row.
+and is exact by construction (``_grouped``): it runs on every row, with
+unit counts, when at least half of the rows are distinct. Both models share
+one reduction of the dataset's rows (``Dataset._reduced``), and each design
+is evaluated once, on those rows weighted by their counts, and reduced,
+which gives the patterns, in the order, of reducing the design on every row.
 """
 
 from __future__ import annotations
@@ -219,23 +216,17 @@ class Dataset:
         return len(self.outcome)
 
     @cached_property
-    def _reduced(self) -> tuple["Dataset", np.ndarray, np.ndarray] | None:
-        """(rows, counts, index): fewer than half as many rows as the dataset,
-        as a Dataset, the number of its rows equal to each, bit for bit (a
-        term may tell 0.0 from -0.0), and each row's index into them; None
-        when at least half the rows are distinct or two different rows share
-        a key. Worked out once, on first use, unless ``load_csv`` set it from
-        its file's distinct lines, which may give equal rows (``20``, ``20.0``).
-        """
+    def _reduced(self) -> tuple["Dataset", np.ndarray]:
+        """(rows, counts): one row of each group of rows equal bit for bit (a
+        term may tell 0.0 from -0.0), as a Dataset, and each group's size; the
+        rows, on the same columns, each counted once, when at least half are
+        distinct. Worked out on first use, unless ``load_csv`` set it from its
+        file's distinct lines, which may give equal rows (``20``, ``20.0``)."""
         table = np.column_stack([self.outcome, self.mediator, self.exposure, *self.covariates.values()])
-        found = _key_groups(table, self.n)
-        if found is None:
-            return None
-        first, inverse = found
-        bits = table.view(np.uint64)
-        if not np.array_equal(bits[first].take(inverse, axis=0), bits):
-            return None
-        return _table_dataset(table[first], self.covariates), np.bincount(inverse).astype(float), inverse
+        take, counts = _grouped(table, table.view(np.uint64), np.broadcast_to(1.0, self.n))
+        if isinstance(take, slice):
+            return Dataset(self.outcome, self.mediator, self.exposure, self.covariates), counts
+        return _table_dataset(table[take], self.covariates), counts
 
 
 def _read_only(col) -> np.ndarray:
@@ -300,8 +291,8 @@ def load_csv(
     every line is flagged (one written with ``", "`` separators, say) takes
     the row route as soon as the scan ends.
 
-    A dataset read from the distinct lines keeps their rows as its reduction
-    where they are fewer than half the rows: its fits evaluate designs on them.
+    A dataset read from the distinct lines keeps their rows and counts as its
+    reduction where they are fewer than half the rows: its fits use them.
 
     One copy of the data at a time: the byte route holds one file-sized
     buffer at a time, and frees the file's bytes and its per-line index
@@ -317,8 +308,7 @@ def load_csv(
         raise IngestionError(f"{path}: no usable data rows")
     data = _table_dataset(arr, covariates)
     if lines is not None and 2 * len(lines[0]) < len(arr):  # the value ``Dataset._reduced`` caches
-        table, row = lines
-        data.__dict__["_reduced"] = _table_dataset(table, covariates), np.bincount(row).astype(float), row
+        data.__dict__["_reduced"] = _table_dataset(lines[0], covariates), lines[1]
     for label, col in (("outcome", data.outcome), ("mediator", data.mediator)):
         if col.min() == col.max():
             raise IngestionError(f"{path}: {label} column is constant; both levels are required")
@@ -406,8 +396,8 @@ _DEDUPE_BLOCK = 4096
 
 
 def _read_plain_bytes(path, wanted: Sequence[str]):
-    """The byte route: (kept rows, rows dropped, the (table, index) of the
-    distinct lines or None), or None when the whole file must take the row
+    """The byte route: (kept rows, rows dropped, the distinct lines' rows and
+    the count of each or None), or None when the whole file must take the row
     route: one with a non-ASCII byte, a quote, a carriage return outside a
     CRLF line end or no line break, or one ``_parse_lines`` rejects. The
     file's bytes are held by this call alone, so that they can go before
@@ -464,7 +454,7 @@ def _read_plain_bytes(path, wanted: Sequence[str]):
     line = line[gives_row[line]]
     row = (np.cumsum(gives_row) - 1)[line]
     del line
-    return table.take(row, axis=0), dropped_count, (table, row)
+    return table.take(row, axis=0), dropped_count, (table, np.bincount(row, minlength=len(table)).astype(float))
 
 
 def _parse_lines(body, columns: Sequence[int]):
@@ -626,41 +616,45 @@ def _loglik(eta: np.ndarray, counts: np.ndarray, sums: np.ndarray) -> float:
     return float(sums @ eta - counts @ softplus(eta))
 
 
-def _key_groups(X: np.ndarray, total: float) -> tuple[np.ndarray, np.ndarray] | None:
-    """(first, inverse): the index of one row of each distinct key of
-    ``_row_keys(X)``, in key order, and the key index of every row; None when
-    at least half of ``total`` rows would be distinct. The caller checks that
-    each row equals its key's row: two different rows with one key fail it.
-    """
+def _grouped(X: np.ndarray, same: np.ndarray, *weights: np.ndarray) -> tuple:
+    """(take, *sums): one row of each group of rows of X whose ``same`` rows
+    are equal, and each weight summed over each group, in ``_row_keys`` key
+    order, then the rows of any key two unequal rows share, grouped by value
+    in sorted order, so that the groups depend on the rows, not their order;
+    ``slice(None)`` and the weights when at least half the rows are distinct."""
+    total = weights[0].sum()
     key = _row_keys(X)
     # a sort first, which costs a tenth of an argsort, so that rows that do
     # not reduce pay no argsort
     sorted_key = np.sort(key)
     new = np.concatenate(([True], sorted_key[1:] != sorted_key[:-1]))
-    if 2 * np.count_nonzero(new) >= total:
-        return None
-    order = np.argsort(key)
-    inverse = np.empty(len(X), dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    return order[new], inverse
+    if 2 * np.count_nonzero(new) < total:
+        order = np.argsort(key)
+        inverse = np.empty(len(X), dtype=np.intp)
+        inverse[order] = np.cumsum(new) - 1
+        first = order[new]
+        differs = same[first].take(inverse, axis=0) != same
+        if differs.any():  # a whole-array check first: a mask of rows costs three times as much
+            # the rows of each key two unequal rows share, sorted and grouped by value, go last
+            mixed = np.bincount(inverse, differs.any(axis=1), len(first)) > 0
+            apart = np.flatnonzero(mixed[inverse])
+            order = apart[np.lexsort(same[apart].T[::-1])]
+            new = np.concatenate(([True], (same[order[1:]] != same[order[:-1]]).any(axis=1)))
+            inverse = (np.cumsum(~mixed) - 1)[inverse]
+            inverse[order] = len(first) - np.count_nonzero(mixed) + np.cumsum(new) - 1
+            first = np.concatenate([first[~mixed], order[new]])
+        if 2 * len(first) < total:
+            return (first, *(np.bincount(inverse, w, len(first)) for w in weights))
+    return (slice(None), *weights)
 
 
 def _patterns(X: np.ndarray, y: np.ndarray, counts: np.ndarray):
-    """(rows, counts, sums): the distinct rows of X in key order, the summed
-    ``counts`` of the rows equal to each and their count-weighted sum of y;
-    None when at least half of the rows the counts stand for would be
-    distinct, or two different rows share a key. Rows are equal bit for bit,
-    or but for the sign of a zero, which no value of the fit depends on.
-    """
-    found = _key_groups(X, counts.sum())
-    if found is None:
-        return None
-    first, inverse = found
-    rows = X[first]
-    if not np.array_equal(rows.take(inverse, axis=0), X):
-        return None
-    groups = len(first)
-    return rows, np.bincount(inverse, counts, groups), np.bincount(inverse, counts * y, groups)
+    """(rows, counts, sums): one row of each group of equal rows of X (by
+    ``_grouped``; but for the sign of a zero, which no value of the fit reads),
+    the summed ``counts`` of each and their weighted sum of y."""
+    take, n, s = _grouped(X, X, counts, counts * y)
+    # a broadcast count is copied: the Newton loop's dot products use BLAS only on contiguous arrays
+    return X[take], np.ascontiguousarray(n), s
 
 
 def _response(data: Dataset, role: str) -> np.ndarray:
@@ -669,16 +663,10 @@ def _response(data: Dataset, role: str) -> np.ndarray:
 
 def _fit_rows(data: Dataset, design: DesignSpec, role: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The rows, row counts n and response sums s the Newton loop runs on:
-    the distinct rows of the design, evaluated once, on the rows of
-    ``data._reduced`` with their counts (on every row, with count 1, where
-    that is None); or every row, with n = 1 and s = y, when at least half of
-    them are distinct or the check of ``_patterns`` fails."""
-    if data._reduced is None:
-        X, y, counts = design.matrix(data), _response(data, role), np.ones(data.n)
-        return _patterns(X, y, counts) or (X, counts, counts * y)
-    rows, counts, index = data._reduced
-    X, y = design.matrix(rows), _response(rows, role)
-    return _patterns(X, y, counts) or (X.take(index, axis=0), np.ones(len(index)), y.take(index))
+    the design, evaluated once on the rows of ``data._reduced``, reduced by
+    ``_patterns`` with their counts."""
+    rows, counts = data._reduced
+    return _patterns(design.matrix(rows), _response(rows, role), counts)
 
 
 # the row-key weights of _row_keys, pinned to the last bit

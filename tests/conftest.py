@@ -15,6 +15,30 @@ OUTCOME_COEFS = {"1": -3.925, "x": 0.020, "m": 1.250, "bmi": -0.064, "gender": 0
 MALE_PROFILE = {"bmi": 28.5, "gender": 1.0}
 
 
+def stands_for_the_rows(data) -> bool:
+    """Whether the rows of ``data._reduced``, each counted a whole number of
+    times and at least once, and repeated as often, are the rows of ``data``
+    bit for bit, in some order."""
+    rows, counts = data._reduced
+    if not ((counts >= 1).all() and (counts == np.round(counts)).all()):
+        return False
+    table = lambda d: np.column_stack([d.outcome, d.mediator, d.exposure, *d.covariates.values()])
+    as_rows = lambda t: sorted(map(tuple, t.view(np.uint64).tolist()))
+    return as_rows(np.repeat(table(rows), counts.astype(np.intp), axis=0)) == as_rows(table(data))
+
+
+def pattern_table(rows, counts, sums) -> dict:
+    """{row: [count, response sum]} of the rows a fit runs on, with their
+    counts and response sums: a row that occurs twice adds up, and each row
+    is read as float equality reads it (-0.0 as 0.0)."""
+    table = {}
+    for row, n, s in zip((rows + 0.0).tolist(), counts.tolist(), sums.tolist()):
+        entry = table.setdefault(tuple(row), [0.0, 0.0])
+        entry[0] += n
+        entry[1] += s
+    return table
+
+
 @pytest.fixture
 def derived_bundle() -> PredictorBundle:
     return PredictorBundle(values=DERIVED_THETA.copy(), cov=np.zeros((6, 6)))

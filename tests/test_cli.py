@@ -799,6 +799,35 @@ class TestEffectsAndBounds:
         assert main(["bounds", "--config", str(cfg_path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "columns", [{"exposure": ["x"]}, {"covariates": "gender"}, {"covariates": 5}],
+        ids=["exposure-a-list", "covariates-a-string", "covariates-a-number"],
+    )
+    def test_column_mapping_of_the_wrong_type_is_user_error(self, workdir, tmp_path, capsys, columns):
+        # a list is not a column name, and a string is not a list of them
+        # (its letters are not the covariates)
+        mapping = {**CONFIG["columns"], **columns}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(CONFIG, data=str(workdir / "cohort.csv"), columns=mapping)))
+        assert main(["fit", "--config", str(cfg_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: columns must give each role a column name, and covariates a list of them: {mapping!r}\n"
+        assert captured.out == ""
+
+    def test_csv_field_that_cannot_be_written_is_user_error(self, workdir, capsys, monkeypatch):
+        import medbounds.cli as cli
+
+        # csv.writer before Python 3.11 raises this for a profile label with a NUL
+        def unwritable(text):
+            raise csv.Error("need to escape, but no escapechar set")
+
+        monkeypatch.setattr(cli, "_csv_field", unwritable)
+        argv = ["curve", "--config", str(workdir / "cfg.json"), "--models", str(workdir / "models.json")]
+        assert main([*argv, "--format", "csv", *PROFILE_FLAGS]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: need to escape, but no escapechar set\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("command", ["effects", "bounds", "curve"])
     def test_profile_that_lacks_a_covariate_is_named(self, workdir, tmp_path, capsys, command):
         profiles = [{"bmi": 25.0, "gender": 0}, {"gender": 1}]

@@ -1,4 +1,6 @@
+import gc
 import pickle
+import weakref
 from collections.abc import Mapping
 from copy import deepcopy
 
@@ -33,7 +35,7 @@ from medbounds.effects import Contrast, Pair, predictor_bundle
 from medbounds.scm import demo_cohort_scm, sample_dataset
 from medbounds.uncertainty import bound_covariance, uncertainty_intervals
 
-from conftest import MALE_PROFILE, MEDIATOR_COEFS, OUTCOME_COEFS
+from conftest import MALE_PROFILE, MEDIATOR_COEFS, OUTCOME_COEFS, pattern_table, stands_for_the_rows
 
 
 def tiny_dataset():
@@ -507,15 +509,19 @@ class TestFitLogistic:
         keys = _row_keys(X)
         assert keys[0] == keys[1] and not np.array_equal(X[0], X[1])
         # without the colliding rows the data would be reduced ...
-        assert len(_patterns(X[2:], y[2:], np.ones(n - 2))[0]) < (n - 2) // 2
-        # ... with them, they are not, and a fit runs on every row, bit for bit
-        assert _patterns(X, y, np.ones(n)) is None
+        rest = _patterns(X[2:], y[2:], np.ones(n - 2))
+        assert len(rest[0]) < (n - 2) // 2
+        # ... and with them it is: the two rows of one key are split off as
+        # two patterns, and the patterns rebuild the rows
+        rows, counts, sums = _patterns(X, y, np.ones(n))
+        assert len(rest[0]) < len(rows) < n // 2
+        assert pattern_table(rows, counts, sums) == pattern_table(X, np.ones(n), y)
         data = Dataset(outcome=y, mediator=rng.integers(0, 2, n), exposure=x, covariates={"z": z})
-        rows, counts, sums = _fit_rows(data, parse_design(["1", "x", "z"]), "outcome")
-        assert {r.tobytes() for r in X} <= {r.tobytes() for r in rows}
-        assert counts.sum() == n and sums.sum() == y.sum()
+        fit_rows = _fit_rows(data, parse_design(["1", "x", "z"]), "outcome")
+        assert pattern_table(*fit_rows) == pattern_table(X, np.ones(n), y)
 
         model = fit_logistic(data, parse_design(["1", "x", "z"]))
+        assert model.report.patterns == len(rows)
         assert np.allclose(model.coefficients, direct_fit(X, y), atol=1e-6)
 
     def test_row_key_weights_are_the_pinned_draws(self):
@@ -550,10 +556,10 @@ class TestFitLogistic:
 
 
 class TestSharedReduction:
-    """Both fits on a dataset share one reduction of its rows: rows, the
-    count of each and each row's index into them, the rows of a loaded
-    file's distinct lines or worked out on first use. Each design is
-    evaluated once, on those rows weighted by their counts, and reduced. The
+    """Both fits on a dataset share one reduction of its rows: rows and the
+    count of each, the rows of a loaded file's distinct lines or worked out
+    on first use. Each design is evaluated once, on those rows weighted by
+    their counts, and reduced. Where no two different rows share a key, the
     Newton loop must get what reducing the design on every row gives:
     ``per_design_patterns``, the reduction each fit made on its own before,
     kept verbatim as the reference."""
@@ -626,7 +632,7 @@ class TestSharedReduction:
         data = sample_dataset(demo_cohort_scm(), 20_000, 3)
         if kind == "loaded":
             data = self.loaded(tmp_path, data)
-        assert data._reduced is not None
+        assert 2 * data._reduced[0].n < data.n
         patterns = self.assert_fits_as_per_design(monkeypatch, data, self.parsed())
         assert all(0 < k < len(data._reduced[1]) for k in patterns.values())
 
@@ -679,7 +685,8 @@ class TestSharedReduction:
         noise = np.random.default_rng(4).normal(size=data.n)
         data = Dataset(data.outcome, data.mediator, data.exposure, dict(data.covariates, noise=noise))
         patterns = self.assert_fits_as_per_design(monkeypatch, data, self.parsed())
-        assert data._reduced is None
+        rows, counts = data._reduced
+        assert rows.n == data.n and counts.tolist() == [1.0] * data.n
         assert all(k < data.n // 2 for k in patterns.values())
 
     def test_a_term_may_tell_the_zeros_apart(self, monkeypatch):
@@ -696,22 +703,67 @@ class TestSharedReduction:
         patterns = self.assert_fits_as_per_design(monkeypatch, data, {"outcome": design})
         assert patterns["outcome"] < n // 2
 
-    @pytest.mark.parametrize("where", ["everywhere", "mediator-design-only"])
-    def test_a_key_collision_falls_back_as_before(self, monkeypatch, where):
+    @pytest.mark.parametrize("where", ["everywhere", "mediator-design-only", "constant"])
+    def test_a_key_collision_splits_off_the_rows_it_would_merge(self, monkeypatch, where):
         from medbounds import glm
 
-        # a key that is one column of the rows merges rows that differ: the
-        # check finds them, and the fit runs on every row, as before; the
-        # reference reads the same patched keys
-        exact = glm._row_keys
-        coarse = lambda X: X[:, 1].copy()
-        keys = coarse if where == "everywhere" else lambda X: exact(X) if X.shape[1] == 5 else coarse(X)
-        monkeypatch.setattr(glm, "_row_keys", keys)
+        # a key that is one column of the rows, or one constant, gives one
+        # key to rows that differ: the rows of such a key are split off and
+        # grouped by value, so the reduction and the fits stay exact
         data = sample_dataset(demo_cohort_scm(), 5_000, 7)
-        patterns = self.assert_fits_as_per_design(monkeypatch, data, self.parsed())
-        assert (data._reduced is None) == (where == "everywhere")
-        assert patterns["mediator"] == data.n
-        assert (patterns["outcome"] == data.n) == (where == "everywhere")
+        exact = {role: fit_logistic(data, design, role) for role, design in self.parsed().items()}
+        real, coarse = glm._row_keys, lambda X: X[:, 1].copy()
+        keys = {
+            "everywhere": coarse,
+            "mediator-design-only": lambda X: real(X) if X.shape[1] == 5 else coarse(X),
+            "constant": lambda X: np.zeros(len(X)),
+        }
+        monkeypatch.setattr(glm, "_row_keys", keys[where])
+        data = sample_dataset(demo_cohort_scm(), 5_000, 7)  # reduced afresh, by the patched keys
+        assert stands_for_the_rows(data)
+        for role, design in self.parsed().items():
+            X, y = design.matrix(data), data.outcome if role == "outcome" else data.mediator
+            assert pattern_table(*glm._fit_rows(data, design, role)) == pattern_table(X, np.ones(data.n), y)
+            model = fit_logistic(data, design, role)
+            np.testing.assert_allclose(model.coefficients, exact[role].coefficients, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(model.covariance, exact[role].covariance, rtol=0.0, atol=1e-12)
+
+    # values that share a key with another: both zeros, and values below the
+    # last bit of a 1 elsewhere in the row (the key of [1, 0, 0] is that of
+    # [1, -3.8e-123, 0])
+    CLOSE = [0.0, -0.0, 1.0, 2.5, -3.77517034764092e-123, 1e-300, 5e-324, 1.0 + 2.0**-52]
+
+    @staticmethod
+    @st.composite
+    def repeated_tables(draw):
+        """(outcome, mediator, exposure, *covariates) tables of a few distinct
+        rows, each repeated, with 0 to 2 covariates."""
+        k = draw(st.integers(0, 2))
+        value = st.sampled_from(TestSharedReduction.CLOSE) | st.floats(-4.0, 4.0)
+        binary = st.sampled_from([0.0, 1.0])
+        distinct = draw(st.lists(st.tuples(binary, binary, *[value] * (1 + k)), min_size=1, max_size=8))
+        picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=4 * len(distinct), max_size=80))
+        return np.array([distinct[i] for i in picks], dtype=float)
+
+    @given(table=repeated_tables())
+    @settings(max_examples=150, deadline=None)
+    def test_the_reduction_and_the_patterns_rebuild_the_rows(self, table):
+        from medbounds import glm
+
+        names = [f"z{j}" for j in range(table.shape[1] - 3)]
+        dataset = lambda t: Dataset(t[:, 0], t[:, 1], t[:, 2], {c: t[:, 3 + j] for j, c in enumerate(names)})
+        data, backwards = dataset(table), dataset(table[::-1])
+        assert stands_for_the_rows(data)
+        designs = {"outcome": ["1", "x", "m", *names], "mediator": ["1", "x", *names[:1], *[f"x*{c}" for c in names]]}
+        for role, exprs in designs.items():
+            design = parse_design(exprs)
+            X, y = design.matrix(data), data.outcome if role == "outcome" else data.mediator
+            rows, counts, sums = glm._fit_rows(data, design, role)
+            assert pattern_table(rows, counts, sums) == pattern_table(X, np.ones(data.n), y)
+            # the patterns and their order depend on the rows, not on their order
+            ref_rows, ref_counts, ref_sums = glm._fit_rows(backwards, design, role)
+            assert rows.shape == ref_rows.shape and np.array_equal(rows, ref_rows)
+            assert counts.tobytes() == ref_counts.tobytes() and sums.tobytes() == ref_sums.tobytes()
 
     def test_both_fits_reduce_the_rows_once(self, monkeypatch):
         from medbounds import glm
@@ -730,12 +782,26 @@ class TestSharedReduction:
         assert sizes.count(247_500) == 1 and max(sizes[1:]) < base.n
 
     def test_no_large_cache_stays_when_the_rows_do_not_reduce(self):
+        # rows that do not reduce stand for themselves: a second Dataset on
+        # the columns' own memory, each row counted once by a broadcast 1, so
+        # that no n-sized array is cached and no reference cycle holds the data
         data = continuous_cohort(2_000, 9)
         for role, design in self.parsed().items():
             assert fit_logistic(data, design, role).report.patterns == data.n
-        assert data._reduced is None
         kept = {k for k, v in vars(data).items() if isinstance(v, (np.ndarray, tuple, Mapping))}
-        assert kept == {"outcome", "mediator", "exposure", "covariates"}
+        assert kept == {"outcome", "mediator", "exposure", "covariates", "_reduced"}
+        rows, counts = data._reduced
+        columns = lambda d: [d.outcome, d.mediator, d.exposure, *d.covariates.values()]
+        where = lambda a: (a.__array_interface__["data"][0], a.shape, a.strides)
+        assert rows is not data and list(map(where, columns(rows))) == list(map(where, columns(data)))
+        assert counts.shape == (data.n,) and counts.strides == (0,) and (counts == 1.0).all()
+        gone = weakref.ref(data)
+        gc.disable()
+        try:
+            del data
+            assert gone() is None
+        finally:
+            gc.enable()
 
 
 # ---------------------------------------------------------------- prediction

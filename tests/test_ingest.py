@@ -20,6 +20,8 @@ from medbounds.errors import IngestionError
 from medbounds import glm
 from medbounds.glm import Dataset, load_csv
 
+from conftest import stands_for_the_rows
+
 
 def reference_load_csv(path, outcome, mediator, exposure, covariates=()):
     wanted = [outcome, mediator, exposure, *covariates]
@@ -90,29 +92,10 @@ def rebuilt(data):
 
 
 def stored_reduction(data):
-    """The (rows, counts, index) ``load_csv`` stored as ``data._reduced``
+    """The (rows, counts) ``load_csv`` stored as ``data._reduced``
     when it read the file's distinct lines and their rows are fewer than half
     the rows, else None; read before any fit."""
     return vars(data).get("_reduced")
-
-
-def columns(data):
-    """The (outcome, mediator, exposure, *covariates) rows of ``data``."""
-    return np.column_stack([data.outcome, data.mediator, data.exposure, *data.covariates.values()])
-
-
-def stands_for_the_rows(data):
-    """Whether ``data._reduced`` is None, or rows, each counted as often as
-    ``index`` holds it and at least once, whose ``rows[index]`` is the rows
-    of ``data`` bit for bit."""
-    if data._reduced is None:
-        return True
-    rows, counts, index = data._reduced
-    return (
-        columns(rows)[index].tobytes() == columns(data).tobytes()
-        and counts.tobytes() == np.bincount(index, minlength=rows.n).astype(float).tobytes()
-        and bool((counts >= 1).all())
-    )
 
 
 DESIGNS = {"outcome": ["1", "x", "m"], "mediator": ["1", "x"]}
@@ -577,9 +560,11 @@ def test_repeated_dropped_line_counts_each_time(tmp_path, monkeypatch):
 
 # files whose lines repeat: one value written two ways (20 and 20.0 are two
 # lines and one row), the two zeros (two rows, which then do not reduce),
-# more lines than one dedupe block, with odd lines past it, and rows each
+# more lines than one dedupe block, with odd lines past it, rows each
 # followed by a blank line (40 distinct lines, under half the lines but not
-# under half the 60 rows, which do not reduce)
+# under half the 60 rows, which do not reduce), and an exposure below the last
+# bit of a 1 in its row, whose rows and design rows share a key with those of
+# a 0 exposure (the file's first line is one of them)
 def _many_lines():
     rows = repeated_rows(3 * glm._DEDUPE_BLOCK + 5)
     for i in range(7, len(rows), 997):
@@ -592,6 +577,7 @@ REPEATING = {
     "signed-zeros": [f"{i % 2},{(i // 2) % 2},{('0', '-0', '3')[i % 3]}" for i in range(60)],
     "more-than-one-block": _many_lines(),
     "double-spaced": [line for i in range(60) for line in (f"{i % 2},{(i // 2) % 2},{i % 40}", "")],
+    "below-the-last-bit": [f"{i % 2},{(i // 2) % 2},{('-3.77517034764092e-123', '0', '2')[i % 3]}" for i in range(60)],
 }
 
 
@@ -617,8 +603,11 @@ def test_loaded_reduction_fits_as_the_rebuilt_dataset(tmp_path, monkeypatch, cas
     if case == "double-spaced":
         # every fit runs on every row, as the rebuilt dataset's do
         assert [report.patterns for *_, report in fits(data)] == [60, 60]
-    # the rows of the two zeros share a key but differ bit for bit
-    assert (again._reduced is None) == (case in ("signed-zeros", "double-spaced"))
+    # the rows of the two zeros share a key but differ bit for bit: they are
+    # grouped among themselves, and the 60 rows reduce to their 12 distinct ones
+    assert (again._reduced[0].n == again.n) == (case == "double-spaced")
+    if case == "signed-zeros":
+        assert again._reduced[0].n == 12
 
 
 def test_counting_a_repeated_line_once_fails_the_checks(tmp_path, monkeypatch):
