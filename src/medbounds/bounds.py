@@ -27,7 +27,6 @@ it; only ``effect_bounds`` warns of a numerically zero mediator effect.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,6 +44,7 @@ from .effects import (
 )
 from .errors import DegenerateMediatorError, DegenerateMediatorWarning
 from .glm import softplus
+from .record import Record
 
 __all__ = [
     "BoundPair",
@@ -66,8 +66,7 @@ _D_Y0, _D_Y1, _D_G = np.eye(6)[PAIR_INDEX]
 _D_INPUTS = np.stack([_D_Y1 - _D_Y0, _D_G])  # of (delta, g), (2, pair, 6)
 
 
-@dataclass(frozen=True)
-class BoundPair:
+class BoundPair(Record):
     """Lower and upper endpoints: floats for a single bundle, arrays for a batch."""
 
     lower: float
@@ -91,8 +90,7 @@ class BoundPair:
         return self.upper - self.lower
 
 
-@dataclass(frozen=True)
-class EffectBounds:
+class EffectBounds(Record):
     """Log-scale identification bounds plus the shift-zero point estimates."""
 
     nde: BoundPair
@@ -101,8 +99,7 @@ class EffectBounds:
     point: EffectTriple
 
 
-@dataclass(frozen=True)
-class SensitivityCurve:
+class SensitivityCurve(Record):
     """Effects and the sensitivity probability traced along a shift grid."""
 
     shifts: np.ndarray

@@ -40,12 +40,12 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
 from .glm import FittedGlm, Point
+from .record import Record
 
 __all__ = [
     "Contrast",
@@ -114,8 +114,7 @@ def failing_rows(bad) -> str:
     return f" in row {rows[0]}{more}"
 
 
-@dataclass(frozen=True)
-class Contrast:
+class Contrast(Record):
     """An exposure shift (reference -> active) at a fixed covariate profile;
     or a grid of N such, when the fields (``active``, ``reference`` and each
     profile value) are numbers or 1-D arrays that broadcast to length N."""
@@ -157,8 +156,7 @@ _, LEVEL_PAIRS, PAIR_LEVEL = np.unique(PAIR_INDEX[:2].T, axis=0, return_index=Tr
 PAIR_LEVEL = PAIR_LEVEL.ravel()
 
 
-@dataclass(frozen=True)
-class PredictorBundle:
+class PredictorBundle(Record):
     """Six linear predictors and the covariance of their estimator.
 
     Component order (fixed; ``PAIR_INDEX`` indexes against it):
@@ -184,8 +182,8 @@ class PredictorBundle:
     values: np.ndarray
     cov: np.ndarray
     # set once, after construction, and by this package alone
-    _bound_pass: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _psd_by_construction: bool = field(default=False, init=False, repr=False, compare=False)
+    _bound_pass = None
+    _psd_by_construction = False
 
     def __post_init__(self):
         v = np.array(self.values, dtype=float)
@@ -210,8 +208,7 @@ class PredictorBundle:
         return self.values.T[PAIR_INDEX[2, list(Pair).index(pair)]]
 
 
-@dataclass(frozen=True)
-class EffectTriple:
+class EffectTriple(Record):
     """Natural direct, indirect and total effects (log odds-ratios).
 
     Constructed so the total is exactly the sum of the other two. Fields are

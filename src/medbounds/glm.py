@@ -34,7 +34,6 @@ import math
 import operator
 import types
 import warnings
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
@@ -47,6 +46,7 @@ from .errors import (
     SeparationError,
     SingularDesignError,
 )
+from .record import Record
 
 GRAD_TOL = 1e-8
 MAX_ITER = 100
@@ -58,8 +58,7 @@ SEPARATION_THRESHOLD = 15.0
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(Record):
     """One location where a linear predictor is evaluated.
 
     ``mediator`` is None for mediator-model designs, which never reference it.
@@ -72,8 +71,7 @@ class Point:
     covariates: Mapping[str, float]
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(Record):
     """A named basis function of an evaluation point."""
 
     name: str
@@ -138,8 +136,7 @@ def parse_term(expr: str) -> Term:
     return Term("*".join(name if k is None else f"{name}^{k}" for name, k in factors), fn)
 
 
-@dataclass(frozen=True)
-class DesignSpec:
+class DesignSpec(Record):
     """Ordered basis terms defining one model's linear predictor."""
 
     terms: tuple[Term, ...]
@@ -179,8 +176,7 @@ def parse_design(exprs: Sequence[str]) -> DesignSpec:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(Record):
     """Rows of (binary outcome, binary mediator, exposure, named covariates)
     in read-only float arrays (a column given in any other form is copied)."""
 
@@ -553,15 +549,14 @@ def _raise_parse_error(path, columns: Sequence[int]) -> None:
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class FitReport:
+class FitReport(Record):
     """How a fit went; ``patterns`` is the number of rows the Newton loop ran
     on (0 when unknown, as in a model file that does not record it)."""
 
     iterations: int
     grad_norm: float
     loglik: float
-    loglik_trace: list[float] = field(default_factory=list)
+    loglik_trace: list[float]
     patterns: int = 0
 
 
@@ -573,8 +568,7 @@ def psd_check(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eig_min < -1e-8 * np.maximum(1.0, np.abs(cov).max(axis=(-2, -1))), eig_min
 
 
-@dataclass(frozen=True)
-class FittedGlm:
+class FittedGlm(Record):
     """A fitted logistic model: design, coefficients, and their covariance."""
 
     design: DesignSpec
@@ -585,7 +579,7 @@ class FittedGlm:
     exposure_range: tuple[float, float] | None = None
     # the covariance's smallest eigenvalue: below 0 but within psd_check's
     # tolerance, a far-out design row can scale it into a negative variance
-    _min_eig: float = field(default=math.nan, init=False, repr=False, compare=False)
+    _min_eig = math.nan
 
     def __post_init__(self):
         k = len(self.design.terms)
@@ -863,7 +857,7 @@ def model_from_dict(d: dict) -> FittedGlm:
     for key, v in reals.items():
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ValueError(f"fit {key} must be a number, got {v!r}")
-    report = FitReport(**counts, **{key: float(v) for key, v in reals.items()})
+    report = FitReport(**counts, **{key: float(v) for key, v in reals.items()}, loglik_trace=[])
     rng = d.get("exposure_range")
     numbers = isinstance(rng, list) and len(rng) == 2 and all(type(v) in (int, float) and math.isfinite(v) for v in rng)
     if rng is not None and not (numbers and rng[0] <= rng[1]):

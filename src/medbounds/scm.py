@@ -17,7 +17,6 @@ construction; adding a mediator-outcome latent breaks them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -26,6 +25,7 @@ from .bounds import BoundPair, EffectBounds, effect_bounds
 from .effects import Contrast, EffectTriple, Pair, PredictorBundle, failing_rows, scalar_or_array, shifted_effects
 from .errors import MedboundsError
 from .glm import Dataset
+from .record import Record
 
 __all__ = [
     "StructuralModel",
@@ -53,8 +53,7 @@ class DegenerateLawError(MedboundsError):
     """A conditional or counterfactual probability is exactly 0 or 1."""
 
 
-@dataclass(frozen=True)
-class StructuralModel:
+class StructuralModel(Record):
     """Fully discrete causal model over (C, U1, U2, X, M, Y).
 
     U1 confounds exposure and outcome, U2 mediator and outcome. Probability
@@ -158,8 +157,7 @@ class StructuralModel:
             return cls.from_dict(json.load(fh))
 
 
-@dataclass(frozen=True)
-class CounterfactualLaw:
+class CounterfactualLaw(Record):
     """Exact cross-world laws for one contrast, all conditioned on its profile.
 
     ``crossed[(a, b)]`` is P(Y(a, M(b)) = 1) for a, b in {"active",

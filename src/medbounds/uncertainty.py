@@ -15,13 +15,13 @@ identification region rather than a point.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import BoundPair, EffectBounds, _log_bounds
 from .effects import PredictorBundle, failing_rows, scalar_or_array, symmetrized
 from .glm import psd_check
+from .record import Record
 
 __all__ = [
     "BoundEstimates",
@@ -45,8 +45,7 @@ def bounds_jacobian(bundle: PredictorBundle) -> np.ndarray:
     return _log_bounds(bundle)[1].copy()
 
 
-@dataclass(frozen=True)
-class BoundEstimates:
+class BoundEstimates(Record):
     """Estimated log bound endpoints and their delta-method covariance.
 
     ``log_bounds`` = (NDE lower, NDE upper, NIE lower, NIE upper);
@@ -111,8 +110,7 @@ def total_effect_variances(estimates: BoundEstimates) -> tuple[float | np.ndarra
     return clipped[0], clipped[1]
 
 
-@dataclass(frozen=True)
-class UncertaintyIntervals:
+class UncertaintyIntervals(Record):
     """(1 - alpha) point-wise intervals enclosing the identification bounds."""
 
     alpha: float

@@ -10,8 +10,6 @@ size, with their own seeds and counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .bounds import effect_bounds, sensitivity_curve
@@ -23,6 +21,7 @@ from .effects import (
     predictor_bundle,
 )
 from .glm import fit_logistic, parse_design
+from .record import Record
 from .scm import (
     crossworld_demo_scm,
     enumerate_counterfactuals,
@@ -51,8 +50,7 @@ SHIFT_ZERO_GRID = (-1.0, 0.0, 1.0)
 COVERAGE_TARGET = 0.93
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     name: str
     passed: bool
     measured: float
@@ -68,9 +66,8 @@ class CheckResult:
         )
 
 
-@dataclass
-class ValidationReport:
-    results: list[CheckResult] = field(default_factory=list)
+class ValidationReport(Record):
+    results: list[CheckResult]
 
     @property
     def passed(self) -> bool:
@@ -246,12 +243,12 @@ def run_validation(
 ) -> ValidationReport:
     """Run every check with pinned seeds; the report text is deterministic."""
     rng = np.random.default_rng(seed)
-    report = ValidationReport()
-    report.results.append(check_sweep_agreement(rng, 200))
-    report.results.append(check_jacobian(rng, 50))
-    report.results.append(check_scm_containment(rng, 60))
-    report.results.append(check_crossworld_strictness())
-    report.results.append(check_mediation_reduction(rng, 200))
-    report.results.append(check_shift_zero(rng, 200))
-    report.results.append(check_coverage(seed, coverage_replicates, coverage_n))
-    return report
+    return ValidationReport([
+        check_sweep_agreement(rng, 200),
+        check_jacobian(rng, 50),
+        check_scm_containment(rng, 60),
+        check_crossworld_strictness(),
+        check_mediation_reduction(rng, 200),
+        check_shift_zero(rng, 200),
+        check_coverage(seed, coverage_replicates, coverage_n),
+    ])

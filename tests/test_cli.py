@@ -964,15 +964,13 @@ class TestValidate:
         assert failing == {"jacobian-vs-fd"}
 
     def test_injected_bound_fault_fails_sweep_agreement(self, monkeypatch):
-        import dataclasses
-
         import medbounds.validate as validate_mod
 
         exact = validate_mod.effect_bounds
 
         def broken(bundle):
             eb = exact(bundle)
-            return dataclasses.replace(eb, nde=dataclasses.replace(eb.nde, upper=eb.nde.upper + 1e-4))
+            return eb.replace(nde=eb.nde.replace(upper=eb.nde.upper + 1e-4))
 
         monkeypatch.setattr(validate_mod, "effect_bounds", broken)
         result = validate_mod.check_sweep_agreement(np.random.default_rng(3), 5)
@@ -980,8 +978,6 @@ class TestValidate:
         assert result.measured >= 9e-5
 
     def test_mediation_reduction_checks_the_cross_pair(self, monkeypatch):
-        import dataclasses
-
         import medbounds.validate as validate_mod
 
         exact = validate_mod.point_effects
@@ -989,7 +985,7 @@ class TestValidate:
         def shifted_cross(bundle):
             # a CROSS logit 1e-3 too high: the NDE gains it, the NIE loses it
             pt = exact(bundle)
-            return dataclasses.replace(pt, nde=pt.nde + 1e-3, nie=pt.nie - 1e-3)
+            return pt.replace(nde=pt.nde + 1e-3, nie=pt.nie - 1e-3)
 
         monkeypatch.setattr(validate_mod, "point_effects", shifted_cross)
         result = validate_mod.check_mediation_reduction(np.random.default_rng(3), 5)
@@ -997,15 +993,13 @@ class TestValidate:
         assert result.measured == pytest.approx(1e-3, rel=1e-6)
 
     def test_shift_zero_identity_catches_a_perturbed_curve(self, monkeypatch):
-        import dataclasses
-
         import medbounds.validate as validate_mod
 
         exact = validate_mod.sensitivity_curve
 
         def perturbed(bundle, shifts):
             curve = exact(bundle, shifts)
-            return dataclasses.replace(curve, nie=curve.nie + 1e-9)
+            return curve.replace(nie=curve.nie + 1e-9)
 
         monkeypatch.setattr(validate_mod, "sensitivity_curve", perturbed)
         result = validate_mod.check_shift_zero(np.random.default_rng(3), 5)
@@ -1013,8 +1007,6 @@ class TestValidate:
         assert result.measured == pytest.approx(1e-9, rel=1e-3)
 
     def test_shift_zero_identity_compares_every_bundle(self, monkeypatch):
-        import dataclasses
-
         import medbounds.validate as validate_mod
 
         exact = validate_mod.sensitivity_curve
@@ -1023,7 +1015,7 @@ class TestValidate:
         def last_perturbed(bundle, shifts):
             calls.append(bundle)
             curve = exact(bundle, shifts)
-            return dataclasses.replace(curve, te=curve.te + (1e-9 if len(calls) == 5 else 0.0))
+            return curve.replace(te=curve.te + (1e-9 if len(calls) == 5 else 0.0))
 
         monkeypatch.setattr(validate_mod, "sensitivity_curve", last_perturbed)
         result = validate_mod.check_shift_zero(np.random.default_rng(3), 5)
@@ -1063,7 +1055,12 @@ class TestEntryPoints:
             sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
 
         monkeypatch.setattr(warnings, "showwarning", to_stderr)
-        code = main(argv)
+        # and under a filter of its own, which shows the program's warnings as the
+        # child's default filter does, whatever -W option pytest runs under
+        with warnings.catch_warnings():
+            warnings.resetwarnings()
+            warnings.simplefilter("default")
+            code = main(argv)
         assert (proc.stdout, proc.stderr, proc.returncode) == (*capsys.readouterr(), code)
         if case == "config-error":
             assert proc.returncode == 1 and proc.stdout == ""

@@ -25,11 +25,9 @@ def test_simulate_runs_the_same_without_scipy():
     assert out == stdout_of(SIMULATE)
 
 
-# fit computes no interval, so it loads no statistics (with fractions and decimal)
-@pytest.mark.parametrize(
-    "commands, also_absent", [(("fit", "curve"), set()), (("fit",), {"statistics"})], ids=["fit-curve", "fit"]
-)
-def test_fit_and_curve_load_neither_the_simulator_nor_the_self_checks(tmp_path, commands, also_absent):
+def modules_loaded_by(tmp_path, commands) -> set:
+    """The modules a process loads to run ``commands`` (of fit and curve, in
+    order) after it has imported numpy."""
     data, cfg, models = tmp_path / "d.csv", tmp_path / "cfg.json", tmp_path / "models.json"
     assert main(["simulate", "--n", "800", "--seed", "3", "--out", str(data)]) == 0
     cfg.write_text(json.dumps({
@@ -45,15 +43,30 @@ def test_fit_and_curve_load_neither_the_simulator_nor_the_self_checks(tmp_path, 
     }
     runs = [runs[command] for command in commands]
     # a set difference: an older numpy loads numpy.ma and numpy.random itself
-    loaded = stdout_of(
+    return set(stdout_of(
         "import sys, numpy\n"
         "before = set(sys.modules)\n"
         "from medbounds.cli import main\n"
         f"assert all(main(argv) == 0 for argv in {runs!r})\n"
         "print(*sorted(set(sys.modules) - before))"
-    ).split()
-    assert {"medbounds.bounds", "medbounds.effects", "medbounds.glm", "medbounds.uncertainty"} <= set(loaded)
-    assert not ({"numpy.ma", "numpy.random", "medbounds.scm", "medbounds.validate"} | also_absent) & set(loaded)
+    ).split())
+
+
+# fit computes no interval, so it loads no statistics (with fractions and decimal)
+@pytest.mark.parametrize(
+    "commands, also_absent", [(("fit", "curve"), set()), (("fit",), {"statistics"})], ids=["fit-curve", "fit"]
+)
+def test_fit_and_curve_load_neither_the_simulator_nor_the_self_checks(tmp_path, commands, also_absent):
+    loaded = modules_loaded_by(tmp_path, commands)
+    assert {"medbounds.bounds", "medbounds.effects", "medbounds.glm", "medbounds.uncertainty"} <= loaded
+    assert not ({"numpy.ma", "numpy.random", "medbounds.scm", "medbounds.validate"} | also_absent) & loaded
+
+
+def test_fit_and_curve_build_their_records_without_dataclasses(tmp_path):
+    # a @dataclass writes and compiles its methods in every process that
+    # loads it; a Record subclass reads its fields and writes no code
+    loaded = modules_loaded_by(tmp_path, ("fit", "curve"))
+    assert "medbounds.record" in loaded and "dataclasses" not in loaded
 
 
 def test_root_sweep_bounds_is_the_simulator_oracle():

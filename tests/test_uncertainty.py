@@ -48,6 +48,27 @@ def derived_bundle_with_cov() -> PredictorBundle:
     return PredictorBundle(values=DERIVED_THETA.copy(), cov=derived_sigma())
 
 
+def distinct_stderr_bundle() -> PredictorBundle:
+    """The derived predictors with a dense covariance, under which the four log
+    bound endpoints have distinct standard errors (under ``derived_sigma`` the
+    two NDE ends share one), so an end widened by another's error shows."""
+    a = np.random.default_rng(5).uniform(-0.3, 0.3, (6, 6))
+    bundle = PredictorBundle(values=DERIVED_THETA.copy(), cov=a @ a.T)
+    assert np.diff(np.sort(bound_covariance(bundle).stderr)).min() > 1e-3
+    return bundle
+
+
+def widened_ends(eb, ui) -> list:
+    """(interval endpoint, bound endpoint, outward sign) of the NDE lower, NDE
+    upper, NIE lower and NIE upper ends, the order of ``stderr``."""
+    return [
+        (ui.nde.lower, eb.nde.lower, -1.0),
+        (ui.nde.upper, eb.nde.upper, 1.0),
+        (ui.nie.lower, eb.nie.lower, -1.0),
+        (ui.nie.upper, eb.nie.upper, 1.0),
+    ]
+
+
 def expit(z):
     return 1.0 / (1.0 + np.exp(-z))
 
@@ -175,15 +196,15 @@ class TestUncertaintyIntervals:
         assert ui.te.upper == eb.te.upper
 
     def test_widening_uses_the_right_quantile(self, derived_bundle_with_cov):
-        eb = effect_bounds(derived_bundle_with_cov)
-        est = bound_covariance(derived_bundle_with_cov)
-        ui = uncertainty_intervals(eb, est, alpha=0.05)
         z = 1.9599639845400545
-        assert ui.nde.lower == pytest.approx(eb.nde.lower - z * est.stderr[0], abs=1e-12)
-        assert ui.nie.upper == pytest.approx(eb.nie.upper + z * est.stderr[3], abs=1e-12)
-        var_lo, var_hi = total_effect_variances(est)
-        assert ui.te.lower == pytest.approx(eb.te.lower - z * np.sqrt(var_lo), abs=1e-12)
-        assert ui.te.upper == pytest.approx(eb.te.upper + z * np.sqrt(var_hi), abs=1e-12)
+        for bundle in (derived_bundle_with_cov, distinct_stderr_bundle()):
+            eb, est = effect_bounds(bundle), bound_covariance(bundle)
+            ui = uncertainty_intervals(eb, est, alpha=0.05)
+            for i, (widened, end, side) in enumerate(widened_ends(eb, ui)):
+                assert widened == pytest.approx(end + side * z * est.stderr[i], abs=1e-12)
+            var_lo, var_hi = total_effect_variances(est)
+            assert ui.te.lower == pytest.approx(eb.te.lower - z * np.sqrt(var_lo), abs=1e-12)
+            assert ui.te.upper == pytest.approx(eb.te.upper + z * np.sqrt(var_hi), abs=1e-12)
 
     def test_nesting(self, derived_bundle_with_cov):
         eb = effect_bounds(derived_bundle_with_cov)
@@ -236,11 +257,11 @@ class TestUncertaintyIntervals:
     def test_widening_matches_scipy_ndtri(self, derived_bundle_with_cov):
         from scipy.special import ndtri
 
-        eb = effect_bounds(derived_bundle_with_cov)
-        est = bound_covariance(derived_bundle_with_cov)
-        se = est.stderr
-        for alpha in np.concatenate([np.logspace(-12, -1, 23), np.linspace(0.05, 0.95, 19)]):
-            ui = uncertainty_intervals(eb, est, float(alpha))
-            z = float(ndtri(1.0 - alpha / 2.0))
-            assert (eb.nde.lower - ui.nde.lower) / se[0] == pytest.approx(z, rel=1e-9)
-            assert (ui.nie.upper - eb.nie.upper) / se[3] == pytest.approx(z, rel=1e-9)
+        for bundle in (derived_bundle_with_cov, distinct_stderr_bundle()):
+            eb, est = effect_bounds(bundle), bound_covariance(bundle)
+            se = est.stderr
+            for alpha in np.concatenate([np.logspace(-12, -1, 23), np.linspace(0.05, 0.95, 19)]):
+                ui = uncertainty_intervals(eb, est, float(alpha))
+                z = float(ndtri(1.0 - alpha / 2.0))
+                for i, (widened, end, side) in enumerate(widened_ends(eb, ui)):
+                    assert side * (widened - end) / se[i] == pytest.approx(z, rel=1e-9)
